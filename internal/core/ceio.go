@@ -19,7 +19,8 @@ type Options struct {
 	// TotalCredits overrides C_total (0 = derive from the machine config
 	// via Eq. 1: LLC bytes / I/O buffer size).
 	TotalCredits int
-	// SWRingEntries sizes each flow's software ring.
+	// SWRingEntries is each flow's software-ring logical capacity; ring
+	// storage starts small and grows on demand up to it.
 	SWRingEntries int
 	// ReadAhead bounds outstanding slow-path DMA reads per flow.
 	ReadAhead int
@@ -117,13 +118,17 @@ type flowState struct {
 	// pollOut backs the batch Poll returns; reused across polls (the
 	// consuming core delivers a batch before polling the flow again).
 	pollOut []*pkt.Packet
+	// pending is the reused scratch for the SW-ring indices issueReads
+	// and the synchronous-read path scan for.
+	pending []uint64
 	// drainFn is the persistent retry callback for a stalled bypass drain.
 	drainFn func()
 
 	unreleased      int    // fast-path packets delivered since last release
 	deliveredAtScan uint64 // activity tracking for the credit scan
 	generatedAtScan uint64
-	idleScans       int // consecutive scans with no traffic
+	idleScans       int  // consecutive scans with no traffic
+	active          bool // carried traffic recently, as of the last scan
 
 	steerEpoch uint64 // bumps per desired-action change; stale async commits abort
 	degraded   bool   // steering gave up: pinned to the slow path until a retry succeeds
@@ -779,7 +784,8 @@ func (c *CEIO) issueReads(st *flowState) {
 	if budget <= 0 {
 		return
 	}
-	for _, idx := range st.sw.PendingSlow(budget + st.readsInFlight) {
+	st.pending = st.sw.AppendPendingSlow(st.pending[:0], budget+st.readsInFlight)
+	for _, idx := range st.pending {
 		if budget == 0 {
 			break
 		}
@@ -935,9 +941,9 @@ func (c *CEIO) Poll(f *iosys.Flow, max int) []*pkt.Packet {
 		// the head entry, one read at a time (the §4.2 strawman).
 		if head := st.sw.PeekHead(); head != nil && head.Slow && !head.Ready && st.readsInFlight == 0 {
 			if c.readStarted(st, head.Pkt) {
-				idx := st.sw.PendingSlow(1)
-				if len(idx) == 1 {
-					if !c.issueRead(st, head.Pkt, contMarkReady, idx[0]) {
+				st.pending = st.sw.AppendPendingSlow(st.pending[:0], 1)
+				if len(st.pending) == 1 {
+					if !c.issueRead(st, head.Pkt, contMarkReady, st.pending[0]) {
 						head.Pkt.Landed = false
 					}
 				}
@@ -1024,7 +1030,7 @@ func (c *CEIO) release(st *flowState, n int) {
 // back. Reclaiming the difference restores credit conservation and lets
 // the flow resume the fast path.
 func (c *CEIO) reconcileCredits() {
-	for _, id := range c.ctrl.FlowIDs() {
+	for _, id := range c.ctrl.order {
 		st := c.flows[id]
 		if st == nil {
 			continue
@@ -1108,7 +1114,7 @@ func (c *CEIO) maybeResumeFast(st *flowState) {
 // credits from inactive flows and from flows stuck on the slow path, then
 // top active fast-path flows back up toward their fair share.
 func (c *CEIO) scanActiveFlows() {
-	active := make(map[int]bool, len(c.flows))
+	nActive := 0
 	for _, st := range c.flows {
 		delivered := st.f.DeliveredCount()
 		generated := st.f.Generated
@@ -1121,21 +1127,22 @@ func (c *CEIO) scanActiveFlows() {
 			st.idleScans = 0
 		}
 		inactive := st.idleScans >= c.opt.InactiveScans
+		st.active = !inactive
+		if st.active {
+			nActive++
+		}
 		switch {
 		case inactive:
 			// Long-idle flows hold no credits at all (the paper's coarse
 			// inactivity timer, scaled).
 			c.ctrl.Recycle(st.f.ID)
 		case st.mode == pkt.PathSlow:
-			active[st.f.ID] = true
 			// Slow-path flows (more likely CPU-bypass) donate everything
 			// above a small reserve kept for their return to the fast
 			// path; the round-robin timer guarantees they come back.
 			if extra := c.ctrl.Available(st.f.ID) - c.opt.ReactivateQuota; extra > 0 {
 				c.ctrl.Take(st.f.ID, extra)
 			}
-		default:
-			active[st.f.ID] = true
 		}
 	}
 	// Top active fast-path flows up toward their fair share — computed
@@ -1143,21 +1150,23 @@ func (c *CEIO) scanActiveFlows() {
 	// queue pairs concentrate on the flows that carry traffic — then give
 	// active slow-path flows their reserve quota.
 	share := c.ctrl.Total()
-	if n := len(active); n > 0 {
-		share = c.ctrl.Total() / n
+	if nActive > 0 {
+		share = c.ctrl.Total() / nActive
 	}
-	for _, id := range c.ctrl.FlowIDs() {
+	// Grants never add or remove flows, so the controller's insertion
+	// order is iterated in place.
+	for _, id := range c.ctrl.order {
 		st := c.flows[id]
-		if st == nil || !active[id] || st.mode != pkt.PathFast {
+		if st == nil || !st.active || st.mode != pkt.PathFast {
 			continue
 		}
 		if have := c.ctrl.Available(id); have < share {
 			c.ctrl.Grant(id, share-have)
 		}
 	}
-	for _, id := range c.ctrl.FlowIDs() {
+	for _, id := range c.ctrl.order {
 		st := c.flows[id]
-		if st == nil || !active[id] || st.mode != pkt.PathSlow {
+		if st == nil || !st.active || st.mode != pkt.PathSlow {
 			continue
 		}
 		if have := c.ctrl.Available(id); have < c.opt.ReactivateQuota {
@@ -1166,14 +1175,14 @@ func (c *CEIO) scanActiveFlows() {
 	}
 	// Move per-core shares toward the cores that carry the active flows,
 	// the inter-core analogue of the per-flow top-up above.
-	c.recarveCoreShares(active)
+	c.recarveCoreShares()
 }
 
 // reactivateRoundRobin is the backup fairness timer: it periodically
 // grants a quota to the next slow-path flow so every flow gets an
 // opportunity to return to the fast path.
 func (c *CEIO) reactivateRoundRobin() {
-	ids := c.ctrl.FlowIDs()
+	ids := c.ctrl.order
 	if len(ids) == 0 {
 		return
 	}

@@ -87,14 +87,13 @@ func (c *CEIO) coreBudgetOK(st *flowState) bool {
 // that changed cores. The carve is a bound, not an assignment — no
 // controller state moves, so conservation is untouched and in-flight
 // packets above a shrunken share simply drain off.
-func (c *CEIO) recarveCoreShares(active map[int]bool) {
+func (c *CEIO) recarveCoreShares() {
 	if c.coreShares == nil {
 		return
 	}
 	weights := make([]int, len(c.coreShares))
-	for id := range active {
-		st := c.flows[id]
-		if st == nil {
+	for _, st := range c.flows {
+		if !st.active {
 			continue
 		}
 		if q := st.f.QueueIndex(); q >= 0 && q < len(weights) {

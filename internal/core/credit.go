@@ -20,7 +20,8 @@ type FlowCredits struct {
 	// Owes records IOUs created by Algorithm 1 when this flow lacked
 	// sufficient available credits at reallocation time (the paper's set
 	// I and o_j^i bookkeeping): creditor flow ID -> credits owed. Debts
-	// are settled first out of this flow's released credits.
+	// are settled first out of this flow's released credits. Nil until
+	// the flow first goes into debt.
 	Owes map[int]int
 }
 
@@ -93,17 +94,19 @@ func (c *CreditController) AddFlows(ids ...int) {
 	if m == 0 {
 		return
 	}
-	existing := append([]int(nil), c.order...)
+	n := len(c.order)
 	newFlows := make([]*FlowCredits, 0, m)
 	for _, id := range ids {
 		if _, dup := c.flows[id]; dup {
 			panic(fmt.Sprintf("core: duplicate flow %d", id))
 		}
-		f := &FlowCredits{ID: id, Owes: make(map[int]int)}
+		f := &FlowCredits{ID: id}
 		c.flows[id] = f
 		c.order = append(c.order, id)
 		newFlows = append(newFlows, f)
 	}
+	// The existing flows are the prefix of the order before the appends.
+	existing := c.order[:n]
 	cflow := c.total / len(c.order)
 	need := make([]int, m)
 	totalNeed := 0
@@ -156,6 +159,9 @@ func (c *CreditController) AddFlows(ids ...int) {
 		fill(give)
 		if deficit := q - give; deficit > 0 {
 			// Record IOUs toward new flows that are still under target.
+			if e.Owes == nil {
+				e.Owes = make(map[int]int)
+			}
 			for k := range need {
 				if deficit == 0 {
 					break
@@ -332,9 +338,6 @@ func (c *CreditController) FairShare() int {
 	}
 	return c.total / len(c.order)
 }
-
-// FlowIDs returns flows in insertion order (copy).
-func (c *CreditController) FlowIDs() []int { return append([]int(nil), c.order...) }
 
 // CheckInvariant verifies credit conservation.
 func (c *CreditController) CheckInvariant() error {

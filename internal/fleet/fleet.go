@@ -25,8 +25,10 @@
 package fleet
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"ceio/internal/core"
@@ -325,9 +327,11 @@ type Fleet struct {
 	hosts   []*Host
 	ctlOut  []outMsg
 	ctlPort int
+	// merge is the barrier's reused buffer for sequencing every outbox.
+	merge []outMsg
 
 	placement map[int]*placement
-	order     []int // flow IDs in AddFlow order
+	flowIDs   []int // every placed flow ID, ascending; kept sorted on placement
 	expected  []int // per-host C_total captured at construction
 
 	now      sim.Time // last barrier
@@ -470,7 +474,7 @@ func (f *Fleet) barrier(t sim.Time) {
 
 	f.applyFabricFaults(t)
 
-	var all []outMsg
+	all := f.merge[:0]
 	for _, h := range f.hosts {
 		all = append(all, h.out...)
 		h.out = h.out[:0]
@@ -479,17 +483,19 @@ func (f *Fleet) barrier(t sim.Time) {
 	f.ctlOut = f.ctlOut[:0]
 	// Stable sort on (time, source): per-shard outboxes are already in
 	// time order, so stability preserves each source's FIFO.
-	sort.SliceStable(all, func(i, j int) bool {
-		if all[i].at != all[j].at {
-			return all[i].at < all[j].at
+	slices.SortStableFunc(all, func(a, b outMsg) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
 		}
-		return all[i].src < all[j].src
+		return cmp.Compare(a.src, b.src)
 	})
 	for _, om := range all {
 		// A false return is a tail drop or a dark port: the frame is
 		// gone, and the handshake timeouts (or the next probe) recover.
 		f.SW.Inject(om.at, fabric.Msg{Src: om.src, Dst: om.dst, Bytes: om.bytes, Payload: om.m})
 	}
+	clear(all) // drop payload references until the next epoch reuses it
+	f.merge = all[:0]
 	f.SW.AdvanceTo(t)
 	for _, d := range f.SW.Drain() {
 		m := d.Msg.Payload.(netMsg)
@@ -668,7 +674,7 @@ func (f *Fleet) declareLive(h *Host) {
 	h.good, h.missed = 0, 0
 	f.Stats.Revivals++
 	now := f.Eng.Now()
-	for _, id := range f.sortedFlowIDs() {
+	for _, id := range f.flowIDs {
 		p := f.placement[id]
 		switch {
 		case p.migrating:
@@ -894,7 +900,8 @@ func (f *Fleet) AddFlowE(spec iosys.FlowSpec) error {
 		h.M.PauseFlow(spec.ID)
 	}
 	f.placement[spec.ID] = &placement{spec: spec, host: h.Index, victim: -1, target: -1}
-	f.order = append(f.order, spec.ID)
+	i, _ := slices.BinarySearch(f.flowIDs, spec.ID)
+	f.flowIDs = slices.Insert(f.flowIDs, i, spec.ID)
 	return nil
 }
 
@@ -910,18 +917,11 @@ func (f *Fleet) AddFlow(spec iosys.FlowSpec) {
 // placed on host h.
 func (f *Fleet) flowsOn(h int) []int {
 	var ids []int
-	for _, id := range f.sortedFlowIDs() {
+	for _, id := range f.flowIDs {
 		if p := f.placement[id]; !p.migrating && p.host == h {
 			ids = append(ids, id)
 		}
 	}
-	return ids
-}
-
-// sortedFlowIDs returns every placed flow ID in ascending order.
-func (f *Fleet) sortedFlowIDs() []int {
-	ids := append([]int(nil), f.order...)
-	sort.Ints(ids)
 	return ids
 }
 
@@ -940,7 +940,7 @@ func (f *Fleet) HostOf(id int) int {
 // end-of-run discipline as single-machine chaos runs). Call between
 // runs only.
 func (f *Fleet) Quiesce() {
-	for _, id := range f.sortedFlowIDs() {
+	for _, id := range f.flowIDs {
 		if p := f.placement[id]; !p.migrating {
 			f.hosts[p.host].M.PauseFlow(id)
 		}
@@ -977,7 +977,7 @@ func (f *Fleet) PlacedFlowIDs(i int) []int { return f.flowsOn(i) }
 // their drain deadline at time now.
 func (f *Fleet) OverdueMigrations(now sim.Time) []int {
 	var ids []int
-	for _, id := range f.sortedFlowIDs() {
+	for _, id := range f.flowIDs {
 		if p := f.placement[id]; p.migrating && now > p.deadline {
 			ids = append(ids, id)
 		}

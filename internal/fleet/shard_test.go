@@ -86,7 +86,7 @@ func TestFleet64Smoke(t *testing.T) {
 	if f.Stats.Migrations == 0 {
 		t.Fatal("no flow migrated off the crashed host")
 	}
-	for _, id := range f.sortedFlowIDs() {
+	for _, id := range f.flowIDs {
 		if h := f.HostOf(id); h < 0 {
 			t.Fatalf("flow %d unplaced after the dust settled", id)
 		}

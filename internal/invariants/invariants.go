@@ -21,6 +21,7 @@ package invariants
 import (
 	"fmt"
 	"strings"
+	"weak"
 
 	"ceio/internal/core"
 	"ceio/internal/iosys"
@@ -53,7 +54,13 @@ type Auditor struct {
 	total      uint64
 
 	lastRingViolations uint64
-	lastSeq            map[*iosys.Flow]uint64
+	// lastSeq is the delivery-order expectation of flows still in the
+	// machine. A removed flow's expectation moves to retired, keyed by a
+	// weak pointer: a batch its core had in flight at teardown may still
+	// deliver and is checked against it, yet the audit record does not
+	// keep the flow (and its datapath state) alive.
+	lastSeq map[*iosys.Flow]uint64
+	retired map[weak.Pointer[iosys.Flow]]uint64
 
 	// Checks counts completed periodic sweeps (diagnostics: a zero means
 	// the period outlived the simulation and nothing was actually audited).
@@ -68,7 +75,11 @@ func Attach(m *iosys.Machine, period sim.Time) *Auditor {
 	if period <= 0 {
 		period = 100 * sim.Microsecond
 	}
-	a := &Auditor{m: m, lastSeq: make(map[*iosys.Flow]uint64)}
+	a := &Auditor{
+		m:       m,
+		lastSeq: make(map[*iosys.Flow]uint64),
+		retired: make(map[weak.Pointer[iosys.Flow]]uint64),
+	}
 	if dp, ok := m.DP.(*core.CEIO); ok {
 		a.dp = dp
 	}
@@ -100,16 +111,39 @@ func (a *Auditor) observeDelivery(f *iosys.Flow, seq uint64) {
 	if f.Kind != iosys.CPUInvolved {
 		return
 	}
-	if last, ok := a.lastSeq[f]; ok && seq <= last {
+	last, ok := a.lastSeq[f]
+	if !ok && len(a.retired) > 0 {
+		last, ok = a.retired[weak.Make(f)]
+	}
+	if ok && seq <= last {
 		a.record("delivery-order",
 			fmt.Sprintf("flow %d delivered seq %d after %d", f.ID, seq, last))
 	}
 	a.lastSeq[f] = seq
 }
 
+// retire moves the expectations of flows no longer in the machine
+// (pointer-compared, so a reused ID is a different flow) to the weakly
+// keyed retired set, and forgets retired flows the collector has freed:
+// those can never deliver again.
+func (a *Auditor) retire() {
+	for f, seq := range a.lastSeq {
+		if a.m.Flows[f.ID] != f {
+			a.retired[weak.Make(f)] = seq
+			delete(a.lastSeq, f)
+		}
+	}
+	for w := range a.retired {
+		if w.Value() == nil {
+			delete(a.retired, w)
+		}
+	}
+}
+
 // sweep runs every periodic check once.
 func (a *Auditor) sweep() {
 	a.Checks++
+	a.retire()
 	if a.m.NICMemUsed < 0 || a.m.NICMemUsed > a.m.Cfg.NICMemBytes {
 		a.record("nicmem-bounds",
 			fmt.Sprintf("NICMemUsed=%d outside [0, %d]", a.m.NICMemUsed, a.m.Cfg.NICMemBytes))

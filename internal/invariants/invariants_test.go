@@ -1,8 +1,10 @@
 package invariants_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
+	"weak"
 
 	"ceio/internal/core"
 	"ceio/internal/invariants"
@@ -101,4 +103,80 @@ func TestAuditorRetentionCap(t *testing.T) {
 	if got := len(a.Violations()); got > 64 {
 		t.Fatalf("retention cap breached: %d records", got)
 	}
+}
+
+// The delivery-order expectation of a removed flow is still enforced
+// after a sweep retires it: a batch a core had in flight at teardown can
+// deliver late, and a replayed sequence number then must not pass.
+func TestAuditorChecksRetiredFlow(t *testing.T) {
+	dp := core.New(core.DefaultOptions())
+	m := iosys.NewMachine(iosys.DefaultConfig(), dp)
+	a := invariants.Attach(m, 50*sim.Microsecond)
+	f := m.AddFlow(kvSpec(1, 512))
+	m.Run(1 * sim.Millisecond)
+	if f.DeliveredCount() == 0 {
+		t.Fatal("flow delivered nothing")
+	}
+	m.RemoveFlow(1)
+	m.Run(2 * sim.Millisecond) // several sweeps past the removal
+	if a.Count() != 0 {
+		t.Fatalf("clean teardown reported violations: %v", a.Err())
+	}
+	m.OnDeliver(f, &pkt.Packet{FlowID: 1, Seq: 0})
+	if err := a.Err(); err == nil || !strings.Contains(err.Error(), "delivery-order") {
+		t.Fatalf("want delivery-order violation for the retired flow, got %v", err)
+	}
+	// A new flow reusing the ID starts a fresh expectation.
+	before := a.Count()
+	g := m.AddFlow(kvSpec(1, 512))
+	m.OnDeliver(g, &pkt.Packet{FlowID: 1, Seq: 0})
+	if a.Count() != before {
+		t.Fatalf("reused flow ID inherited the removed flow's expectation: %v", a.Err())
+	}
+}
+
+// Torn-down flows must become unreachable: the auditor's delivery-order
+// bookkeeping (and anything else) must not pin a removed flow, its
+// datapath state, or its SW ring. 512 flows each deliver, are removed,
+// and must all be collected.
+func TestAuditorReleasesRemovedFlows(t *testing.T) {
+	dp := core.New(core.DefaultOptions())
+	m := iosys.NewMachine(iosys.DefaultConfig(), dp)
+	a := invariants.Attach(m, 50*sim.Microsecond)
+	const rounds, perRound = 8, 64
+	var gone []weak.Pointer[iosys.Flow]
+	now := sim.Time(0)
+	for r := 0; r < rounds; r++ {
+		flows := make([]*iosys.Flow, perRound)
+		for i := range flows {
+			flows[i] = m.AddFlow(kvSpec(r*perRound+i+1, 512))
+		}
+		now += 300 * sim.Microsecond
+		m.Run(now)
+		for _, f := range flows {
+			if f.DeliveredCount() == 0 {
+				t.Fatalf("flow %d delivered nothing before removal", f.ID)
+			}
+			gone = append(gone, weak.Make(f))
+			m.RemoveFlow(f.ID)
+		}
+	}
+	// Let in-flight completions and several sweeps run past the last
+	// removal, then collect.
+	m.Run(now + sim.Millisecond)
+	if err := a.Err(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	live := 0
+	for _, w := range gone {
+		if w.Value() != nil {
+			live++
+		}
+	}
+	if live != 0 {
+		t.Fatalf("%d of %d removed flows still reachable after GC", live, len(gone))
+	}
+	runtime.KeepAlive(m)
+	runtime.KeepAlive(a)
 }

@@ -102,7 +102,10 @@ type Engine struct {
 	// (§6.4 "Understanding Performance Penalties of Slow Path").
 	readCredits int
 	maxReads    int
+	// pendingR queues reads waiting for a tag in FIFO order; pendingHead
+	// is its consumed prefix, so pops never give up the backing array.
 	pendingR    []*readOp
+	pendingHead int
 
 	// freeR is the read-carrier free list; see allocRead.
 	freeR *readOp
@@ -344,6 +347,14 @@ func retryRead(arg any) {
 func (d *Engine) issueRead(r *readOp) {
 	if d.readCredits == 0 {
 		d.ReadStalls++
+		if d.pendingHead > 0 && len(d.pendingR) == cap(d.pendingR) {
+			// Slide the live tail to the front rather than growing past a
+			// consumed prefix: a queue that never fully drains stays
+			// bounded by its peak depth.
+			n := copy(d.pendingR, d.pendingR[d.pendingHead:])
+			clear(d.pendingR[n:])
+			d.pendingR, d.pendingHead = d.pendingR[:n], 0
+		}
 		d.pendingR = append(d.pendingR, r)
 		return
 	}
@@ -382,10 +393,13 @@ func readPayloadLanded(arg any) {
 	d.freeRead(r)
 	fn(farg)
 	d.readCredits++
-	if len(d.pendingR) > 0 && d.readCredits > 0 {
-		next := d.pendingR[0]
-		d.pendingR[0] = nil
-		d.pendingR = d.pendingR[1:]
+	if d.pendingHead < len(d.pendingR) && d.readCredits > 0 {
+		next := d.pendingR[d.pendingHead]
+		d.pendingR[d.pendingHead] = nil
+		d.pendingHead++
+		if d.pendingHead == len(d.pendingR) {
+			d.pendingR, d.pendingHead = d.pendingR[:0], 0
+		}
 		d.readCredits--
 		d.startRead(next)
 	}

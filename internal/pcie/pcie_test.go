@@ -178,3 +178,46 @@ func TestDMAWritesPreserveOrder(t *testing.T) {
 		}
 	}
 }
+
+// Reads beyond the tag pool queue and start in FIFO order. Each
+// completion issues another read, so the queue never drains: its storage
+// must still stay bounded by the backlog rather than by the reads ever
+// queued.
+func TestDMAReadsQueueFIFO(t *testing.T) {
+	eng := sim.NewEngine(1)
+	toHost, toNIC := testLinks(eng)
+	iio := cache.NewIIO(1 << 20)
+	d := NewEngine(eng, toHost, toNIC, iio, 4) // 4 read tags
+	const total, burst = 200, 10
+	var order []int
+	issued := 0
+	var issue func()
+	issue = func() {
+		i := issued
+		issued++
+		d.Read(256, 100, func() {
+			order = append(order, i)
+			if issued < total {
+				issue()
+			}
+		})
+	}
+	for issued < burst {
+		issue()
+	}
+	eng.Run()
+	if len(order) != total {
+		t.Fatalf("completed %d reads, want %d", len(order), total)
+	}
+	for i, v := range order {
+		if v != i {
+			t.Fatalf("read %d completed at position %d: %v", v, i, order)
+		}
+	}
+	if d.ReadStalls == 0 {
+		t.Fatal("no read queued behind the tag pool")
+	}
+	if c := cap(d.pendingR); c > 2*burst {
+		t.Fatalf("pending-read storage grew to %d for a backlog of at most %d", c, burst)
+	}
+}

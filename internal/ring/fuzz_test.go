@@ -1,6 +1,8 @@
 package ring_test
 
 import (
+	"bytes"
+	"slices"
 	"testing"
 
 	"ceio/internal/pkt"
@@ -24,8 +26,13 @@ func FuzzSWRingProtocol(f *testing.F) {
 	f.Add([]byte{2, 254, 0, 3, 3})                           // illegal marks: empty window, far index
 	f.Add([]byte{1, 6, 6, 3, 2})                             // double mark, mark after pop
 	f.Add([]byte{0, 0, 0, 0, 1, 1, 3, 3, 3, 6, 22, 3, 3, 3}) // mixed phases
+	// 20 pushes, 10 pops, 30 pushes: storage doubles twice with the
+	// live window wrapped.
+	f.Add(slices.Concat(bytes.Repeat([]byte{0}, 20), bytes.Repeat([]byte{3}, 10), bytes.Repeat([]byte{1, 0}, 15)))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		const capacity = 16
+		// Wider than the ring's initial storage, so inputs grow the
+		// storage while the live window wraps.
+		const capacity = 256
 		r := ring.NewSWRing(capacity)
 		r.FaultTolerant = true
 

@@ -163,17 +163,21 @@ func TestSWRingPendingSlow(t *testing.T) {
 	i1, _ := r.PushSlow(mkPkt(1))
 	r.PushFast(mkPkt(2))
 	i3, _ := r.PushSlow(mkPkt(3))
-	pending := r.PendingSlow(10)
+	pending := r.AppendPendingSlow(nil, 10)
 	if len(pending) != 2 || pending[0] != i1 || pending[1] != i3 {
 		t.Fatalf("pending = %v, want [%d %d]", pending, i1, i3)
 	}
 	r.MarkReady(i1)
-	pending = r.PendingSlow(10)
+	pending = r.AppendPendingSlow(pending[:0], 10)
 	if len(pending) != 1 || pending[0] != i3 {
 		t.Fatalf("pending after mark = %v", pending)
 	}
-	if got := r.PendingSlow(0); len(got) != 0 {
+	if got := r.AppendPendingSlow(nil, 0); len(got) != 0 {
 		t.Fatalf("limit 0 gave %v", got)
+	}
+	// Appending keeps what dst already holds.
+	if got := r.AppendPendingSlow([]uint64{99}, 10); len(got) != 2 || got[0] != 99 || got[1] != i3 {
+		t.Fatalf("append onto [99] = %v", got)
 	}
 }
 
@@ -221,7 +225,7 @@ func TestSWRingOrderProperty(t *testing.T) {
 					seq++
 				}
 			case 2:
-				if p := r.PendingSlow(1); len(p) == 1 {
+				if p := r.AppendPendingSlow(nil, 1); len(p) == 1 {
 					r.MarkReady(p[0])
 				}
 			case 3:
@@ -234,7 +238,7 @@ func TestSWRingOrderProperty(t *testing.T) {
 			}
 		}
 		// Drain: mark everything ready, pop all.
-		for _, i := range r.PendingSlow(r.Cap()) {
+		for _, i := range r.AppendPendingSlow(nil, r.Cap()) {
 			r.MarkReady(i)
 		}
 		for {
@@ -251,5 +255,143 @@ func TestSWRingOrderProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refRing is a fixed-size reference SW ring: storage for the whole
+// logical capacity up front, the layout before on-demand growth.
+type refRing struct {
+	e          []Entry
+	head, tail uint64
+}
+
+func (r *refRing) slot(i uint64) *Entry { return &r.e[i%uint64(len(r.e))] }
+
+// On-demand growth must be invisible: across several doublings with head
+// far from 0 (so the live window wraps in storage), every index the ring
+// hands out and every entry it returns matches the fixed-size reference,
+// and Cap stays the logical capacity.
+func TestSWRingGrowthMatchesFixedRing(t *testing.T) {
+	const capacity = 1024
+	r := NewSWRing(capacity)
+	ref := &refRing{e: make([]Entry, capacity)}
+	var seq uint64
+	push := func(slow bool) {
+		t.Helper()
+		p := mkPkt(seq)
+		seq++
+		var idx uint64
+		if slow {
+			var ok bool
+			if idx, ok = r.PushSlow(p); !ok {
+				t.Fatalf("PushSlow failed at len %d", r.Len())
+			}
+		} else {
+			if !r.PushFast(p) {
+				t.Fatalf("PushFast failed at len %d", r.Len())
+			}
+			idx = ref.tail
+		}
+		if idx != ref.tail {
+			t.Fatalf("PushSlow idx=%d, reference tail=%d", idx, ref.tail)
+		}
+		*ref.slot(ref.tail) = Entry{Pkt: p, Slow: slow, Ready: !slow}
+		ref.tail++
+	}
+	check := func() {
+		t.Helper()
+		if r.Cap() != capacity {
+			t.Fatalf("Cap=%d, want logical %d", r.Cap(), capacity)
+		}
+		if r.Len() != int(ref.tail-ref.head) {
+			t.Fatalf("Len=%d, reference %d", r.Len(), ref.tail-ref.head)
+		}
+		for i := ref.head; i < ref.tail; i++ {
+			if got, want := *r.At(i), *ref.slot(i); got != want {
+				t.Fatalf("At(%d)=%+v, reference %+v", i, got, want)
+			}
+		}
+		if ref.head < ref.tail {
+			if got, want := *r.PeekHead(), *ref.slot(ref.head); got != want {
+				t.Fatalf("PeekHead=%+v, reference %+v", got, want)
+			}
+		}
+		var want []uint64
+		for i := ref.head; i < ref.tail; i++ {
+			if e := ref.slot(i); e.Slow && !e.Ready {
+				want = append(want, i)
+			}
+		}
+		got := r.AppendPendingSlow(nil, capacity)
+		if len(got) != len(want) {
+			t.Fatalf("pending slow %v, reference %v", got, want)
+		}
+		for k := range got {
+			if got[k] != want[k] {
+				t.Fatalf("pending slow %v, reference %v", got, want)
+			}
+		}
+	}
+	pop := func() {
+		t.Helper()
+		p := r.PopReady()
+		e := ref.slot(ref.head)
+		if ref.head == ref.tail || !e.Ready {
+			if p != nil {
+				t.Fatalf("PopReady returned seq %d, reference head not ready", p.Seq)
+			}
+			return
+		}
+		if p != e.Pkt {
+			t.Fatalf("PopReady returned %+v, reference %+v", p, e.Pkt)
+		}
+		ref.head++
+	}
+
+	// Walk head far from 0 while the ring stays shallow: storage must not
+	// grow for a flow that never queues.
+	for i := 0; i < 1000; i++ {
+		push(i%3 == 0)
+		if e := ref.slot(ref.head); e.Slow {
+			r.MarkReady(ref.head)
+			e.Ready = true
+		}
+		pop()
+	}
+	if len(r.entries) != swInitialEntries {
+		t.Fatalf("shallow ring grew to %d entries", len(r.entries))
+	}
+	// Fill to capacity with a fast/slow mix through every doubling,
+	// checking the whole window after each push.
+	for r.Len() < capacity {
+		push(seq%4 == 1)
+		check()
+	}
+	if len(r.entries) != capacity {
+		t.Fatalf("full ring storage = %d entries, want %d", len(r.entries), capacity)
+	}
+	if r.PushFast(mkPkt(seq)) {
+		t.Fatal("push beyond logical capacity succeeded")
+	}
+	if _, ok := r.PushSlow(mkPkt(seq)); ok {
+		t.Fatal("slow push beyond logical capacity succeeded")
+	}
+	// Mark pending slow entries out of order and drain, checking FIFO.
+	pending := r.AppendPendingSlow(nil, capacity)
+	for k := len(pending) - 1; k >= 0; k -= 2 {
+		r.MarkReady(pending[k])
+		ref.slot(pending[k]).Ready = true
+	}
+	check()
+	for ref.head < ref.tail {
+		pop()
+		if e := ref.slot(ref.head); ref.head < ref.tail && !e.Ready {
+			r.MarkReady(ref.head)
+			e.Ready = true
+		}
+		check()
+	}
+	if r.MaxFill != capacity {
+		t.Fatalf("MaxFill=%d, want %d", r.MaxFill, capacity)
 	}
 }

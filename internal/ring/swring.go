@@ -24,10 +24,17 @@ type Entry struct {
 // interface. Because CEIO enforces phase exclusivity between the paths,
 // producers never interleave within a flow, so FIFO insertion order is
 // delivery order — no per-packet reordering metadata is needed.
+//
+// The ring's capacity is logical: storage starts at swInitialEntries and
+// doubles on demand when a push finds it physically full, up to the
+// capacity. A flow that never queues deeply never pays for the worst case.
+// Indices are absolute counters, so growth re-homes the live window
+// without renumbering any entry.
 type SWRing struct {
-	entries []Entry
-	head    uint64
-	tail    uint64
+	entries  []Entry // storage; its length is a power of two <= capacity
+	capacity int
+	head     uint64
+	tail     uint64
 
 	// FaultTolerant converts MarkReady protocol violations from process
 	// aborts into counted, reported events. The fault-injection substrate
@@ -47,26 +54,51 @@ type SWRing struct {
 	Violations uint64
 }
 
-// NewSWRing creates a software ring with the given entry count.
+// swInitialEntries is the storage a new SWRing allocates; pushes double
+// it as needed up to the ring's logical capacity.
+const swInitialEntries = 16
+
+// NewSWRing creates a software ring holding up to capacity entries.
 func NewSWRing(capacity int) *SWRing {
 	if capacity <= 0 || capacity&(capacity-1) != 0 {
 		panic("ring: capacity must be a positive power of two")
 	}
-	return &SWRing{entries: make([]Entry, capacity)}
+	return &SWRing{entries: make([]Entry, min(capacity, swInitialEntries)), capacity: capacity}
 }
 
-// Cap returns the ring capacity in entries.
-func (r *SWRing) Cap() int { return len(r.entries) }
+// Cap returns the ring's logical capacity in entries, independent of how
+// much storage is currently allocated.
+func (r *SWRing) Cap() int { return r.capacity }
 
 // Len returns occupied entries (ready or not).
 func (r *SWRing) Len() int { return int(r.tail - r.head) }
 
-func (r *SWRing) slot(i uint64) *Entry { return &r.entries[i&uint64(r.Cap()-1)] }
+func (r *SWRing) slot(i uint64) *Entry { return &r.entries[i&uint64(len(r.entries)-1)] }
+
+// grow doubles the storage once it is physically full, re-homing each
+// live entry at its absolute index modulo the new length. It reports
+// false when the ring is already at its logical capacity. Pushes call it
+// only when Len reaches the storage length, so the common push pays no
+// more than the one compare it always made; it stays out of line to keep
+// the push paths small.
+//
+//go:noinline
+func (r *SWRing) grow() bool {
+	if len(r.entries) == r.capacity {
+		return false
+	}
+	next := make([]Entry, 2*len(r.entries))
+	for i := r.head; i < r.tail; i++ {
+		next[i&uint64(len(next)-1)] = *r.slot(i)
+	}
+	r.entries = next
+	return true
+}
 
 // PushFast inserts a fast-path packet (immediately ready). It fails when
 // the ring is full.
 func (r *SWRing) PushFast(p *pkt.Packet) bool {
-	if r.Len() == r.Cap() {
+	if r.Len() == len(r.entries) && !r.grow() {
 		return false
 	}
 	*r.slot(r.tail) = Entry{Pkt: p, Slow: false, Ready: true}
@@ -82,7 +114,7 @@ func (r *SWRing) PushFast(p *pkt.Packet) bool {
 // still resides in on-NIC memory). It returns the entry's ring index for
 // the later MarkReady call, and ok=false when the ring is full.
 func (r *SWRing) PushSlow(p *pkt.Packet) (idx uint64, ok bool) {
-	if r.Len() == r.Cap() {
+	if r.Len() == len(r.entries) && !r.grow() {
 		return 0, false
 	}
 	idx = r.tail
@@ -175,17 +207,18 @@ func (r *SWRing) At(idx uint64) *Entry {
 	return r.slot(idx)
 }
 
-// PendingSlow scans the live window and returns the indices of slow
-// entries that are not yet ready, in order. The CEIO driver uses this to
-// issue asynchronous DMA reads while the application processes fast-path
-// packets (§4.2).
-func (r *SWRing) PendingSlow(max int) []uint64 {
-	var out []uint64
-	for i := r.head; i < r.tail && len(out) < max; i++ {
+// AppendPendingSlow scans the live window and appends to dst the indices
+// of up to max slow entries that are not yet ready, in order. The CEIO
+// driver uses this to issue asynchronous DMA reads while the application
+// processes fast-path packets (§4.2); passing a reused dst[:0] keeps the
+// poll loop allocation-free.
+func (r *SWRing) AppendPendingSlow(dst []uint64, max int) []uint64 {
+	for i, n := r.head, 0; i < r.tail && n < max; i++ {
 		e := r.slot(i)
 		if e.Slow && !e.Ready {
-			out = append(out, i)
+			dst = append(dst, i)
+			n++
 		}
 	}
-	return out
+	return dst
 }
