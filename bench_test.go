@@ -32,15 +32,11 @@ func benchTables(b *testing.B, run func(experiments.Config) int) {
 	}
 }
 
-// BenchmarkFig4DynamicFlows regenerates Figure 4a (motivation: dynamic
-// flow distribution degradation of HostCC/ShRing).
+// BenchmarkFig4DynamicFlows regenerates Figure 4 (motivation: HostCC and
+// ShRing degradation under dynamic flow distribution, 4a, and network
+// burst, 4b; one run produces both tables).
 func BenchmarkFig4DynamicFlows(b *testing.B) {
 	benchTables(b, func(c experiments.Config) int { return len(experiments.Fig4(c)[0].Rows) })
-}
-
-// BenchmarkFig4Burst regenerates Figure 4b (motivation: network burst).
-func BenchmarkFig4Burst(b *testing.B) {
-	benchTables(b, func(c experiments.Config) int { return len(experiments.Fig4(c)[1].Rows) })
 }
 
 // BenchmarkFig9PacketSize regenerates Figure 9 (throughput and LLC miss
@@ -85,16 +81,12 @@ func BenchmarkTable4Mixed(b *testing.B) {
 	benchTables(b, func(c experiments.Config) int { return len(experiments.Table4(c).Rows) })
 }
 
-// BenchmarkLimitsLowPressure regenerates §6.3's low-memory-pressure
-// scenario (64B VxLAN; all methods alike).
+// BenchmarkLimitsLowPressure regenerates §6.3's limited-benefit
+// scenarios: low memory pressure (64B VxLAN; all methods alike) and
+// jumbo frames (baseline reaches line rate despite misses), both tables
+// from one run.
 func BenchmarkLimitsLowPressure(b *testing.B) {
 	benchTables(b, func(c experiments.Config) int { return len(experiments.Limits(c)[0].Rows) })
-}
-
-// BenchmarkLimitsJumbo regenerates §6.3's jumbo-frame scenario (baseline
-// reaches line rate despite misses).
-func BenchmarkLimitsJumbo(b *testing.B) {
-	benchTables(b, func(c experiments.Config) int { return len(experiments.Limits(c)[1].Rows) })
 }
 
 // BenchmarkAblationDesignChoices runs the lazy-release / async-drain /

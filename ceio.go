@@ -169,15 +169,15 @@ func NewSimulator(cfg Config, arch Architecture) *Simulator {
 	return s
 }
 
-// NewSimulatorE is NewSimulator with invalid configurations reported as
-// errors instead of panics.
+// NewSimulatorE is NewSimulator with invalid configurations, and
+// architectures outside the registry, reported as errors instead of
+// panics.
 func NewSimulatorE(cfg Config, arch Architecture) (*Simulator, error) {
-	dp := workload.NewDatapath(workload.Method(arch))
-	m, err := iosys.NewMachineE(cfg, dp)
+	method, err := workload.ParseMethod(string(arch))
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("ceio: %w", err)
 	}
-	return &Simulator{m: m, dp: dp}, nil
+	return newSimulator(cfg, workload.NewDatapath(method))
 }
 
 // NewCEIOSimulator builds a machine running CEIO with explicit options
@@ -194,12 +194,7 @@ func NewCEIOSimulator(cfg Config, opts CEIOOptions) *Simulator {
 // NewCEIOSimulatorE is NewCEIOSimulator with invalid configurations
 // reported as errors instead of panics.
 func NewCEIOSimulatorE(cfg Config, opts CEIOOptions) (*Simulator, error) {
-	dp := core.New(opts)
-	m, err := iosys.NewMachineE(cfg, dp)
-	if err != nil {
-		return nil, err
-	}
-	return &Simulator{m: m, dp: dp}, nil
+	return newSimulator(cfg, core.New(opts))
 }
 
 // NewRDCASimulator builds a machine running the RDCA datapath with
@@ -216,7 +211,11 @@ func NewRDCASimulator(cfg Config, opts RDCAOptions) *Simulator {
 // NewRDCASimulatorE is NewRDCASimulator with invalid configurations
 // reported as errors instead of panics.
 func NewRDCASimulatorE(cfg Config, opts RDCAOptions) (*Simulator, error) {
-	dp := rdca.New(opts)
+	return newSimulator(cfg, rdca.New(opts))
+}
+
+// newSimulator builds the machine around an already constructed datapath.
+func newSimulator(cfg Config, dp iosys.Datapath) (*Simulator, error) {
 	m, err := iosys.NewMachineE(cfg, dp)
 	if err != nil {
 		return nil, err

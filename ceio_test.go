@@ -1,6 +1,7 @@
 package ceio_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -28,7 +29,7 @@ func TestSimulatorQuickstart(t *testing.T) {
 }
 
 func TestSimulatorAllArchitectures(t *testing.T) {
-	for _, arch := range []ceio.Architecture{ceio.ArchBaseline, ceio.ArchHostCC, ceio.ArchShRing, ceio.ArchCEIO} {
+	for _, arch := range []ceio.Architecture{ceio.ArchBaseline, ceio.ArchHostCC, ceio.ArchShRing, ceio.ArchCEIO, ceio.ArchRDCA} {
 		sim := ceio.NewSimulator(ceio.DefaultConfig(), arch)
 		sim.AddFlow(ceio.EchoFlow(1, 512))
 		sim.RunFor(2 * ceio.Millisecond)
@@ -37,6 +38,25 @@ func TestSimulatorAllArchitectures(t *testing.T) {
 		}
 		if arch != ceio.ArchCEIO && sim.CEIO() != nil {
 			t.Errorf("%s should not expose a CEIO datapath", arch)
+		}
+	}
+}
+
+// An architecture outside the registry is invalid input: the
+// error-returning constructors report it, naming the bad name, instead
+// of panicking while building the datapath.
+func TestUnknownArchitectureIsAnError(t *testing.T) {
+	for _, arch := range []ceio.Architecture{"bogus", "", "ceio"} {
+		want := fmt.Sprintf("unknown architecture %q", arch)
+		if s, err := ceio.NewSimulatorE(ceio.DefaultConfig(), arch); err == nil || s != nil {
+			t.Errorf("NewSimulatorE(%q) = %v, %v; want an error", arch, s, err)
+		} else if !strings.Contains(err.Error(), want) {
+			t.Errorf("NewSimulatorE(%q) error %q does not contain %q", arch, err, want)
+		}
+		if f, err := ceio.NewFleetE(ceio.DefaultFleetConfig(2, arch)); err == nil || f != nil {
+			t.Errorf("NewFleetE(%q) = %v, %v; want an error", arch, f, err)
+		} else if !strings.Contains(err.Error(), want) {
+			t.Errorf("NewFleetE(%q) error %q does not contain %q", arch, err, want)
 		}
 	}
 }

@@ -6,6 +6,7 @@
 //	ceio-bench [-quick] [-parallel N] [-seeds N] [experiment ...]
 //	ceio-bench -list
 //	ceio-bench -quick -sample-every 1ms -timeline-out tenants.csv tenants
+//	ceio-bench -quick -sample-every 250us -timeline-out fig10.csv fig10
 //	ceio-bench -http :8080 -metrics-out bench.prom
 //	ceio-bench -quick -faults examples/scenarios/chaos-storm.json fig9
 //	ceio-bench -quick -hosts 4 -kill-at 5ms fleet
@@ -25,9 +26,12 @@
 // byte-identical to a -parallel 1 run at the same seed.
 //
 // Telemetry: -sample-every attaches a simulated-time sampler to the
-// tenants experiment's cells and appends per-scheme timeline tables
-// (occupancy/ways/miss-ratio over time); -timeline-out diverts those
-// tables to a CSV file for plotting. -http serves the bench process's
+// cells of the tenants and dynamic-scenario (fig4, fig10) experiments
+// and appends one timeline table per cell: per-tenant occupancy, ways
+// and miss ratio for tenants; involved Mpps, total Gbps and LLC miss
+// rate per interval for fig4/fig10, with _min/_max band columns under
+// -seeds N. -timeline-out diverts those tables to a CSV file for
+// plotting. -http serves the bench process's
 // own progress registry at /metrics plus net/http/pprof profiles at
 // /debug/pprof while experiments run; -metrics-out writes that registry
 // as Prometheus text exposition at exit. OBSERVABILITY.md documents
@@ -92,8 +96,8 @@ func main() {
 	pipeline := flag.String("pipeline", "", "restrict the pipelines experiment to one module composition, e.g. \"nat64,acl-trie,firewall\"")
 	rdcaWindow := flag.Int("rdca-window", 0, "restrict the rdca experiment's fixed-window sweep to one width in I/O buffers (0 = built-in sweep)")
 	tenantLayout := flag.String("tenants", "", "override the tenants experiment's starting way allocation, e.g. \"kv=2,bulk=3\"")
-	sampleEvery := flag.Duration("sample-every", 0, "simulated sampling interval for tenants timeline tables (0 = off)")
-	timelineOut := flag.String("timeline-out", "", "write tenants timeline tables as CSV to this file instead of stdout (needs -sample-every)")
+	sampleEvery := flag.Duration("sample-every", 0, "simulated sampling interval for the timeline tables of tenants, fig4 and fig10 (0 = off)")
+	timelineOut := flag.String("timeline-out", "", "write timeline tables as CSV to this file instead of stdout (needs -sample-every)")
 	metricsOut := flag.String("metrics-out", "", "write the bench-process progress registry as Prometheus text exposition at exit")
 	httpAddr := flag.String("http", "", "serve /metrics and /debug/pprof on this address (e.g. :8080) while experiments run")
 	flag.Usage = func() {

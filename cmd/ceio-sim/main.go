@@ -11,7 +11,9 @@
 //	ceio-sim -kv 2 -dfs 2 -tenants kv=1,bulk=4 -sample-every 1ms \
 //	    -metrics-out m.prom -series-out occupancy.csv -timeline-out t.json
 //
-// Architectures: Baseline, HostCC, ShRing, CEIO, RDCA. A JSON scenario file
+// Architectures are the names of the workload registry, listed by -h:
+// Baseline, HostCC, ShRing, CEIO, RDCA and the two CEIO ablation
+// variants. A JSON scenario file
 // (see examples/scenarios/) describes flows with start/stop times
 // declaratively and can emit machine-readable results. A fault plan
 // (-faults) arms deterministic chaos injection; the run prints the
@@ -42,6 +44,7 @@ import (
 	"ceio/internal/sim"
 	"ceio/internal/telemetry"
 	"ceio/internal/trace"
+	"ceio/internal/workload"
 )
 
 // timelineRing is the tracer capacity used when -timeline-out implies
@@ -50,7 +53,7 @@ import (
 const timelineRing = 1 << 20
 
 func main() {
-	arch := flag.String("arch", "CEIO", "I/O architecture: Baseline | HostCC | ShRing | CEIO | RDCA")
+	arch := flag.String("arch", "CEIO", "I/O architecture: "+workload.MethodList())
 	kv := flag.Int("kv", 4, "number of eRPC key-value flows (CPU-involved)")
 	dfs := flag.Int("dfs", 0, "number of LineFS file-transfer flows (CPU-bypass)")
 	echo := flag.Int("echo", 0, "number of echo flows (CPU-involved)")
@@ -97,10 +100,8 @@ func main() {
 		return
 	}
 
-	switch *arch {
-	case "Baseline", "HostCC", "ShRing", "CEIO", "RDCA":
-	default:
-		fmt.Fprintf(os.Stderr, "ceio-sim: unknown architecture %q\n", *arch)
+	if _, err := workload.ParseMethod(*arch); err != nil {
+		fmt.Fprintf(os.Stderr, "ceio-sim: %v\n", err)
 		os.Exit(2)
 	}
 	if *hosts < 0 {

@@ -93,8 +93,8 @@ func TestParallelSeedsByteIdentical(t *testing.T) {
 
 // TestSampledTimelineParallelByteIdentical extends the byte-identity
 // guarantee to telemetry sampling: with SampleEvery set, the tenants
-// timeline tables are clocked on simulated time only, so a -parallel 8
-// run renders them exactly as a serial run does.
+// and dynamic-scenario timeline tables are clocked on simulated time
+// only, so a -parallel 8 run renders them exactly as a serial run does.
 func TestSampledTimelineParallelByteIdentical(t *testing.T) {
 	run := func(workers int) string {
 		cfg := microCfg()
@@ -102,7 +102,7 @@ func TestSampledTimelineParallelByteIdentical(t *testing.T) {
 		pool := runner.NewPool(workers)
 		defer pool.Close()
 		cfg.Pool = pool
-		return renderSuite(t, cfg, []string{"tenants"})
+		return renderSuite(t, cfg, []string{"tenants", "fig4"})
 	}
 	serial, parallel := run(1), run(8)
 	if serial != parallel {
@@ -113,6 +113,9 @@ func TestSampledTimelineParallelByteIdentical(t *testing.T) {
 	}
 	if !strings.Contains(serial, `cache.llc.ddio.occupancy_bytes{tenant="kv"}`) {
 		t.Fatal("timeline tables missing per-tenant occupancy series")
+	}
+	if !strings.Contains(serial, "Timeline — Figure 4b — ShRing") {
+		t.Fatal("sampled run did not render dynamic-scenario timeline tables")
 	}
 }
 

@@ -2,7 +2,11 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
+	"ceio/internal/sim"
+	"ceio/internal/stats"
+	"ceio/internal/telemetry"
 	"ceio/internal/workload"
 )
 
@@ -34,9 +38,9 @@ func dynamicTables(cfg Config, titles [2]string, methods []workload.Method) []Ta
 	res := runCells(cfg, len(specs), func(i int, c Config) workload.DynamicResult {
 		s := specs[i]
 		if s.burst {
-			return workload.RunNetworkBurst(s.method, c.Machine, c.Scenario)
+			return workload.RunNetworkBurst(s.method, c.Machine, c.Scenario, c.SampleEvery)
 		}
-		return workload.RunDynamicDistribution(s.method, c.Machine, c.Scenario)
+		return workload.RunDynamicDistribution(s.method, c.Machine, c.Scenario, c.SampleEvery)
 	})
 
 	// Expected line: with 8 CPU-involved flows sustained (the scenarios
@@ -62,7 +66,50 @@ func dynamicTables(cfg Config, titles [2]string, methods []workload.Method) []Ta
 		}
 		tables = append(tables, tb)
 	}
+	if cfg.SampleEvery > 0 {
+		for i, s := range specs {
+			tables = append(tables, dynamicTimeline(titles[i/len(methods)], s.method, res[i]))
+		}
+	}
 	return tables
+}
+
+// dynamicTimeline renders one cell's Timeline series as a timeline
+// table titled by the figure part of its summary table's title. With
+// several seed replicas each rate reports the cross-seed mean plus
+// _min/_max band columns; intervals align by index, since every replica
+// samples on the same cadence.
+func dynamicTimeline(title string, method workload.Method, reps []workload.DynamicResult) Table {
+	rates := func(r workload.DynamicResult) [3][]stats.Point {
+		return [3][]stats.Point{r.Timeline.InvolvedMpps.Points, r.Timeline.TotalGbps.Points, r.Timeline.MissRate.Points}
+	}
+	n := len(reps[0].Timeline.InvolvedMpps.Points)
+	for _, r := range reps {
+		n = min(n, len(r.Timeline.InvolvedMpps.Points))
+	}
+	ticks := make([]sim.Time, n)
+	for i := range ticks {
+		ticks[i] = reps[0].Timeline.InvolvedMpps.Points[i].T
+	}
+	var cols []*telemetry.Series
+	for k, name := range [3]string{"involved_mpps", "total_gbps", "llc_miss_rate"} {
+		mean := &telemetry.Series{ID: name}
+		lo := &telemetry.Series{ID: name + "_min"}
+		hi := &telemetry.Series{ID: name + "_max"}
+		for i := range ticks {
+			st := statOf(reps, func(r workload.DynamicResult) float64 { return rates(r)[k][i].V })
+			mean.Pts = append(mean.Pts, st.Mean)
+			lo.Pts = append(lo.Pts, st.Min)
+			hi.Pts = append(hi.Pts, st.Max)
+		}
+		cols = append(cols, mean)
+		if len(reps) > 1 {
+			cols = append(cols, lo, hi)
+		}
+	}
+	figure, _, _ := strings.Cut(title, " — ")
+	return timelineTable(figure+" — "+string(method),
+		"Sampled on simulated time; involved Mpps, total Gbps and LLC miss rate per interval.", ticks, cols)
 }
 
 // Fig4 reproduces Figure 4, the motivation experiment: the fundamental
@@ -82,22 +129,4 @@ func Fig10(cfg Config) []Table {
 		"Figure 10a — I/O performance in dynamic flow distribution",
 		"Figure 10b — I/O performance in network burst",
 	}, fig10Methods)
-}
-
-// Fig10Series returns the sampled time series behind Figure 10a for one
-// method (used by ceio-trace to dump plottable CSV).
-func Fig10Series(cfg Config, method workload.Method, burst bool) workload.DynamicResult {
-	if burst {
-		return workload.RunNetworkBurst(method, cfg.Machine, cfg.Scenario)
-	}
-	return workload.RunDynamicDistribution(method, cfg.Machine, cfg.Scenario)
-}
-
-// Fig10SeriesSeeds runs the scenario once per seed replica (fanned
-// across cfg.Pool) and returns the per-seed results in seed order.
-func Fig10SeriesSeeds(cfg Config, method workload.Method, burst bool) []workload.DynamicResult {
-	res := runCells(cfg, 1, func(_ int, c Config) workload.DynamicResult {
-		return Fig10Series(c, method, burst)
-	})
-	return res[0]
 }

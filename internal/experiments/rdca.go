@@ -32,8 +32,8 @@ func rdcaVariants(cfg Config) []rdcaVariant {
 		windows = []int{cfg.RDCAWindow}
 	}
 	vs := []rdcaVariant{
-		{"Baseline", func() iosys.Datapath { return workload.NewDatapath(workload.MethodBaseline) }},
-		{"CEIO", func() iosys.Datapath { return workload.NewDatapath(workload.MethodCEIO) }},
+		{string(workload.MethodBaseline), func() iosys.Datapath { return workload.NewDatapath(workload.MethodBaseline) }},
+		{string(workload.MethodCEIO), func() iosys.Datapath { return workload.NewDatapath(workload.MethodCEIO) }},
 	}
 	for _, w := range windows {
 		w := w

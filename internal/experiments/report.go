@@ -8,11 +8,13 @@ package experiments
 import (
 	"fmt"
 	"io"
+	"strconv"
 
 	"ceio/internal/iosys"
 	"ceio/internal/render"
 	"ceio/internal/runner"
 	"ceio/internal/sim"
+	"ceio/internal/telemetry"
 	"ceio/internal/tenant"
 	"ceio/internal/workload"
 )
@@ -35,6 +37,30 @@ func (t Table) Render(w io.Writer) {
 // plotting pipelines.
 func (t Table) RenderCSV(w io.Writer) error {
 	return render.CSVTable(w, t.Title, t.Header, t.Rows)
+}
+
+// timelineTable renders sampled series as a "Timeline — " table (the
+// prefix ceio-bench -timeline-out diverts on): a simulated-time column,
+// then one column per series. A series' point j belongs to tick
+// Start+j; cells outside its span are empty, and values use the
+// shortest exact encoding so the rows are byte-stable.
+func timelineTable(title, note string, ticks []sim.Time, series []*telemetry.Series) Table {
+	tb := Table{Title: "Timeline — " + title, Note: note, Header: []string{"t_ns"}}
+	for _, sr := range series {
+		tb.Header = append(tb.Header, sr.ID)
+	}
+	for ti, t := range ticks {
+		row := []string{strconv.FormatInt(int64(t), 10)}
+		for _, sr := range series {
+			cell := ""
+			if k := ti - sr.Start; k >= 0 && k < len(sr.Pts) {
+				cell = strconv.FormatFloat(sr.Pts[k], 'g', -1, 64)
+			}
+			row = append(row, cell)
+		}
+		tb.Rows = append(tb.Rows, row)
+	}
+	return tb
 }
 
 // Config controls experiment durations. Quick mode shrinks sweeps and
@@ -94,8 +120,10 @@ type Config struct {
 	RDCAWindow int
 
 	// SampleEvery, when positive, attaches a telemetry sampler to the
-	// tenants experiment's measurement cells and appends per-scheme
-	// timeline tables (occupancy, ways, miss ratio over simulated time).
+	// tenants and dynamic-scenario (fig4, fig10) measurement cells and
+	// appends one timeline table per cell: per-tenant occupancy, ways
+	// and miss ratio for tenants; involved Mpps, total Gbps and LLC miss
+	// rate per interval for the dynamic scenarios.
 	// Sampling is read-only and clocked on simulated time, so enabling
 	// it never changes the measured rows and the sampled series stay
 	// byte-identical across -parallel levels.

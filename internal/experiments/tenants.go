@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"strconv"
 
 	"ceio/internal/core"
 	"ceio/internal/iosys"
@@ -60,7 +59,9 @@ func Tenants(cfg Config) []Table {
 		// Timeline tables come from the first seed replica of each cell;
 		// slots are index-ordered, so output order is deterministic.
 		for i, sc := range schemes {
-			out = append(out, tenantTimeline(sc, res[i][0].timeline))
+			s := res[i][0].timeline
+			out = append(out, timelineTable(sc.name,
+				"Sampled on simulated time; occupancy/ways/miss-ratio per tenant.", s.Ticks(), s.Series()))
 		}
 	}
 	return out
@@ -72,32 +73,6 @@ var timelineSeries = map[string]bool{
 	"cache.llc.ddio.occupancy_bytes": true,
 	"tenant.ways_count":              true,
 	"tenant.llc.miss_ratio":          true,
-}
-
-// tenantTimeline renders one scheme's sampled series as a table with a
-// simulated-time column followed by one column per series ID.
-func tenantTimeline(sc tenantScheme, s *telemetry.Sampler) Table {
-	tb := Table{
-		Title: "Timeline — " + sc.name,
-		Note:  "Sampled on simulated time; occupancy/ways/miss-ratio per tenant.",
-	}
-	tb.Header = append(tb.Header, "t_ns")
-	series := s.Series()
-	for _, sr := range series {
-		tb.Header = append(tb.Header, sr.ID)
-	}
-	for ti, t := range s.Ticks() {
-		row := []string{strconv.FormatInt(int64(t), 10)}
-		for _, sr := range series {
-			cell := ""
-			if ti >= sr.Start {
-				cell = strconv.FormatFloat(sr.Pts[ti-sr.Start], 'g', -1, 64)
-			}
-			row = append(row, cell)
-		}
-		tb.Rows = append(tb.Rows, row)
-	}
-	return tb
 }
 
 // tenantScheme is one management-scheme cell of the experiment.

@@ -140,6 +140,9 @@ func (c Config) Validate() error {
 			return fmt.Errorf("fleet: invalid config: %s", ch.what)
 		}
 	}
+	if _, err := workload.ParseMethod(string(c.Method)); err != nil {
+		return fmt.Errorf("fleet: invalid config: %w", err)
+	}
 	if err := c.Fabric.Validate(); err != nil {
 		return fmt.Errorf("fleet: invalid config: %w", err)
 	}

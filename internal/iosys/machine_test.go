@@ -7,6 +7,7 @@ import (
 	"ceio/internal/iosys"
 	"ceio/internal/pkt"
 	"ceio/internal/sim"
+	"ceio/internal/telemetry"
 )
 
 func echoSpec(id, size int) iosys.FlowSpec {
@@ -169,16 +170,19 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// TestSamplerRecordsSeries: the machine's registry series, sampled on
+// the engine clock, see a busy flow's delivered packets.
 func TestSamplerRecordsSeries(t *testing.T) {
 	m := iosys.NewMachine(iosys.DefaultConfig(), baseline.NewLegacy())
-	s := iosys.NewSampler(m, sim.Millisecond)
+	s := telemetry.NewSampler(m.Eng, m.Reg, sim.Millisecond, nil)
 	m.AddFlow(echoSpec(1, 1024))
 	m.Run(5 * sim.Millisecond)
-	if len(s.InvolvedMpps.Points) < 4 {
-		t.Fatalf("series points = %d", len(s.InvolvedMpps.Points))
+	s.Stop()
+	pts := s.Points("iosys.involved.packets_total")
+	if len(pts) < 4 {
+		t.Fatalf("series points = %d", len(pts))
 	}
-	if s.InvolvedMpps.Max() <= 0 {
+	if pts[len(pts)-1].V <= 0 {
 		t.Fatal("sampler saw no throughput")
 	}
-	s.Stop()
 }

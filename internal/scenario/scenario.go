@@ -59,7 +59,8 @@ type FlowSpec struct {
 
 // Spec is a complete scenario.
 type Spec struct {
-	// Arch is "Baseline", "HostCC", "ShRing", "CEIO" or "RDCA".
+	// Arch is a registered architecture name (workload.ParseMethod),
+	// e.g. "Baseline", "CEIO" or "RDCA".
 	Arch string `json:"arch"`
 	// Seed selects the deterministic RNG stream (default 1).
 	Seed int64 `json:"seed,omitempty"`
@@ -113,10 +114,8 @@ func Load(r io.Reader) (*Spec, error) {
 
 // Validate checks the specification for structural errors.
 func (s *Spec) Validate() error {
-	switch s.Arch {
-	case "Baseline", "HostCC", "ShRing", "CEIO", "RDCA":
-	default:
-		return fmt.Errorf("scenario: unknown arch %q", s.Arch)
+	if _, err := workload.ParseMethod(s.Arch); err != nil {
+		return fmt.Errorf("scenario: %w", err)
 	}
 	if s.DurationMs <= 0 {
 		return fmt.Errorf("scenario: duration_ms must be positive")

@@ -3,6 +3,8 @@ package workload
 import (
 	"ceio/internal/iosys"
 	"ceio/internal/sim"
+	"ceio/internal/stats"
+	"ceio/internal/telemetry"
 )
 
 // ScenarioConfig parameterises the dynamic scenarios of §2.3/§6.2. The
@@ -26,25 +28,102 @@ func DefaultScenarioConfig() ScenarioConfig {
 	}
 }
 
+// DynamicSeries holds the per-interval time series the paper's
+// dynamic-scenario figures plot: CPU-involved throughput (Mpps),
+// aggregate goodput (Gbps), and the LLC miss rate over each interval.
+type DynamicSeries struct {
+	InvolvedMpps stats.Series
+	TotalGbps    stats.Series
+	MissRate     stats.Series
+}
+
 // DynamicResult aggregates a dynamic-scenario run.
 type DynamicResult struct {
 	Method       Method
-	InvolvedMpps float64 // mean CPU-involved throughput post-warmup
-	WorstMpps    float64 // worst sampled interval post-warmup
-	MissRate     float64 // mean LLC miss rate post-warmup
-	Series       *iosys.Sampler
+	InvolvedMpps float64       // mean CPU-involved throughput post-warmup
+	WorstMpps    float64       // worst sampled interval post-warmup
+	MissRate     float64       // mean LLC miss rate post-warmup
+	Series       DynamicSeries // sampled every ScenarioConfig.Sample
+	Timeline     DynamicSeries // sampled every timeline interval, when positive
+}
+
+// rateCounters are the registry counters DynamicSeries derives from, in
+// the order rateSampler.series reads them.
+var rateCounters = [...]string{
+	"iosys.involved.packets_total",
+	"iosys.delivered.bytes_total",
+	"cache.llc.hits_total",
+	"cache.llc.misses_total",
+}
+
+// rateSampler is a telemetry sampler over rateCounters plus the counter
+// values and time at attach, the baseline of the first interval.
+type rateSampler struct {
+	*telemetry.Sampler
+	t0   sim.Time
+	base [len(rateCounters)]float64
+}
+
+// sampleRates attaches a rate sampler to m that snapshots rateCounters
+// every interval of simulated time.
+func sampleRates(m *iosys.Machine, every sim.Time) *rateSampler {
+	r := &rateSampler{t0: m.Eng.Now()}
+	keep := make(map[string]bool, len(rateCounters))
+	for i, name := range rateCounters {
+		r.base[i] = m.Reg.Value(name)
+		keep[name] = true
+	}
+	r.Sampler = telemetry.NewSampler(m.Eng, m.Reg, every,
+		func(mt *telemetry.Metric) bool { return keep[mt.Name] })
+	return r
+}
+
+// series differences consecutive snapshots into per-interval rates. An
+// interval over which any counter went backwards (a ResetWindow between
+// ticks) yields no point; the next interval is measured from its end.
+func (r *rateSampler) series() DynamicSeries {
+	var cols [len(rateCounters)][]stats.Point
+	for i, name := range rateCounters {
+		cols[i] = r.Points(name)
+	}
+	out := DynamicSeries{
+		InvolvedMpps: stats.Series{Name: "involved-mpps"},
+		TotalGbps:    stats.Series{Name: "total-gbps"},
+		MissRate:     stats.Series{Name: "llc-miss-rate"},
+	}
+	lastT, last := r.t0, r.base
+	for k, t := range r.Ticks() {
+		var cur [len(rateCounters)]float64
+		backwards := false
+		for i := range cur {
+			cur[i] = cols[i][k].V
+			backwards = backwards || cur[i] < last[i]
+		}
+		if !backwards {
+			dt := (t - lastT).Seconds()
+			pkts, bytes := cur[0]-last[0], cur[1]-last[1]
+			hits, misses := uint64(cur[2]-last[2]), uint64(cur[3]-last[3])
+			out.InvolvedMpps.Add(t, pkts/dt/1e6)
+			out.TotalGbps.Add(t, bytes*8/dt/1e9)
+			out.MissRate.Add(t, stats.Ratio(misses, hits+misses))
+		}
+		lastT, last = t, cur
+	}
+	return out
 }
 
 // RunDynamicDistribution reproduces the dynamic flow distribution
 // scenario (Fig. 4a / Fig. 10a): eRPC starts with eight CPU-involved
 // flows; at each epoch boundary, two of them are replaced with
-// CPU-bypass LineFS flows.
-func RunDynamicDistribution(method Method, cfg iosys.Config, sc ScenarioConfig) DynamicResult {
+// CPU-bypass LineFS flows. A positive timeline attaches a second,
+// read-only sampler at that interval whose series land in
+// DynamicResult.Timeline.
+func RunDynamicDistribution(method Method, cfg iosys.Config, sc ScenarioConfig, timeline sim.Time) DynamicResult {
 	m := iosys.NewMachine(cfg, NewDatapath(method))
 	for i := 1; i <= 8; i++ {
 		m.AddFlow(ERPCKV(i, 144, DPDK))
 	}
-	sampler := iosys.NewSampler(m, sc.Sample)
+	series, tl := attachSamplers(m, sc, timeline)
 
 	nextID := 100
 	swapped := 0
@@ -63,19 +142,20 @@ func RunDynamicDistribution(method Method, cfg iosys.Config, sc ScenarioConfig) 
 	m.Run(sc.Warmup)
 	m.ResetWindow()
 	m.Run(sim.Time(sc.Epochs) * sc.Epoch)
-	return summarize(method, m, sampler, sc)
+	return summarize(method, series, tl, sc)
 }
 
 // RunNetworkBurst reproduces the network burst scenario (Fig. 4b /
 // Fig. 10b): eight steady CPU-involved flows, plus two burst
 // CPU-involved flows (on two extra cores) that arrive at each epoch
-// boundary and depart halfway through the epoch.
-func RunNetworkBurst(method Method, cfg iosys.Config, sc ScenarioConfig) DynamicResult {
+// boundary and depart halfway through the epoch. timeline is as for
+// RunDynamicDistribution.
+func RunNetworkBurst(method Method, cfg iosys.Config, sc ScenarioConfig, timeline sim.Time) DynamicResult {
 	m := iosys.NewMachine(cfg, NewDatapath(method))
 	for i := 1; i <= 8; i++ {
 		m.AddFlow(ERPCKV(i, 144, DPDK))
 	}
-	sampler := iosys.NewSampler(m, sc.Sample)
+	series, tl := attachSamplers(m, sc, timeline)
 
 	nextID := 200
 	for e := 1; e < sc.Epochs; e++ {
@@ -94,20 +174,32 @@ func RunNetworkBurst(method Method, cfg iosys.Config, sc ScenarioConfig) Dynamic
 	m.Run(sc.Warmup)
 	m.ResetWindow()
 	m.Run(sim.Time(sc.Epochs) * sc.Epoch)
-	return summarize(method, m, sampler, sc)
+	return summarize(method, series, tl, sc)
 }
 
-func summarize(method Method, m *iosys.Machine, sampler *iosys.Sampler, sc ScenarioConfig) DynamicResult {
-	sampler.Stop()
-	post := sampler.InvolvedMpps.After(sc.Warmup)
-	miss := sampler.MissRate.After(sc.Warmup)
-	return DynamicResult{
-		Method:       method,
-		InvolvedMpps: post.Mean(),
-		WorstMpps:    post.Min(),
-		MissRate:     miss.Mean(),
-		Series:       sampler,
+// attachSamplers starts the scenario's rate sampler and, when timeline
+// is positive, a second read-only one at that interval (else nil).
+func attachSamplers(m *iosys.Machine, sc ScenarioConfig, timeline sim.Time) (series, tl *rateSampler) {
+	series = sampleRates(m, sc.Sample)
+	if timeline > 0 {
+		tl = sampleRates(m, timeline)
 	}
+	return series, tl
+}
+
+func summarize(method Method, series, tl *rateSampler, sc ScenarioConfig) DynamicResult {
+	series.Stop()
+	res := DynamicResult{Method: method, Series: series.series()}
+	if tl != nil {
+		tl.Stop()
+		res.Timeline = tl.series()
+	}
+	post := res.Series.InvolvedMpps.After(sc.Warmup)
+	miss := res.Series.MissRate.After(sc.Warmup)
+	res.InvolvedMpps = post.Mean()
+	res.WorstMpps = post.Min()
+	res.MissRate = miss.Mean()
+	return res
 }
 
 // ExpectedMpps computes the paper's "expected performance" reference

@@ -7,6 +7,7 @@ package workload
 
 import (
 	"fmt"
+	"strings"
 
 	"ceio/internal/baseline"
 	"ceio/internal/core"
@@ -35,31 +36,63 @@ const (
 // AllMethods is the standard comparison order of the figures.
 var AllMethods = []Method{MethodBaseline, MethodHostCC, MethodShRing, MethodCEIO}
 
-// NewDatapath constructs the datapath implementation for a method.
-func NewDatapath(m Method) iosys.Datapath {
-	switch m {
-	case MethodBaseline:
-		return baseline.NewLegacy()
-	case MethodHostCC:
-		return baseline.NewHostCC(baseline.DefaultHostCCConfig())
-	case MethodShRing:
-		return baseline.NewShRing(baseline.DefaultShRingConfig())
-	case MethodCEIO:
-		return core.New(core.DefaultOptions())
-	case MethodCEIONoOpt:
+// registry is the one table of architectures the simulator can build,
+// in declaration order. Every outside-input boundary (CLI flags, JSON
+// scenarios, the root facade, fleet configs) resolves names through
+// ParseMethod, so a name is accepted exactly when it is listed here.
+var registry = []struct {
+	method Method
+	build  func() iosys.Datapath
+}{
+	{MethodBaseline, func() iosys.Datapath { return baseline.NewLegacy() }},
+	{MethodHostCC, func() iosys.Datapath { return baseline.NewHostCC(baseline.DefaultHostCCConfig()) }},
+	{MethodShRing, func() iosys.Datapath { return baseline.NewShRing(baseline.DefaultShRingConfig()) }},
+	{MethodCEIO, func() iosys.Datapath { return core.New(core.DefaultOptions()) }},
+	{MethodCEIONoOpt, func() iosys.Datapath {
 		o := core.DefaultOptions()
 		o.CreditRealloc = false
 		o.AsyncDrain = false
 		return core.New(o)
-	case MethodCEIOSlowPath:
+	}},
+	{MethodCEIOSlowPath, func() iosys.Datapath {
 		o := core.DefaultOptions()
 		o.ForceSlowPath = true
 		return core.New(o)
-	case MethodRDCA:
-		return rdca.New(rdca.DefaultOptions())
-	default:
-		panic(fmt.Sprintf("workload: unknown method %q", m))
+	}},
+	{MethodRDCA, func() iosys.Datapath { return rdca.New(rdca.DefaultOptions()) }},
+}
+
+// MethodList renders the registered names for help and error text:
+// "Baseline | HostCC | ...".
+func MethodList() string {
+	names := make([]string, len(registry))
+	for i, r := range registry {
+		names[i] = string(r.method)
 	}
+	return strings.Join(names, " | ")
+}
+
+// ParseMethod resolves an architecture name from outside input. Names
+// match exactly (case included); the error lists the registered names.
+func ParseMethod(name string) (Method, error) {
+	for _, r := range registry {
+		if string(r.method) == name {
+			return r.method, nil
+		}
+	}
+	return "", fmt.Errorf("unknown architecture %q (registered: %s)", name, MethodList())
+}
+
+// NewDatapath constructs the datapath implementation for a method. An
+// unregistered method is a programming error and panics; names from
+// outside input go through ParseMethod first.
+func NewDatapath(m Method) iosys.Datapath {
+	for _, r := range registry {
+		if r.method == m {
+			return r.build()
+		}
+	}
+	panic(fmt.Sprintf("workload: unknown method %q", m))
 }
 
 // Transport distinguishes the eRPC backends of §6.1: the DPDK interface
