@@ -1,5 +1,5 @@
-// Benchmark harness: one testing.B benchmark per table and figure of the
-// paper's evaluation (run via `go test -bench=. -benchmem`), plus
+// Benchmark harness: one testing.B sub-benchmark per table and figure of
+// the paper's evaluation (run via `go test -bench=. -benchmem`), plus
 // micro-benchmarks of the core data structures. The macro benchmarks use
 // the quick experiment configuration; `cmd/ceio-bench` (without -quick)
 // produces the full-length numbers recorded in EXPERIMENTS.md.
@@ -22,97 +22,26 @@ import (
 
 // --- Macro benchmarks: one per paper table/figure -----------------------
 
-func benchTables(b *testing.B, run func(experiments.Config) int) {
-	b.ReportAllocs()
-	cfg := experiments.QuickConfig()
-	for i := 0; i < b.N; i++ {
-		if n := run(cfg); n == 0 {
-			b.Fatal("experiment produced no output")
+// BenchmarkExperiments regenerates every paper table and figure, one
+// sub-benchmark per experiment name (BenchmarkExperiments/fig9, ...), at
+// the quick configuration. The fleet experiment runs on a 4-host rack
+// (host 0 killed mid-window, balancer migrates and audits).
+func BenchmarkExperiments(b *testing.B) {
+	for _, name := range experiments.Names() {
+		if name == "all" {
+			continue
 		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			cfg := experiments.QuickConfig()
+			cfg.FleetHosts = 4
+			for i := 0; i < b.N; i++ {
+				if tables, _ := experiments.ByName(name, cfg); len(tables) == 0 || len(tables[0].Rows) == 0 {
+					b.Fatal("experiment produced no output")
+				}
+			}
+		})
 	}
-}
-
-// BenchmarkFig4DynamicFlows regenerates Figure 4 (motivation: HostCC and
-// ShRing degradation under dynamic flow distribution, 4a, and network
-// burst, 4b; one run produces both tables).
-func BenchmarkFig4DynamicFlows(b *testing.B) {
-	benchTables(b, func(c experiments.Config) int { return len(experiments.Fig4(c)[0].Rows) })
-}
-
-// BenchmarkFig9PacketSize regenerates Figure 9 (throughput and LLC miss
-// rate vs packet size for eRPC(DPDK), eRPC(RDMA), LineFS).
-func BenchmarkFig9PacketSize(b *testing.B) {
-	benchTables(b, func(c experiments.Config) int { return len(experiments.Fig9(c)) })
-}
-
-// BenchmarkFig10Dynamic regenerates Figure 10 (end-to-end dynamic
-// scenarios including CEIO).
-func BenchmarkFig10Dynamic(b *testing.B) {
-	benchTables(b, func(c experiments.Config) int { return len(experiments.Fig10(c)) })
-}
-
-// BenchmarkFig11Paths regenerates Figure 11 (fast vs slow path vs
-// ib_write_bw across message sizes).
-func BenchmarkFig11Paths(b *testing.B) {
-	benchTables(b, func(c experiments.Config) int { return len(experiments.Fig11(c).Rows) })
-}
-
-// BenchmarkFig12FlowScale regenerates Figure 12 (aggregate throughput vs
-// thousands of flows under destination rotation).
-func BenchmarkFig12FlowScale(b *testing.B) {
-	benchTables(b, func(c experiments.Config) int { return len(experiments.Fig12(c).Rows) })
-}
-
-// BenchmarkTable2Latency regenerates Table 2 (P99/P99.9 of the 512B echo
-// workload across stacks and methods).
-func BenchmarkTable2Latency(b *testing.B) {
-	benchTables(b, func(c experiments.Config) int { return len(experiments.Table2(c).Rows) })
-}
-
-// BenchmarkTable3PathLatency regenerates Table 3 (unloaded fast/slow path
-// latency vs raw RDMA write).
-func BenchmarkTable3PathLatency(b *testing.B) {
-	benchTables(b, func(c experiments.Config) int { return len(experiments.Table3(c).Rows) })
-}
-
-// BenchmarkTable4Mixed regenerates Table 4 (mixed CPU-involved/CPU-bypass
-// ratios, CEIO with and without optimisations).
-func BenchmarkTable4Mixed(b *testing.B) {
-	benchTables(b, func(c experiments.Config) int { return len(experiments.Table4(c).Rows) })
-}
-
-// BenchmarkLimitsLowPressure regenerates §6.3's limited-benefit
-// scenarios: low memory pressure (64B VxLAN; all methods alike) and
-// jumbo frames (baseline reaches line rate despite misses), both tables
-// from one run.
-func BenchmarkLimitsLowPressure(b *testing.B) {
-	benchTables(b, func(c experiments.Config) int { return len(experiments.Limits(c)[0].Rows) })
-}
-
-// BenchmarkAblationDesignChoices runs the lazy-release / async-drain /
-// reallocation / MPQ ablations DESIGN.md calls out.
-func BenchmarkAblationDesignChoices(b *testing.B) {
-	benchTables(b, func(c experiments.Config) int { return len(experiments.Ablation(c).Rows) })
-}
-
-// BenchmarkSlowPathSubstrate runs the future-work slow-path substrate
-// ablation (on-NIC DRAM vs SRAM, §6.4).
-func BenchmarkSlowPathSubstrate(b *testing.B) {
-	benchTables(b, func(c experiments.Config) int { return len(experiments.SlowPathAblation(c).Rows) })
-}
-
-// BenchmarkBurstSensitivity runs the on/off incast extension of Fig. 10b.
-func BenchmarkBurstSensitivity(b *testing.B) {
-	benchTables(b, func(c experiments.Config) int { return len(experiments.Burstiness(c).Rows) })
-}
-
-// BenchmarkFleetFailover runs the rack-scale failover experiment on a
-// 4-host rack (host 0 killed mid-window, balancer migrates and audits).
-func BenchmarkFleetFailover(b *testing.B) {
-	benchTables(b, func(c experiments.Config) int {
-		c.FleetHosts = 4
-		return len(experiments.Fleet(c).Rows)
-	})
 }
 
 // --- Simulator throughput benchmarks ------------------------------------

@@ -420,5 +420,6 @@ func FileTransferFlow(id, pktSize, chunkPkts int) FlowSpec {
 	return workload.LineFS(id, pktSize, chunkPkts)
 }
 
-// EchoFlow returns a dperf-style echo flow (CPU-involved).
+// EchoFlow returns a dperf-style echo flow (CPU-involved; a zero msgSize
+// selects 512B messages).
 func EchoFlow(id, msgSize int) FlowSpec { return workload.Echo(id, msgSize) }

@@ -12,9 +12,8 @@
 //	ceio-bench -quick -hosts 4 -kill-at 5ms fleet
 //
 // With no arguments it runs every experiment ("all"). Experiment names
-// follow the paper: fig4, fig9, fig10, fig11, fig12, table2, table3,
-// table4, limits, ablation, burst, tenants, cores, pipelines, fleet,
-// rdca.
+// follow the paper (fig9, table2, ...); -list prints them all, in paper
+// order.
 //
 // -faults arms a deterministic fault plan on every machine the
 // experiments build; -hosts and -kill-at narrow the fleet experiment's
@@ -85,7 +84,7 @@ func main() {
 	list := flag.Bool("list", false, "list experiment names and exit")
 	csvOut := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	cores := flag.Int("cores", 0, "base machine CPU cores behind an RSS dispatch stage (0 = legacy one core per flow; the cores experiment sweeps its own counts)")
+	cores := flag.Int("cores", 0, "base machine CPU cores behind an RSS dispatch stage (0 = one core per CPU-involved flow; the cores experiment sweeps its own counts)")
 	parallel := flag.Int("parallel", runner.DefaultWorkers(), "worker pool size for independent runs (1 = serial)")
 	seeds := flag.Int("seeds", 1, "seed replicas per measurement: scalars report min/mean/max, latency histograms merge")
 	faultsPath := flag.String("faults", "", "JSON fault plan armed on every experiment machine: measure the tables under deterministic chaos")

@@ -6,6 +6,7 @@
 //	ceio-sim -arch CEIO -kv 4 -dfs 2 -echo 2 -pkt 256 -dur 20ms
 //	ceio-sim -arch CEIO -kv 4 -dfs 2 -pipeline nat64,acl-trie,firewall
 //	ceio-sim -config scenario.json [-out json]
+//	ceio-sim -hosts 4 -kv 2 -dfs 1 -kill-at 4ms -pipeline nat64,firewall
 //	ceio-sim -arch CEIO -kv 4 -faults examples/scenarios/chaos-storm.json
 //	ceio-sim -arch Baseline -kv 2 -dfs 2 -tenants kv=2,bulk=3 -tenants-mode dynamic
 //	ceio-sim -kv 2 -dfs 2 -tenants kv=1,bulk=4 -sample-every 1ms \
@@ -17,7 +18,9 @@
 // (see examples/scenarios/) describes flows with start/stop times
 // declaratively and can emit machine-readable results. A fault plan
 // (-faults) arms deterministic chaos injection; the run prints the
-// replay line (plan + seeds) and the invariant-auditor verdict.
+// replay line (plan + seeds) and the invariant-auditor verdict. Rack
+// runs (-hosts) build their flows from the same flags; a flag the chosen
+// mode cannot honour is an error (exit status 2), never ignored.
 //
 // Telemetry exports (OBSERVABILITY.md documents the formats and every
 // series): -metrics-out writes end-of-run Prometheus text exposition,
@@ -34,6 +37,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 	"time"
 
@@ -61,7 +65,7 @@ func main() {
 	dur := flag.Duration("dur", 20*time.Millisecond, "simulated duration")
 	warm := flag.Duration("warmup", 5*time.Millisecond, "warm-up excluded from metrics")
 	seed := flag.Int64("seed", 1, "simulation seed")
-	cores := flag.Int("cores", 0, "CPU cores behind an RSS dispatch stage (0 = legacy one core per flow)")
+	cores := flag.Int("cores", 0, "CPU cores behind an RSS dispatch stage (0 = one core per CPU-involved flow)")
 	hosts := flag.Int("hosts", 0, "run a rack of N hosts behind the failover balancer instead of one machine (0 = single machine; flow counts become per-host)")
 	killAt := flag.Duration("kill-at", 0, "with -hosts: crash host 0 at this simulated time for a quarter of -dur (0 = no kill)")
 	parallel := flag.Int("parallel", 1, "with -hosts: worker pool width for stepping host shards (1 = serial; output is byte-identical at any width)")
@@ -92,10 +96,8 @@ func main() {
 	}
 
 	if *config != "" {
-		if *faultsPath != "" {
-			fmt.Fprintln(os.Stderr, "ceio-sim: -faults applies to flag-built runs, not -config scenarios")
-			os.Exit(2)
-		}
+		rejectFlags(func(name string) bool { return !slices.Contains(configFlags, name) },
+			"cannot be combined with -config: the scenario file declares its own flows and machine")
 		runConfig(*config, *out, &exp)
 		return
 	}
@@ -108,31 +110,32 @@ func main() {
 		fmt.Fprintf(os.Stderr, "ceio-sim: -hosts must be >= 0, got %d\n", *hosts)
 		os.Exit(2)
 	}
-	if *hosts > 0 {
-		if *faultsPath != "" || *tenants != "" {
-			fmt.Fprintln(os.Stderr, "ceio-sim: -hosts composes with -kill-at, not -faults or -tenants")
+	mix := flowMix{kv: *kv, dfs: *dfs, echo: *echo, pkt: *pkt}
+	if *pipeline != "" {
+		mix.chain = strings.Split(*pipeline, ",")
+		for i := range mix.chain {
+			mix.chain[i] = strings.TrimSpace(mix.chain[i])
+		}
+		if err := ceio.ValidatePipeline(mix.chain); err != nil {
+			fmt.Fprintf(os.Stderr, "ceio-sim: %v\n", err)
 			os.Exit(2)
 		}
-		runFleet(*hosts, *arch, *kv, *dfs, *echo, *pkt, *dur, *warm, *killAt, *seed, *cores, *parallel, *fabricGbps, *fabricBuf, &exp)
+	}
+	if len(mix.specs(1)) == 0 {
+		fmt.Fprintln(os.Stderr, "ceio-sim: no flows requested")
+		os.Exit(2)
+	}
+	if *hosts > 0 {
+		rejectFlags(func(name string) bool { return slices.Contains(notInRack, name) },
+			"cannot be combined with -hosts: a rack takes faults only from -kill-at, runs untenanted and exports only -metrics-out")
+		runFleet(*hosts, *arch, mix, *dur, *warm, *killAt, *seed, *cores, *parallel, *fabricGbps, *fabricBuf, &exp)
 		return
 	}
 	cfg := ceio.DefaultConfig()
 	cfg.Seed = *seed
 	cfg.Cores = *cores
-	var chain []string
-	if *pipeline != "" {
-		chain = strings.Split(*pipeline, ",")
-		for i := range chain {
-			chain[i] = strings.TrimSpace(chain[i])
-		}
-		if err := ceio.ValidatePipeline(chain); err != nil {
-			fmt.Fprintf(os.Stderr, "ceio-sim: %v\n", err)
-			os.Exit(2)
-		}
-	}
 	// Tenant tags for flag-built flows: CPU-involved flows (kv, echo) land
 	// in the first declared tenant, file transfers (dfs) in the second.
-	var involvedTenant, bypassTenant string
 	if *tenants != "" {
 		specs, err := ceio.ParseTenantSpecs(*tenants)
 		if err != nil {
@@ -145,10 +148,10 @@ func main() {
 			os.Exit(2)
 		}
 		cfg.Tenancy = &ceio.TenancyConfig{Mode: mode, Specs: specs}
-		involvedTenant = specs[0].ID
-		bypassTenant = specs[0].ID
+		mix.involvedTenant = specs[0].ID
+		mix.bypassTenant = specs[0].ID
 		if len(specs) > 1 {
-			bypassTenant = specs[1].ID
+			mix.bypassTenant = specs[1].ID
 		}
 	}
 	sim, err := ceio.NewSimulatorE(cfg, ceio.Architecture(*arch))
@@ -168,34 +171,8 @@ func main() {
 		injector, auditor = armFaults(sim, *faultsPath)
 	}
 
-	id := 1
-	for i := 0; i < *kv; i++ {
-		s := ceio.KVFlow(id, *pkt)
-		s.Tenant = involvedTenant
-		s.Pipeline = chain
-		sim.AddFlow(s)
-		id++
-	}
-	for i := 0; i < *dfs; i++ {
-		s := ceio.FileTransferFlow(id, *pkt, 0)
-		s.Tenant = bypassTenant
-		sim.AddFlow(s)
-		id++
-	}
-	for i := 0; i < *echo; i++ {
-		size := *pkt
-		if size == 0 {
-			size = 512
-		}
-		s := ceio.EchoFlow(id, size)
-		s.Tenant = involvedTenant
-		s.Pipeline = chain
-		sim.AddFlow(s)
-		id++
-	}
-	if id == 1 {
-		fmt.Fprintln(os.Stderr, "ceio-sim: no flows requested")
-		os.Exit(2)
+	for _, spec := range mix.specs(1) {
+		sim.AddFlow(spec)
 	}
 
 	var sampler *ceio.MetricsSampler
@@ -225,7 +202,7 @@ func main() {
 // lasting a quarter of -dur. The run prints the rack report and the
 // combined per-host + fleet invariant-auditor verdict; output is
 // byte-identical at any -parallel width.
-func runFleet(hosts int, arch string, kv, dfs, echo, pktSize int, dur, warm, killAt time.Duration, seed int64, cores, parallel int, fabricGbps float64, fabricBuf int, exp *exporter) {
+func runFleet(hosts int, arch string, mix flowMix, dur, warm, killAt time.Duration, seed int64, cores, parallel int, fabricGbps float64, fabricBuf int, exp *exporter) {
 	fc := ceio.DefaultFleetConfig(hosts, ceio.Architecture(arch))
 	fc.Machine.Seed = seed
 	fc.Machine.Cores = cores
@@ -250,26 +227,10 @@ func runFleet(hosts int, arch string, kv, dfs, echo, pktSize int, dur, warm, kil
 	}
 	id := 1
 	for h := 0; h < hosts; h++ {
-		for i := 0; i < kv; i++ {
-			f.AddFlow(ceio.KVFlow(id, pktSize))
+		for _, spec := range mix.specs(id) {
+			f.AddFlow(spec)
 			id++
 		}
-		for i := 0; i < dfs; i++ {
-			f.AddFlow(ceio.FileTransferFlow(id, pktSize, 0))
-			id++
-		}
-		for i := 0; i < echo; i++ {
-			size := pktSize
-			if size == 0 {
-				size = 512
-			}
-			f.AddFlow(ceio.EchoFlow(id, size))
-			id++
-		}
-	}
-	if id == 1 {
-		fmt.Fprintln(os.Stderr, "ceio-sim: no flows requested")
-		os.Exit(2)
 	}
 	audit := f.AttachAuditors(0)
 	f.RunFor(ceio.Duration(warm.Nanoseconds()))
@@ -284,6 +245,55 @@ func runFleet(hosts int, arch string, kv, dfs, echo, pktSize int, dur, warm, kil
 	}
 	if exp.metricsOut != "" {
 		writeFile(exp.metricsOut, func(w io.Writer) error { return telemetry.WritePrometheus(w, f.Reg) })
+	}
+}
+
+// flowMix is the flow mix the -kv, -dfs, -echo and -pkt flags request,
+// shared by single-machine and rack runs. The -pipeline chain and the
+// involved tenant go on the CPU-involved (kv, echo) flows; file
+// transfers carry the bypass tenant.
+type flowMix struct {
+	kv, dfs, echo, pkt           int
+	chain                        []string
+	involvedTenant, bypassTenant string
+}
+
+// specs returns the mix's flows, kv then dfs then echo, with IDs
+// numbered from first.
+func (mix flowMix) specs(first int) []ceio.FlowSpec {
+	var out []ceio.FlowSpec
+	add := func(n int, build func(id int) ceio.FlowSpec, tenant string, chain []string) {
+		for i := 0; i < n; i++ {
+			s := build(first + len(out))
+			s.Tenant, s.Pipeline = tenant, chain
+			out = append(out, s)
+		}
+	}
+	add(mix.kv, func(id int) ceio.FlowSpec { return ceio.KVFlow(id, mix.pkt) }, mix.involvedTenant, mix.chain)
+	add(mix.dfs, func(id int) ceio.FlowSpec { return ceio.FileTransferFlow(id, mix.pkt, 0) }, mix.bypassTenant, nil)
+	add(mix.echo, func(id int) ceio.FlowSpec { return ceio.EchoFlow(id, mix.pkt) }, mix.involvedTenant, mix.chain)
+	return out
+}
+
+// configFlags are the flags a -config run honours (the scenario file
+// declares the rest); notInRack are the flags a -hosts run cannot honour.
+var (
+	configFlags = []string{"config", "out", "sample-every", "metrics-out", "series-out", "timeline-out"}
+	notInRack   = []string{"faults", "tenants", "tenants-mode", "trace", "sample-every", "series-out", "timeline-out"}
+)
+
+// rejectFlags exits 2 naming every flag set on the command line for
+// which reject reports true.
+func rejectFlags(reject func(name string) bool, why string) {
+	var bad []string
+	flag.Visit(func(f *flag.Flag) {
+		if reject(f.Name) {
+			bad = append(bad, "-"+f.Name)
+		}
+	})
+	if len(bad) > 0 {
+		fmt.Fprintf(os.Stderr, "ceio-sim: %s %s\n", strings.Join(bad, ", "), why)
+		os.Exit(2)
 	}
 }
 

@@ -23,9 +23,11 @@ func stripCoreLines(s string) string {
 	return strings.Join(keep, "\n")
 }
 
-// runReport runs a single-KV-flow simulation and returns its full
-// report plus the counters that would expose any event-level divergence.
-func runReport(t *testing.T, arch ceio.Architecture, cores int) (report string, events, delivered uint64) {
+// runReport runs n KV flows (plus one file transfer when bypass is
+// set) and returns the full report plus the counters that would expose
+// any event-level divergence. On a multi-queue machine KV flow i is
+// pinned to queue i; the file transfer is RSS-hashed.
+func runReport(t *testing.T, arch ceio.Architecture, cores, n int, bypass bool) (report string, events, delivered uint64) {
 	t.Helper()
 	cfg := ceio.DefaultConfig()
 	cfg.Cores = cores
@@ -33,7 +35,16 @@ func runReport(t *testing.T, arch ceio.Architecture, cores int) (report string, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AddFlow(ceio.KVFlow(1, 144))
+	for id := 1; id <= n; id++ {
+		spec := ceio.KVFlow(id, 144)
+		if cores > 0 {
+			spec.Queue = id
+		}
+		s.AddFlow(spec)
+	}
+	if bypass {
+		s.AddFlow(ceio.FileTransferFlow(n+1, 1024, 64))
+	}
 	s.RunFor(5 * ceio.Millisecond)
 	var sb strings.Builder
 	ceio.WriteReport(&sb, s)
@@ -41,24 +52,36 @@ func runReport(t *testing.T, arch ceio.Architecture, cores int) (report string, 
 	return sb.String(), uint64(reg.Value("sim.events_total")), uint64(reg.Value("iosys.delivered_total"))
 }
 
-// TestCoresOneMatchesLegacyGolden is the backward-compatibility
-// acceptance test: a one-core multi-queue machine must be event-for-event
-// identical to the legacy one-core-per-flow machine for a single
-// CPU-involved flow — same event count, same deliveries, and a
-// byte-identical report once the per-core lines (which legacy machines
-// don't print) are stripped.
-func TestCoresOneMatchesLegacyGolden(t *testing.T) {
-	for _, arch := range []ceio.Architecture{ceio.ArchBaseline, ceio.ArchCEIO} {
-		legacyRep, legacyEvents, legacyDelivered := runReport(t, arch, 0)
-		multiRep, multiEvents, multiDelivered := runReport(t, arch, 1)
-		if multiEvents != legacyEvents {
-			t.Errorf("%s: Cores=1 executed %d events, legacy %d", arch, multiEvents, legacyEvents)
-		}
-		if multiDelivered != legacyDelivered {
-			t.Errorf("%s: Cores=1 delivered %d, legacy %d", arch, multiDelivered, legacyDelivered)
-		}
-		if got := stripCoreLines(multiRep); got != legacyRep {
-			t.Errorf("%s: Cores=1 report diverges from legacy:\n--- legacy ---\n%s\n--- cores=1 (stripped) ---\n%s", arch, legacyRep, got)
+// TestPinnedQueuesMatchPerFlowCores is the layout-equivalence test: a
+// Cores=N machine with KV flow i pinned to queue i must be event-for-event
+// identical to the Cores=0 machine that gives each flow a core of its
+// own — same event count, same deliveries, and a byte-identical report
+// once the per-core lines (which Cores=0 machines don't print) are
+// stripped. It holds for every architecture at N ∈ {1, 4}, and with an
+// extra CPU-bypass flow for every architecture but CEIO, whose per-core
+// credit carve counts the RSS-hashed bypass flow on a multi-queue
+// machine.
+func TestPinnedQueuesMatchPerFlowCores(t *testing.T) {
+	archs := []ceio.Architecture{ceio.ArchBaseline, ceio.ArchHostCC, ceio.ArchShRing, ceio.ArchCEIO, ceio.ArchRDCA}
+	for _, arch := range archs {
+		for _, n := range []int{1, 4} {
+			for _, bypass := range []bool{false, true} {
+				if bypass && arch == ceio.ArchCEIO {
+					continue
+				}
+				perFlowRep, perFlowEvents, perFlowDelivered := runReport(t, arch, 0, n, bypass)
+				pinnedRep, pinnedEvents, pinnedDelivered := runReport(t, arch, n, n, bypass)
+				name := fmt.Sprintf("%s n=%d bypass=%v", arch, n, bypass)
+				if pinnedEvents != perFlowEvents {
+					t.Errorf("%s: Cores=%d executed %d events, Cores=0 %d", name, n, pinnedEvents, perFlowEvents)
+				}
+				if pinnedDelivered != perFlowDelivered {
+					t.Errorf("%s: Cores=%d delivered %d, Cores=0 %d", name, n, pinnedDelivered, perFlowDelivered)
+				}
+				if got := stripCoreLines(pinnedRep); got != perFlowRep {
+					t.Errorf("%s: Cores=%d report diverges from Cores=0:\n--- Cores=0 ---\n%s\n--- Cores=%d (stripped) ---\n%s", name, n, perFlowRep, n, got)
+				}
+			}
 		}
 	}
 }
@@ -70,7 +93,7 @@ func TestCoresOneMatchesLegacyGolden(t *testing.T) {
 // ring keeps fast- and slow-path packets in arrival order. CPU-bypass
 // flows are exercised for pressure but not asserted on: their drained
 // slow-path reads commit out of order under credit pressure on the
-// legacy single-core machine too (RDMA write semantics carry no ordering
+// Cores == 0 machine too (RDMA write semantics carry no ordering
 // ring), so that is a model property, not a multi-queue regression. The
 // flow sets come from a fixed-seed RNG so failures reproduce.
 func TestQueueOrderPreserved(t *testing.T) {

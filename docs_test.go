@@ -7,12 +7,14 @@ package ceio_test
 // DESIGN.md substitution table.
 
 import (
+	"encoding/json"
 	"go/parser"
 	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -121,6 +123,41 @@ func TestEveryExperimentDocumented(t *testing.T) {
 		if !strings.Contains(doc, "(`"+name+"`") {
 			t.Errorf("experiment %q has no EXPERIMENTS.md section (want a \"(`%s`\" tag in a heading)", name, name)
 		}
+	}
+}
+
+// TestBenchLedgerRowsExist asserts every row of BENCH_fleet.json names
+// a benchmark the harness still defines — a Benchmark function in
+// bench_test.go, or BenchmarkExperiments/<name> for an experiment in the
+// registry — so the ledger cannot keep rows for deleted benchmarks.
+func TestBenchLedgerRowsExist(t *testing.T) {
+	raw, err := os.ReadFile("BENCH_fleet.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ledger struct {
+		Macro, Micro []struct{ Name string }
+	}
+	if err := json.Unmarshal(raw, &ledger); err != nil {
+		t.Fatal(err)
+	}
+	src, err := os.ReadFile("bench_test.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := experiments.Names()
+	names = names[:len(names)-1] // drop "all", which has no sub-benchmark
+	for _, row := range append(ledger.Macro, ledger.Micro...) {
+		if exp, ok := strings.CutPrefix(row.Name, "BenchmarkExperiments/"); ok {
+			if !slices.Contains(names, exp) {
+				t.Errorf("ledger row %q: no experiment %q in the registry", row.Name, exp)
+			}
+		} else if !strings.Contains(string(src), "func "+row.Name+"(b *testing.B)") {
+			t.Errorf("ledger row %q: no such benchmark in bench_test.go", row.Name)
+		}
+	}
+	if len(ledger.Macro) == 0 {
+		t.Fatal("BENCH_fleet.json has no macro rows")
 	}
 }
 

@@ -143,78 +143,3 @@ func SlowPathAblation(cfg Config) Table {
 	}
 	return tb
 }
-
-// All runs every experiment and returns the tables in paper order.
-// With a pool configured, whole experiments execute concurrently (their
-// leaf runs share the pool's global bound); the tables still render in
-// paper order because each group keeps its indexed slot.
-func All(cfg Config) []Table {
-	one := func(f func(Config) Table) func(Config) []Table {
-		return func(c Config) []Table { return []Table{f(c)} }
-	}
-	return tableGroups(cfg, []func(Config) []Table{
-		Fig4,
-		Fig9,
-		Fig10,
-		one(Fig11),
-		one(Fig12),
-		one(Table2),
-		one(Table3),
-		one(Table4),
-		Limits,
-		one(Ablation),
-		one(SlowPathAblation),
-		one(Burstiness),
-		Tenants,
-		one(Cores),
-		one(Pipelines),
-		one(Fleet),
-		RDCA,
-	})
-}
-
-// ByName resolves an experiment by CLI name.
-func ByName(name string, cfg Config) ([]Table, bool) {
-	switch name {
-	case "fig4", "fig4a", "fig4b":
-		return Fig4(cfg), true
-	case "fig9":
-		return Fig9(cfg), true
-	case "fig10":
-		return Fig10(cfg), true
-	case "fig11":
-		return []Table{Fig11(cfg)}, true
-	case "fig12":
-		return []Table{Fig12(cfg)}, true
-	case "table2":
-		return []Table{Table2(cfg)}, true
-	case "table3":
-		return []Table{Table3(cfg)}, true
-	case "table4":
-		return []Table{Table4(cfg)}, true
-	case "limits":
-		return Limits(cfg), true
-	case "ablation":
-		return []Table{Ablation(cfg), SlowPathAblation(cfg)}, true
-	case "burst":
-		return []Table{Burstiness(cfg)}, true
-	case "tenants":
-		return Tenants(cfg), true
-	case "cores":
-		return []Table{Cores(cfg)}, true
-	case "pipelines":
-		return []Table{Pipelines(cfg)}, true
-	case "fleet":
-		return []Table{Fleet(cfg)}, true
-	case "rdca":
-		return RDCA(cfg), true
-	case "all":
-		return All(cfg), true
-	}
-	return nil, false
-}
-
-// Names lists the experiment identifiers ByName accepts.
-func Names() []string {
-	return []string{"fig4", "fig9", "fig10", "fig11", "fig12", "table2", "table3", "table4", "limits", "ablation", "burst", "tenants", "cores", "pipelines", "fleet", "rdca", "all"}
-}

@@ -1,11 +1,11 @@
 package experiments
 
 import (
-	"os"
 	"strconv"
 	"strings"
 	"testing"
 
+	"ceio/internal/runner"
 	"ceio/internal/workload"
 )
 
@@ -133,17 +133,30 @@ func TestFig12Shape(t *testing.T) {
 	}
 }
 
+// TestByNameAndRender checks the registry's lookup surface: every
+// Names() entry and both fig4 aliases resolve, an unknown name fails,
+// and "all" (whose experiments run concurrently) renders byte-identical
+// to running each registry name in turn.
 func TestByNameAndRender(t *testing.T) {
-	cfg := QuickConfig()
+	cfg := microCfg()
 	if _, ok := ByName("nope", cfg); ok {
 		t.Fatal("unknown name should fail")
 	}
-	tbs, ok := ByName("table3", cfg)
-	if !ok || len(tbs) != 1 {
-		t.Fatal("table3 lookup failed")
+	for _, alias := range []string{"fig4a", "fig4b"} {
+		if tbs, ok := ByName(alias, cfg); !ok || len(tbs) == 0 {
+			t.Fatalf("alias %q did not resolve", alias)
+		}
 	}
-	tbs[0].Render(os.Stderr)
-	if len(Names()) < 10 {
-		t.Fatal("names list incomplete")
+	names := Names()
+	if len(names) < 10 || names[len(names)-1] != "all" {
+		t.Fatalf("names list incomplete or not ending in \"all\": %v", names)
+	}
+	pool := runner.NewPool(4)
+	defer pool.Close()
+	cfg.Pool = pool
+	each := renderSuite(t, cfg, names[:len(names)-1])
+	all := renderSuite(t, cfg, names[len(names)-1:])
+	if all != each {
+		t.Fatalf("\"all\" diverges from its experiments run one by one:\n--- all ---\n%s\n--- by name ---\n%s", all, each)
 	}
 }

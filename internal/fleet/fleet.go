@@ -193,7 +193,7 @@ type outMsg struct {
 
 // Host is one rack member: a full simulated machine on its own shard
 // engine, plus the balancer's health bookkeeping about it. Fields split
-// by writer — shard-owned fields are touched only by events on h.eng,
+// by writer — shard-owned fields are touched only by events on h.M.Eng,
 // balancer-owned fields only by the control shard, and mirrors only at
 // epoch barriers — so parallel shard stepping is race-free.
 type Host struct {
@@ -201,7 +201,6 @@ type Host struct {
 	M     *iosys.Machine
 	Inj   *faults.Injector // nil when the host runs fault-free
 
-	eng *sim.Engine
 	out []outMsg // shard outbox, drained at each barrier
 
 	// Shard-owned ground truth.
@@ -236,7 +235,7 @@ func (h *Host) Live() bool { return h.live }
 
 // send queues a frame from this host's fabric port.
 func (h *Host) send(dst, bytes int, m netMsg) {
-	h.out = append(h.out, outMsg{at: h.eng.Now(), src: h.Index, dst: dst, bytes: bytes, m: m})
+	h.out = append(h.out, outMsg{at: h.M.Eng.Now(), src: h.Index, dst: dst, bytes: bytes, m: m})
 }
 
 // sortedLocal returns the IDs of flows installed on this machine, in
@@ -253,7 +252,7 @@ func (h *Host) sortedLocal() []int {
 // scheduleCrash arms the next crash edge of the host_crash episode on
 // the host's own shard.
 func (h *Host) scheduleCrash(ep faults.Episode) {
-	h.eng.At(ep.NextStart(h.eng.Now()), func() { h.crash(ep) })
+	h.M.Eng.At(ep.NextStart(h.M.Eng.Now()), func() { h.crash(ep) })
 }
 
 // crash fires a host-crash edge: the host stops generating (its flows
@@ -265,12 +264,12 @@ func (h *Host) crash(ep faults.Episode) {
 		return
 	}
 	h.down = true
-	h.crashedAt = h.eng.Now()
+	h.crashedAt = h.M.Eng.Now()
 	h.Inj.NoteHostCrash()
 	for _, id := range h.sortedLocal() {
 		h.M.PauseFlow(id)
 	}
-	h.eng.At(ep.EndAt(h.eng.Now()), func() { h.recover(ep) })
+	h.M.Eng.At(ep.EndAt(h.M.Eng.Now()), func() { h.recover(ep) })
 }
 
 // recover fires the host-recover edge: every flow still installed
@@ -387,12 +386,11 @@ func New(cfg Config) (*Fleet, error) {
 			plan := cfg.Plans[i]
 			mcfg.FaultPlan = &plan
 		}
-		eng := sim.NewEngine(mcfg.Seed)
-		m, err := iosys.NewMachineOnEngine(eng, mcfg, workload.NewDatapath(cfg.Method))
+		m, err := iosys.NewMachineE(mcfg, workload.NewDatapath(cfg.Method))
 		if err != nil {
 			return nil, fmt.Errorf("fleet: building host %d: %w", i, err)
 		}
-		h := &Host{Index: i, M: m, Inj: m.Faults, eng: eng, live: true, local: make(map[int]bool)}
+		h := &Host{Index: i, M: m, Inj: m.Faults, live: true, local: make(map[int]bool)}
 		if dp, ok := m.DP.(*core.CEIO); ok {
 			f.expected[i] = dp.Controller().Total()
 		}
@@ -448,7 +446,7 @@ func (f *Fleet) runEpoch(t sim.Time) {
 	n := len(f.hosts) + 1
 	f.Cfg.Pool.Do(n, func(i int) {
 		if i < len(f.hosts) {
-			f.hosts[i].eng.RunUntil(t)
+			f.hosts[i].M.Eng.RunUntil(t)
 		} else {
 			f.Eng.RunUntil(t)
 		}
@@ -507,7 +505,7 @@ func (f *Fleet) barrier(t sim.Time) {
 			f.Eng.At(d.At, func() { f.ctlRecv(src, m) })
 		} else {
 			h := f.hosts[d.Msg.Dst]
-			h.eng.At(d.At, func() { f.hostRecv(h, m) })
+			h.M.Eng.At(d.At, func() { f.hostRecv(h, m) })
 		}
 	}
 

@@ -57,12 +57,12 @@ type Config struct {
 	CPUBaseCost  sim.Time // per-packet driver/ring/descriptor handling
 	PollInterval sim.Time // idle polling period
 	BatchSize    int      // packets per poll batch
-	// Cores selects the CPU model. 0 keeps the legacy one-core-per-flow
-	// layout (the paper pins one core per I/O flow, §2.3). N >= 1 models N
-	// shared cores behind an RSS dispatch stage: flows hash (or pin via
-	// FlowSpec.Queue) onto N rx queues and each core round-robins the
-	// CPU-involved flows of its queue while all cores share the LLC/DDIO
-	// region and PCIe link.
+	// Cores selects the CPU model. 0 gives every CPU-involved flow a core
+	// of its own (the paper pins one core per I/O flow, §2.3). N >= 1
+	// models N shared cores behind an RSS dispatch stage: flows hash (or
+	// pin via FlowSpec.Queue) onto N rx queues and each core round-robins
+	// the CPU-involved flows of its queue while all cores share the
+	// LLC/DDIO region and PCIe link.
 	Cores int
 	// HostBuffers bounds the host I/O buffer pool (the post_recv pool of
 	// §5). 0 means unbounded. With a bound, a packet that cannot obtain a

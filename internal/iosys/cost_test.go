@@ -2,6 +2,7 @@ package iosys_test
 
 import (
 	"testing"
+	"unsafe"
 
 	"ceio/internal/baseline"
 	"ceio/internal/iosys"
@@ -50,6 +51,15 @@ func TestCoreAccounting(t *testing.T) {
 	}
 	if m.Core(99) != nil {
 		t.Fatal("unknown flow should have no core")
+	}
+}
+
+// Flow records its core in a pointer; the narrowed int32 fields keep it
+// in the 384-byte allocation size class so thousand-flow runs do not pay
+// for the next class up.
+func TestFlowFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(iosys.Flow{}); n > 384 {
+		t.Fatalf("unsafe.Sizeof(Flow{}) = %d, want <= 384", n)
 	}
 }
 

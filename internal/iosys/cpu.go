@@ -10,17 +10,19 @@ import (
 // packets to the application, repeat. An empty poll retries after the
 // configured poll interval.
 //
-// In the legacy layout (Config.Cores == 0) each core is dedicated to one
-// CPU-involved flow (the paper pins one core per I/O flow, §2.3). With
-// Config.Cores > 0 a core instead drains one rx queue, round-robining the
-// CPU-involved flows RSS hashed onto it; all cores share the LLC/DDIO
-// region, memory controller, and PCIe link through the common Machine
-// models, so they contend exactly where real cores do.
+// Every CPU-involved flow is attached to exactly one core (Flow.core).
+// With Config.Cores > 0 a core drains one rx queue, round-robining the
+// CPU-involved flows RSS hashed or pinned onto it. With Config.Cores == 0
+// each flow gets a core of its own (the paper pins one core per I/O
+// flow, §2.3): the same core with a single flow and no queue. All cores
+// share the LLC/DDIO region, memory controller, and PCIe link through
+// the common Machine models, so they contend exactly where real cores
+// do.
 type Core struct {
 	m     *Machine
-	queue int // rx queue index, -1 for a legacy per-flow core
+	queue int // rx queue index, -1 for a Cores == 0 per-flow core
 
-	flows  []*Flow // flows this core drains (len 1 in the legacy layout)
+	flows  []*Flow // flows this core drains (at most 1 when Cores == 0)
 	cursor int     // round-robin position into flows
 
 	running    bool
@@ -48,16 +50,8 @@ type Core struct {
 // of idle flows don't flood the event queue (the flow-scaling runs).
 const maxIdleBackoff = 128
 
-func newCore(m *Machine, f *Flow) *Core {
-	return &Core{m: m, queue: -1, flows: []*Flow{f}}
-}
-
-func newQueueCore(m *Machine, queue int) *Core {
-	return &Core{m: m, queue: queue}
-}
-
-// Queue returns the rx queue this core drains, -1 for a legacy per-flow
-// core.
+// Queue returns the rx queue this core drains, -1 for a Cores == 0
+// per-flow core.
 func (c *Core) Queue() int { return c.queue }
 
 // FlowCount returns the number of flows currently assigned to this core.
@@ -110,8 +104,8 @@ func (c *Core) loop() {
 	}
 	c.Polls++
 	// Round-robin service: starting at the cursor, the first flow with a
-	// non-empty batch wins the poll. With a single flow this is exactly
-	// the legacy dedicated-core loop, event for event.
+	// non-empty batch wins the poll. With a single flow this is a
+	// dedicated-core loop.
 	var batch []*pkt.Packet
 	var flow *Flow
 	n := len(c.flows)

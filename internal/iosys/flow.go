@@ -99,12 +99,17 @@ type Flow struct {
 
 	// Tenancy resolution, fixed at AddFlow: the owning tenant's registry
 	// index (-1 for untagged flows) and the LLC partition this flow's
-	// buffers DMA into (0 on untenanted machines).
-	tenantIdx int
-	part      int
+	// buffers DMA into (0 on untenanted machines). These and queue are
+	// int32 so the core pointer fits in Flow's allocation size class.
+	tenantIdx int32
+	part      int32
 	// queue is the rx queue RSS (or an explicit pin) resolved at AddFlow;
-	// -1 on legacy single-core machines.
-	queue int
+	// -1 on Cores == 0 machines.
+	queue int32
+	// core is the CPU core that drains this flow: its rx queue's core
+	// when Config.Cores > 0, a core of its own when Cores == 0. Nil for
+	// CPU-bypass flows.
+	core *Core
 	// pipe is the resolved dataplane module chain when FlowSpec.Pipeline
 	// is set; nil keeps the scalar Cost.PerPacket path.
 	pipe []*dataplane.Module
@@ -140,14 +145,14 @@ func (f *Flow) Active() bool { return f.active && !f.stopped }
 
 // TenantIndex returns the owning tenant's registry index, -1 if the flow
 // is untagged (or the machine untenanted).
-func (f *Flow) TenantIndex() int { return f.tenantIdx }
+func (f *Flow) TenantIndex() int { return int(f.tenantIdx) }
 
 // Partition returns the LLC partition this flow's buffers DMA into.
-func (f *Flow) Partition() int { return f.part }
+func (f *Flow) Partition() int { return int(f.part) }
 
 // QueueIndex returns the rx queue this flow was dispatched to, -1 on
-// legacy single-core (Config.Cores == 0) machines.
-func (f *Flow) QueueIndex() int { return f.queue }
+// Config.Cores == 0 machines.
+func (f *Flow) QueueIndex() int { return int(f.queue) }
 
 // DeliveredSeq is the highest sequence number handed to the application
 // plus one (i.e., count of in-order deliveries); maintained by Machine.

@@ -80,7 +80,6 @@ type Machine struct {
 	DP Datapath
 
 	Flows map[int]*Flow
-	cores map[int]*Core
 
 	// Multi-queue rx path, non-nil when Config.Cores > 0: RSS hashes flows
 	// onto len(queues) rx queues and each queue core drains its own flows
@@ -165,21 +164,14 @@ func NewMachine(cfg Config, dp Datapath) *Machine {
 	return m
 }
 
-// NewMachineE builds a machine and attaches the datapath, reporting an
-// invalid configuration as an error instead of panicking.
+// NewMachineE builds a machine on its own engine and attaches the
+// datapath, reporting an invalid configuration as an error instead of
+// panicking.
 func NewMachineE(cfg Config, dp Datapath) (*Machine, error) {
-	return NewMachineOnEngine(sim.NewEngine(cfg.Seed), cfg, dp)
-}
-
-// NewMachineOnEngine builds a machine on an existing engine instead of a
-// private one. A multi-host rack (internal/fleet) places every host on
-// one shared engine so cross-host event ordering — probes, crashes,
-// migrations — is a deterministic function of the simulated clock, not
-// of which host's private engine happened to run first.
-func NewMachineOnEngine(eng *sim.Engine, cfg Config, dp Datapath) (*Machine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("iosys: building machine: %w", err)
 	}
+	eng := sim.NewEngine(cfg.Seed)
 	m := &Machine{
 		Eng:     eng,
 		Cfg:     cfg,
@@ -194,7 +186,6 @@ func NewMachineOnEngine(eng *sim.Engine, cfg Config, dp Datapath) (*Machine, err
 		Steer:   flowsteer.NewTable(),
 		DP:      dp,
 		Flows:   make(map[int]*Flow),
-		cores:   make(map[int]*Core),
 		PktPool: pkt.NewPool(),
 	}
 	m.DMA = pcie.NewEngine(eng, m.ToHost, m.ToNIC, m.IIO, cfg.DMACredits)
@@ -202,7 +193,7 @@ func NewMachineOnEngine(eng *sim.Engine, cfg Config, dp Datapath) (*Machine, err
 		m.RSS = flowsteer.NewRSS(cfg.Cores)
 		m.queues = make([]*Core, cfg.Cores)
 		for q := range m.queues {
-			m.queues[q] = newQueueCore(m, q)
+			m.queues[q] = &Core{m: m, queue: q}
 		}
 		m.LLC.EnableQueueStats(cfg.Cores)
 	}
@@ -308,8 +299,8 @@ func (m *Machine) releaseHostBuf(p *pkt.Packet) {
 
 // AddFlow establishes a connection: congestion control starts, the
 // datapath is notified (CEIO allocates credits and installs a steering
-// rule here), a CPU core is dedicated for CPU-involved flows (§2.3), and
-// the packet generator begins.
+// rule here), a CPU-involved flow is attached to the core that drains it
+// (§2.3), and the packet generator begins.
 func (m *Machine) AddFlow(spec FlowSpec) *Flow {
 	f, err := m.AddFlowE(spec)
 	if err != nil {
@@ -367,7 +358,14 @@ func (m *Machine) AddFlowE(spec FlowSpec) (*Flow, error) {
 	} else if spec.Queue != 0 {
 		return nil, fmt.Errorf("iosys: adding flow %d: queue %d requested but machine has no multi-queue rx path (Cores == 0)", spec.ID, spec.Queue)
 	}
-	f := &Flow{FlowSpec: spec, m: m, active: true, tenantIdx: tenantIdx, part: part, queue: queue}
+	f := &Flow{FlowSpec: spec, m: m, active: true, tenantIdx: int32(tenantIdx), part: int32(part), queue: int32(queue)}
+	if spec.Kind == CPUInvolved {
+		if m.RSS != nil {
+			f.core = m.queues[queue]
+		} else {
+			f.core = &Core{m: m, queue: -1}
+		}
+	}
 	if len(spec.Pipeline) > 0 {
 		// The chain was validated above, so resolution cannot fail; any
 		// first-seen modules register their telemetry series here (the
@@ -395,17 +393,11 @@ func (m *Machine) AddFlowE(spec FlowSpec) (*Flow, error) {
 	f.Delivered.StartAt(m.Eng.Now())
 	m.Flows[spec.ID] = f
 	if m.Tenants != nil {
-		m.Tenants.FlowAdded(f.tenantIdx)
+		m.Tenants.FlowAdded(f.TenantIndex())
 	}
 	m.DP.FlowAdded(f)
-	if f.Kind == CPUInvolved {
-		if m.RSS != nil {
-			m.queues[f.queue].addFlow(f)
-		} else {
-			c := newCore(m, f)
-			m.cores[f.ID] = c
-			c.start()
-		}
+	if f.core != nil {
+		f.core.addFlow(f)
 	}
 	m.scheduleNextPacket(f)
 	return f, nil
@@ -441,16 +433,12 @@ func (m *Machine) RemoveFlow(id int) {
 	f.stopped = true
 	f.active = false
 	f.CC.Stop()
-	if c, ok := m.cores[id]; ok {
-		c.stop()
-		delete(m.cores, id)
-	}
-	if m.RSS != nil && f.Kind == CPUInvolved {
-		m.queues[f.queue].removeFlow(id)
+	if f.core != nil {
+		f.core.removeFlow(id)
 	}
 	m.DP.FlowRemoved(f)
 	if m.Tenants != nil {
-		m.Tenants.FlowRemoved(f.tenantIdx)
+		m.Tenants.FlowRemoved(f.TenantIndex())
 	}
 	if f.pipe != nil {
 		m.Pipes.FlowDetached(f.pipe)
@@ -458,22 +446,18 @@ func (m *Machine) RemoveFlow(id int) {
 	delete(m.Flows, id)
 }
 
-// Core returns the CPU core serving flow id, or nil: the dedicated core
-// in the legacy layout, the flow's queue core on a multi-queue machine.
+// Core returns the CPU core serving flow id: its own core on a
+// Cores == 0 machine, its queue core on a multi-queue machine; nil for
+// CPU-bypass and unknown flows.
 func (m *Machine) Core(id int) *Core {
-	if c, ok := m.cores[id]; ok {
-		return c
-	}
-	if m.RSS != nil {
-		if f, ok := m.Flows[id]; ok && f.Kind == CPUInvolved {
-			return m.queues[f.queue]
-		}
+	if f, ok := m.Flows[id]; ok {
+		return f.core
 	}
 	return nil
 }
 
 // QueueCores returns the per-queue cores of a multi-queue machine (nil on
-// legacy Cores == 0 machines).
+// Cores == 0 machines, whose cores belong to single flows).
 func (m *Machine) QueueCores() []*Core { return m.queues }
 
 // scheduleNextPacket paces the flow generator at its current CC rate,
@@ -573,7 +557,7 @@ func (m *Machine) emit(f *Flow) {
 	p.FlowID = f.ID
 	p.Seq = f.nextSeq
 	p.Size = f.PktSize
-	p.Part = f.part
+	p.Part = f.Partition()
 	p.MsgStart = f.msgPos == 0
 	p.MsgEnd = f.msgPos == f.MsgPkts-1
 	f.nextSeq++
@@ -752,7 +736,7 @@ func (m *Machine) Deliver(f *Flow, p *pkt.Packet) {
 		m.BypassMeter.Record(p.Size)
 	}
 	if m.Tenants != nil {
-		m.Tenants.RecordDelivery(f.tenantIdx, p.Size)
+		m.Tenants.RecordDelivery(f.TenantIndex(), p.Size)
 	}
 	m.releaseHostBuf(p)
 	f.inFlight -= int64(p.Size + m.Cfg.EthOverhead)
@@ -818,7 +802,7 @@ func bypassMoved(arg any) {
 	m.putRxJob(j)
 	hit := m.LLC.ProbeIn(p.Part, p.Buf)
 	if m.Tenants != nil {
-		m.Tenants.Account(f.tenantIdx, hit)
+		m.Tenants.Account(f.TenantIndex(), hit)
 	}
 	if !hit {
 		// The consumer's read missed: the chunk was already evicted
@@ -841,9 +825,9 @@ func (m *Machine) PacketCPUCost(f *Flow, p *pkt.Packet) sim.Time {
 		c += m.Cfg.LLCHitLatency
 	} else {
 		hit := m.LLC.ConsumeIn(p.Part, p.Buf)
-		m.LLC.AccountQueue(f.queue, hit)
+		m.LLC.AccountQueue(f.QueueIndex(), hit)
 		if m.Tenants != nil {
-			m.Tenants.Account(f.tenantIdx, hit)
+			m.Tenants.Account(f.TenantIndex(), hit)
 		}
 		if hit {
 			c += m.Cfg.LLCHitLatency
@@ -856,7 +840,7 @@ func (m *Machine) PacketCPUCost(f *Flow, p *pkt.Packet) sim.Time {
 		// plus per-touch state accesses charged against the LLC (state
 		// refills under pressure evict I/O buffers, coupling pipeline
 		// weight to the I/O miss rate).
-		c += m.Pipes.PacketCost(f.pipe, f.part, f.ID, p.Seq)
+		c += m.Pipes.PacketCost(f.pipe, f.Partition(), f.ID, p.Seq)
 	} else {
 		c += f.Cost.PerPacket
 	}

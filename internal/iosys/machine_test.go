@@ -136,15 +136,30 @@ func TestHostCCReducesMissesVersusBaseline(t *testing.T) {
 	}
 }
 
+// RemoveFlow stops the generator and detaches the flow from its core in
+// both CPU layouts; the core stops polling once its last flow leaves.
 func TestRemoveFlowStopsTraffic(t *testing.T) {
-	m := iosys.NewMachine(iosys.DefaultConfig(), baseline.NewLegacy())
-	f := m.AddFlow(echoSpec(1, 512))
-	m.Run(1 * sim.Millisecond)
-	m.RemoveFlow(1)
-	gen := f.Generated
-	m.Run(2 * sim.Millisecond)
-	if f.Generated != gen {
-		t.Fatal("removed flow kept generating")
+	for _, cores := range []int{0, 2} {
+		cfg := iosys.DefaultConfig()
+		cfg.Cores = cores
+		m := iosys.NewMachine(cfg, baseline.NewLegacy())
+		f := m.AddFlow(echoSpec(1, 512))
+		m.Run(1 * sim.Millisecond)
+		c := m.Core(1)
+		m.RemoveFlow(1)
+		gen := f.Generated
+		m.Run(2 * sim.Millisecond)
+		if f.Generated != gen {
+			t.Fatalf("cores=%d: removed flow kept generating", cores)
+		}
+		if c.FlowCount() != 0 || m.Core(1) != nil {
+			t.Fatalf("cores=%d: removed flow still attached (core drains %d flows)", cores, c.FlowCount())
+		}
+		polls := c.Polls
+		m.Run(3 * sim.Millisecond)
+		if c.Polls != polls {
+			t.Fatalf("cores=%d: core kept polling after its last flow left", cores)
+		}
 	}
 }
 

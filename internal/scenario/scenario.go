@@ -67,8 +67,8 @@ type Spec struct {
 	// DurationMs is the measured window; WarmupMs precedes it.
 	DurationMs float64 `json:"duration_ms"`
 	WarmupMs   float64 `json:"warmup_ms,omitempty"`
-	// Cores selects the multi-queue CPU model: 0 = legacy one core per
-	// flow, N >= 1 = N cores behind an RSS dispatch stage.
+	// Cores selects the multi-queue CPU model: 0 = one core per
+	// CPU-involved flow, N >= 1 = N cores behind an RSS dispatch stage.
 	Cores int        `json:"cores,omitempty"`
 	Flows []FlowSpec `json:"flows"`
 }
@@ -155,11 +155,7 @@ func buildSpec(f FlowSpec) (iosys.FlowSpec, error) {
 	case "dfs":
 		spec = workload.LineFS(f.ID, f.PktSize, f.ChunkPkts)
 	case "echo":
-		size := f.PktSize
-		if size == 0 {
-			size = 512
-		}
-		spec = workload.Echo(f.ID, size)
+		spec = workload.Echo(f.ID, f.PktSize)
 	case "vxlan":
 		spec = workload.VxLAN(f.ID)
 	default:

@@ -152,8 +152,12 @@ func LineFS(id, pktSize, chunkPkts int) iosys.FlowSpec {
 // Echo returns the dperf echo workload: the server touches the message
 // and replies with a 64B acknowledgement (reply cost folded into the
 // per-packet processing). Used for the peak data-path measurements
-// (Fig. 11, Fig. 12, Table 2, Table 3).
+// (Fig. 11, Fig. 12, Table 2, Table 3). A zero msgSize selects 512B
+// messages.
 func Echo(id, msgSize int) iosys.FlowSpec {
+	if msgSize <= 0 {
+		msgSize = 512
+	}
 	return iosys.FlowSpec{
 		ID: id, Kind: iosys.CPUInvolved, PktSize: msgSize, MsgPkts: 1,
 		Cost: iosys.CostModel{PerPacket: 25 * sim.Nanosecond, ZeroCopy: true},
