@@ -6,6 +6,7 @@
 package ceio_test
 
 import (
+	"math/rand"
 	"testing"
 
 	"ceio"
@@ -69,7 +70,7 @@ func BenchmarkSimulatedPacketRate(b *testing.B) {
 // DMA commit, LLC insert, pipelined CPU cost with state touches,
 // delivery — after warm-up, asserting via the CI -benchmem gate that the
 // per-packet path performs no allocation (buffer payloads ride in the
-// LLC's pooled LRU nodes; module state lines reuse the same pool).
+// LLC's recycled arena nodes; module state lines reuse the same arena).
 func BenchmarkMachineSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	sim := ceio.NewSimulator(ceio.DefaultConfig(), ceio.ArchCEIO)
@@ -238,6 +239,43 @@ func BenchmarkLLCInsertConsume(b *testing.B) {
 		if i >= 16 {
 			llc.Consume(cache.BufID(i - 16))
 		}
+	}
+}
+
+// BenchmarkLLCStateWorkingSet is the LLC shape of a heavy dataplane
+// chain (host-nf-chain's four modules): per op, one packet's 2 KB DDIO
+// write, the consume of the buffer written 1536 packets earlier, and
+// eight 64 B state-line touches drawn uniformly from a ~3.7 MB working
+// set, all in one 6 MB region. State and in-flight buffers together
+// overflow the region, so touches mix hits with refills that evict, and
+// the resident set holds tens of thousands of lines — the lookup cost
+// BenchmarkLLCInsertConsume's 16 in-flight buffers cannot show.
+func BenchmarkLLCStateWorkingSet(b *testing.B) {
+	b.ReportAllocs()
+	const (
+		stateLines = 3_700_000 / 64
+		inFlight   = 1536
+		stateTag   = cache.BufID(1) << 63
+	)
+	llc := cache.NewLLC(6 << 20)
+	rng := rand.New(rand.NewSource(1))
+	packet := func(i int) {
+		llc.InsertIO(cache.BufID(i+1), 2048)
+		if i >= inFlight {
+			llc.Consume(cache.BufID(i + 1 - inFlight))
+		}
+		for t := 0; t < 8; t++ {
+			line := rng.Intn(stateLines)
+			llc.TouchState(0, stateTag|cache.BufID(line%4)<<40|cache.BufID(line), 64)
+		}
+	}
+	const warm = 4 * stateLines
+	for i := 0; i < warm; i++ {
+		packet(i)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		packet(warm + i)
 	}
 }
 

@@ -15,13 +15,17 @@ import "fmt"
 // BufID identifies one I/O buffer in flight through the hierarchy.
 type BufID uint64
 
-// node is an intrusive doubly-linked LRU list node.
+// node is one resident buffer in the LLC's node arena. prev and next
+// are arena indices linking the node into its partition's LRU list, and
+// next also threads the free list; index 0 is nil (slot 0 of the arena
+// is never used). The arena holds no pointers, so the garbage collector
+// never scans it.
 type node struct {
 	id         BufID
 	size       int64
 	payload    int64
-	part       int
-	prev, next *node
+	part       int32
+	prev, next int32
 }
 
 // Evicted describes one buffer pushed out of the LLC: its ID plus the
@@ -67,8 +71,8 @@ func (s QueueStats) MissRate() float64 {
 type partition struct {
 	capacity  int64
 	occupancy int64
-	head      *node // most recently inserted/touched
-	tail      *node // least recently used: next eviction victim
+	head      int32 // most recently inserted/touched (arena index, 0 = empty)
+	tail      int32 // least recently used: next eviction victim
 	stats     PartStats
 }
 
@@ -82,8 +86,25 @@ type LLC struct {
 	capacity  int64
 	occupancy int64
 
-	entries map[BufID]*node
-	parts   []partition
+	// nodes is the node arena; nodes[0] is the unused nil slot. free
+	// heads the list of recycled slots (chained through node.next), so
+	// the steady-state insert/evict/consume churn of the DMA path does
+	// not allocate: the arena only grows to the resident set's
+	// high-water mark.
+	nodes []node
+	free  int32
+
+	// index maps a resident BufID to its arena slot: an open-addressed,
+	// linear-probing table of arena indices (0 = empty slot) whose key
+	// is compared in the node. Its length is a power of two, 1<<(64-shift),
+	// and it doubles once half full; deletion shifts later entries of the
+	// probe run back, so there are no tombstones. count is the number of
+	// resident buffers.
+	index []int32
+	shift uint
+	count int
+
+	parts []partition
 
 	// queueStats, when enabled, attributes consume-side hits/misses to rx
 	// queues (one slot per simulated core); nil on single-core machines.
@@ -92,10 +113,6 @@ type LLC struct {
 	// onEvict, if set, is invoked for each buffer evicted to DRAM.
 	onEvict func(BufID)
 
-	// freeNodes recycles LRU nodes (chained through node.next) so the
-	// steady-state insert/evict/consume churn of the DMA path does not
-	// allocate.
-	freeNodes *node
 	// evictScratch backs the eviction list InsertIOIn returns; the slice
 	// is reused on the next insert, which is safe because every caller
 	// consumes it before touching the cache again.
@@ -116,9 +133,100 @@ func NewLLC(capacityBytes int64) *LLC {
 	}
 	return &LLC{
 		capacity: capacityBytes,
-		entries:  make(map[BufID]*node),
+		nodes:    make([]node, 1),
+		index:    make([]int32, 1<<minIndexBits),
+		shift:    64 - minIndexBits,
 		parts:    []partition{{capacity: capacityBytes}},
 	}
+}
+
+// minIndexBits sizes a new LLC's index (1<<minIndexBits slots). Both the
+// arena and the index grow on demand from there rather than being
+// presized to the region's line count: a rack of hosts whose caches stay
+// sparsely filled would otherwise pay megabytes each.
+const minIndexBits = 4
+
+// slot returns id's home slot in the index: Fibonacci (multiplicative)
+// hashing, whose top bits spread both sequential packet buffer IDs and
+// the tagged module|line IDs of dataplane state.
+func (c *LLC) slot(id BufID) int {
+	return int(uint64(id) * 0x9E3779B97F4A7C15 >> c.shift)
+}
+
+// lookup returns the index slot holding id and its arena index, or the
+// empty slot where id would be inserted and 0.
+func (c *LLC) lookup(id BufID) (slot int, n int32) {
+	mask := len(c.index) - 1
+	for i := c.slot(id); ; i = (i + 1) & mask {
+		n := c.index[i]
+		if n == 0 || c.nodes[n].id == id {
+			return i, n
+		}
+	}
+}
+
+// find returns id's arena index, 0 when id is not resident.
+func (c *LLC) find(id BufID) int32 {
+	_, n := c.lookup(id)
+	return n
+}
+
+// insertNode allocates an arena node for the non-resident id and records
+// it at the empty index slot lookup returned.
+func (c *LLC) insertNode(slot int, id BufID, size, payload int64, part int) int32 {
+	n := c.free
+	if n == 0 {
+		n = int32(len(c.nodes))
+		c.nodes = append(c.nodes, node{})
+	} else {
+		c.free = c.nodes[n].next
+	}
+	c.nodes[n] = node{id: id, size: size, payload: payload, part: int32(part)}
+	c.index[slot] = n
+	c.count++
+	if 2*c.count >= len(c.index) {
+		c.growIndex()
+	}
+	return n
+}
+
+// growIndex doubles the index and reinserts every resident node.
+func (c *LLC) growIndex() {
+	old := c.index
+	c.index = make([]int32, 2*len(old))
+	c.shift--
+	mask := len(c.index) - 1
+	for _, n := range old {
+		if n == 0 {
+			continue
+		}
+		i := c.slot(c.nodes[n].id)
+		for c.index[i] != 0 {
+			i = (i + 1) & mask
+		}
+		c.index[i] = n
+	}
+}
+
+// removeNode deletes the resident node n from the index and returns its
+// arena slot to the free list. The caller has already unlinked it.
+func (c *LLC) removeNode(n int32) {
+	i, _ := c.lookup(c.nodes[n].id)
+	// Backward-shift deletion: walk the probe run after the hole and move
+	// back every entry whose home slot the hole lies on the way to, so
+	// lookups never need tombstones.
+	mask := len(c.index) - 1
+	for j := (i + 1) & mask; c.index[j] != 0; j = (j + 1) & mask {
+		m := c.index[j]
+		if (j-c.slot(c.nodes[m].id))&mask >= (j-i)&mask {
+			c.index[i] = m
+			i = j
+		}
+	}
+	c.index[i] = 0
+	c.count--
+	c.nodes[n] = node{next: c.free}
+	c.free = n
 }
 
 // SetEvictHandler registers a callback invoked for every eviction.
@@ -131,10 +239,10 @@ func (c *LLC) Capacity() int64 { return c.capacity }
 func (c *LLC) Occupancy() int64 { return c.occupancy }
 
 // Resident reports whether id is currently cached.
-func (c *LLC) Resident(id BufID) bool { _, ok := c.entries[id]; return ok }
+func (c *LLC) Resident(id BufID) bool { return c.find(id) != 0 }
 
 // Len returns the number of resident buffers.
-func (c *LLC) Len() int { return len(c.entries) }
+func (c *LLC) Len() int { return c.count }
 
 // Partitions returns the number of partitions (1 when unpartitioned).
 func (c *LLC) Partitions() int { return len(c.parts) }
@@ -154,8 +262,8 @@ func (c *LLC) PartStats(i int) PartStats { return c.parts[i].stats }
 // total capacity (so partition occupancies always sum to the machine
 // total).
 func (c *LLC) Partition(capacities []int64) error {
-	if len(c.entries) != 0 {
-		return fmt.Errorf("cache: partitioning a non-empty LLC (%d resident buffers)", len(c.entries))
+	if c.count != 0 {
+		return fmt.Errorf("cache: partitioning a non-empty LLC (%d resident buffers)", c.count)
 	}
 	if len(capacities) == 0 {
 		return fmt.Errorf("cache: partitioning into zero partitions")
@@ -195,62 +303,69 @@ func (c *LLC) MoveCapacity(from, to int, bytes int64) (evicted []Evicted) {
 	}
 	src.capacity -= bytes
 	dst.capacity += bytes
-	for src.occupancy > src.capacity && src.tail != nil {
-		victim := src.tail
-		src.unlink(victim)
-		delete(c.entries, victim.id)
-		src.occupancy -= victim.size
-		c.occupancy -= victim.size
-		src.stats.Evictions++
+	return c.evictOver(src, 0, nil)
+}
+
+// evictOver evicts p's LRU lines until p fits its capacity, appending
+// each to evicted. keep is the line just inserted or refreshed at the MRU
+// head (0 for none), so reaching it means it is the only line left: it
+// stays resident even over capacity.
+func (c *LLC) evictOver(p *partition, keep int32, evicted []Evicted) []Evicted {
+	for p.occupancy > p.capacity && p.tail != 0 && p.tail != keep {
+		victim := p.tail
+		v := c.nodes[victim]
+		c.unlink(p, victim)
+		c.removeNode(victim)
+		p.occupancy -= v.size
+		c.occupancy -= v.size
+		p.stats.Evictions++
 		c.Evictions++
-		evicted = append(evicted, Evicted{ID: victim.id, Payload: victim.payload})
+		evicted = append(evicted, Evicted{ID: v.id, Payload: v.payload})
 		if c.onEvict != nil {
-			c.onEvict(victim.id)
+			c.onEvict(v.id)
 		}
-		c.freeNode(victim)
 	}
 	return evicted
 }
 
-func (c *LLC) allocNode(id BufID, size, payload int64, part int) *node {
-	n := c.freeNodes
-	if n == nil {
-		return &node{id: id, size: size, payload: payload, part: part}
-	}
-	c.freeNodes = n.next
-	*n = node{id: id, size: size, payload: payload, part: part}
-	return n
-}
-
-func (c *LLC) freeNode(n *node) {
-	*n = node{next: c.freeNodes}
-	c.freeNodes = n
-}
-
-func (p *partition) pushFront(n *node) {
-	n.prev = nil
-	n.next = p.head
-	if p.head != nil {
-		p.head.prev = n
-	}
-	p.head = n
-	if p.tail == nil {
+// pushFront links node n at the MRU end of p's list.
+func (c *LLC) pushFront(p *partition, n int32) {
+	nd := &c.nodes[n]
+	nd.prev = 0
+	nd.next = p.head
+	if p.head != 0 {
+		c.nodes[p.head].prev = n
+	} else {
 		p.tail = n
 	}
+	p.head = n
 }
 
-func (p *partition) unlink(n *node) {
-	if n.prev != nil {
-		n.prev.next = n.next
+// unlink removes node n from p's list.
+func (c *LLC) unlink(p *partition, n int32) {
+	nd := &c.nodes[n]
+	if nd.prev != 0 {
+		c.nodes[nd.prev].next = nd.next
 	} else {
-		p.head = n.next
+		p.head = nd.next
 	}
-	if n.next != nil {
-		n.next.prev = n.prev
+	if nd.next != 0 {
+		c.nodes[nd.next].prev = nd.prev
 	} else {
-		p.tail = n.prev
+		p.tail = nd.prev
 	}
-	n.prev, n.next = nil, nil
+	nd.prev, nd.next = 0, 0
+}
+
+// moveToFront refreshes the resident node n to MRU in its home partition
+// and returns that partition.
+func (c *LLC) moveToFront(n int32) *partition {
+	p := &c.parts[c.nodes[n].part]
+	if p.head != n {
+		c.unlink(p, n)
+		c.pushFront(p, n)
+	}
+	return p
 }
 
 // InsertIO models a DDIO write into partition 0 (the whole region when
@@ -297,44 +412,25 @@ func (c *LLC) InsertIOSized(part int, id BufID, size, payload int64) (evicted []
 		c.evictScratch = evicted
 		return evicted
 	}
-	if n, ok := c.entries[id]; ok {
+	slot, n := c.lookup(id)
+	if n != 0 {
 		// Refresh within the buffer's home partition (a buffer belongs to
 		// one flow, and a flow's partition is fixed for its lifetime).
-		p = &c.parts[n.part]
-		p.occupancy += size - n.size
-		c.occupancy += size - n.size
-		n.size = size
-		n.payload = payload
-		p.unlink(n)
-		p.pushFront(n)
+		p = c.moveToFront(n)
+		nd := &c.nodes[n]
+		p.occupancy += size - nd.size
+		c.occupancy += size - nd.size
+		nd.size = size
+		nd.payload = payload
 	} else {
-		n := c.allocNode(id, size, payload, part)
-		c.entries[id] = n
-		p.pushFront(n)
+		n = c.insertNode(slot, id, size, payload, part)
+		c.pushFront(p, n)
 		p.occupancy += size
 		c.occupancy += size
 		p.stats.Insertions++
 		c.Insertions++
 	}
-	for p.occupancy > p.capacity && p.tail != nil {
-		victim := p.tail
-		if victim.id == id && victim.prev == nil {
-			// The just-inserted buffer is the only one in its partition;
-			// keep it resident even over capacity.
-			break
-		}
-		p.unlink(victim)
-		delete(c.entries, victim.id)
-		p.occupancy -= victim.size
-		c.occupancy -= victim.size
-		p.stats.Evictions++
-		c.Evictions++
-		evicted = append(evicted, Evicted{ID: victim.id, Payload: victim.payload})
-		if c.onEvict != nil {
-			c.onEvict(victim.id)
-		}
-		c.freeNode(victim)
-	}
+	evicted = c.evictOver(p, n, evicted)
 	c.evictScratch = evicted
 	return evicted
 }
@@ -360,11 +456,12 @@ func (c *LLC) ImminentIn(part int, thresholdBytes int64, pred func(BufID) bool) 
 	p := &c.parts[part]
 	dist := p.capacity - p.occupancy
 	count := 0
-	for n := p.tail; n != nil && dist < thresholdBytes; n = n.prev {
-		if pred == nil || pred(n.id) {
+	for n := p.tail; n != 0 && dist < thresholdBytes; n = c.nodes[n].prev {
+		id, size := c.nodes[n].id, c.nodes[n].size
+		if pred == nil || pred(id) {
 			count++
 		}
-		dist += n.size
+		dist += size
 	}
 	return count
 }
@@ -372,8 +469,8 @@ func (c *LLC) ImminentIn(part int, thresholdBytes int64, pred func(BufID) bool) 
 // PayloadOf returns the payload bytes recorded for a resident buffer,
 // 0 when id is not resident.
 func (c *LLC) PayloadOf(id BufID) int64 {
-	if n, ok := c.entries[id]; ok {
-		return n.payload
+	if n := c.find(id); n != 0 {
+		return c.nodes[n].payload
 	}
 	return 0
 }
@@ -385,56 +482,40 @@ func (c *LLC) PayloadOf(id BufID) int64 {
 // fills the line into partition part — evicting LRU victims exactly
 // like a DDIO insert, which is how a heavy pipeline's working set
 // pushes I/O buffers out and inflates the I/O miss rate — and reports
-// the victims. Unlike InsertIOIn/ConsumeIn, TouchState does NOT bump
-// the LLC's Insertions/Hits/Misses counters: those count the I/O path
-// (DDIO writes and packet reads), and the paper's miss-ratio series
-// must keep meaning that. Callers (the dataplane engine) keep their own
+// filled plus the victims. A line wider than the partition (a zero-way
+// carve) bypasses the cache: miss, not filled, nothing inserted. So
+// after the call the line is resident exactly when hit or filled, and a
+// caller tracking residency needs no second lookup. Unlike
+// InsertIOIn/ConsumeIn, TouchState does NOT bump the LLC's
+// Insertions/Hits/Misses counters: those count the I/O path (DDIO
+// writes and packet reads), and the paper's miss-ratio series must keep
+// meaning that. Callers (the dataplane engine) keep their own
 // per-module hit/miss counters. Eviction counters and the eviction
 // handler fire normally, since a line leaving the region is a real
 // eviction whatever displaced it.
 //
 // The returned slice shares the insert scratch buffer: consume it
-// before re-entering the cache. A line wider than the partition (a
-// zero-way carve) bypasses the cache: miss, nothing inserted.
-func (c *LLC) TouchState(part int, id BufID, size int64) (hit bool, evicted []Evicted) {
+// before re-entering the cache.
+func (c *LLC) TouchState(part int, id BufID, size int64) (hit, filled bool, evicted []Evicted) {
 	if size <= 0 {
 		panic(fmt.Sprintf("cache: state touch of non-positive size %d", size))
 	}
-	if n, ok := c.entries[id]; ok {
-		p := &c.parts[n.part]
-		p.unlink(n)
-		p.pushFront(n)
-		return true, nil
+	slot, n := c.lookup(id)
+	if n != 0 {
+		c.moveToFront(n)
+		return true, false, nil
 	}
 	p := &c.parts[part]
 	if size > p.capacity {
-		return false, nil
+		return false, false, nil
 	}
-	n := c.allocNode(id, size, size, part)
-	c.entries[id] = n
-	p.pushFront(n)
+	n = c.insertNode(slot, id, size, size, part)
+	c.pushFront(p, n)
 	p.occupancy += size
 	c.occupancy += size
-	evicted = c.evictScratch[:0]
-	for p.occupancy > p.capacity && p.tail != nil {
-		victim := p.tail
-		if victim.id == id && victim.prev == nil {
-			break
-		}
-		p.unlink(victim)
-		delete(c.entries, victim.id)
-		p.occupancy -= victim.size
-		c.occupancy -= victim.size
-		p.stats.Evictions++
-		c.Evictions++
-		evicted = append(evicted, Evicted{ID: victim.id, Payload: victim.payload})
-		if c.onEvict != nil {
-			c.onEvict(victim.id)
-		}
-		c.freeNode(victim)
-	}
+	evicted = c.evictOver(p, n, c.evictScratch[:0])
 	c.evictScratch = evicted
-	return false, evicted
+	return false, true, evicted
 }
 
 // Consume is ConsumeIn against partition 0 (miss attribution when the
@@ -448,21 +529,28 @@ func (c *LLC) Consume(id BufID) bool { return c.ConsumeIn(0, id) }
 // charge a DRAM access. A hit is charged to the buffer's home partition;
 // a miss to part, the reader's own partition.
 func (c *LLC) ConsumeIn(part int, id BufID) bool {
-	n, ok := c.entries[id]
-	if !ok {
+	n := c.find(id)
+	if n == 0 {
 		c.parts[part].stats.Misses++
 		c.Misses++
 		return false
 	}
-	p := &c.parts[n.part]
-	p.unlink(n)
-	delete(c.entries, id)
-	p.occupancy -= n.size
-	c.occupancy -= n.size
+	p := c.retire(n)
 	p.stats.Hits++
 	c.Hits++
-	c.freeNode(n)
 	return true
+}
+
+// retire removes the resident node n from the cache without counting an
+// eviction and returns its home partition.
+func (c *LLC) retire(n int32) *partition {
+	nd := &c.nodes[n]
+	p := &c.parts[nd.part]
+	p.occupancy -= nd.size
+	c.occupancy -= nd.size
+	c.unlink(p, n)
+	c.removeNode(n)
+	return p
 }
 
 // Peek is PeekIn against partition 0.
@@ -472,12 +560,9 @@ func (c *LLC) Peek(id BufID) bool { return c.PeekIn(0, id) }
 // updates counters but leaves a resident buffer in place (used by
 // workloads that touch a buffer multiple times).
 func (c *LLC) PeekIn(part int, id BufID) bool {
-	if n, ok := c.entries[id]; ok {
+	if n := c.find(id); n != 0 {
 		// Refresh recency on touch.
-		p := &c.parts[n.part]
-		p.unlink(n)
-		p.pushFront(n)
-		p.stats.Hits++
+		c.moveToFront(n).stats.Hits++
 		c.Hits++
 		return true
 	}
@@ -495,8 +580,8 @@ func (c *LLC) Probe(id BufID) bool { return c.ProbeIn(0, id) }
 // (dirty) until capacity pressure evicts it, which is how bypass traffic
 // "continuously flushes the LLC" in the paper's coexistence analysis.
 func (c *LLC) ProbeIn(part int, id BufID) bool {
-	if n, ok := c.entries[id]; ok {
-		c.parts[n.part].stats.Hits++
+	if n := c.find(id); n != 0 {
+		c.parts[c.nodes[n].part].stats.Hits++
 		c.Hits++
 		return true
 	}
@@ -508,13 +593,8 @@ func (c *LLC) ProbeIn(part int, id BufID) bool {
 // Drop removes a buffer without classifying it as hit or miss (used when a
 // packet is dropped before any consumer touches it).
 func (c *LLC) Drop(id BufID) {
-	if n, ok := c.entries[id]; ok {
-		p := &c.parts[n.part]
-		p.unlink(n)
-		delete(c.entries, id)
-		p.occupancy -= n.size
-		c.occupancy -= n.size
-		c.freeNode(n)
+	if n := c.find(id); n != 0 {
+		c.retire(n)
 	}
 }
 
@@ -576,24 +656,36 @@ func (c *LLC) checkInvariants() error {
 	var occSum, capSum int64
 	var st PartStats
 	count := 0
-	seen := make(map[BufID]bool)
+	seen := make([]bool, len(c.nodes))
 	for pi := range c.parts {
 		p := &c.parts[pi]
 		var sum int64
 		pcount := 0
-		for n := p.head; n != nil; n = n.next {
-			if seen[n.id] {
-				return fmt.Errorf("cycle or duplicate at %d", n.id)
+		var prev int32
+		for n := p.head; n != 0; n = c.nodes[n].next {
+			if n < 0 || int(n) >= len(c.nodes) || seen[n] {
+				return fmt.Errorf("cycle, duplicate or bad arena index %d in partition %d", n, pi)
 			}
-			seen[n.id] = true
-			if n.part != pi {
-				return fmt.Errorf("buffer %d in partition %d's list but tagged %d", n.id, pi, n.part)
+			seen[n] = true
+			nd := &c.nodes[n]
+			if nd.prev != prev {
+				return fmt.Errorf("buffer %d prev link %d, want %d", nd.id, nd.prev, prev)
 			}
-			sum += n.size
+			if int(nd.part) != pi {
+				return fmt.Errorf("buffer %d in partition %d's list but tagged %d", nd.id, pi, nd.part)
+			}
+			if got := c.find(nd.id); got != n {
+				return fmt.Errorf("buffer %d at arena slot %d but the index finds slot %d", nd.id, n, got)
+			}
+			sum += nd.size
 			pcount++
-			if n.next == nil && p.tail != n {
+			if nd.next == 0 && p.tail != n {
 				return fmt.Errorf("partition %d tail mismatch", pi)
 			}
+			prev = n
+		}
+		if p.head == 0 && p.tail != 0 {
+			return fmt.Errorf("partition %d empty but has tail %d", pi, p.tail)
 		}
 		if sum != p.occupancy {
 			return fmt.Errorf("partition %d occupancy %d != sum %d", pi, p.occupancy, sum)
@@ -615,8 +707,28 @@ func (c *LLC) checkInvariants() error {
 	if capSum != c.capacity {
 		return fmt.Errorf("capacity %d != partition sum %d", c.capacity, capSum)
 	}
-	if count != len(c.entries) {
-		return fmt.Errorf("lists %d != map %d", count, len(c.entries))
+	indexed := 0
+	for _, n := range c.index {
+		if n != 0 {
+			indexed++
+		}
+	}
+	if count != c.count || indexed != c.count {
+		return fmt.Errorf("lists hold %d buffers, index holds %d, count %d", count, indexed, c.count)
+	}
+	if 2*c.count >= len(c.index) {
+		return fmt.Errorf("index at %d/%d slots, over half load", c.count, len(c.index))
+	}
+	free := 0
+	for n := c.free; n != 0; n = c.nodes[n].next {
+		if seen[n] {
+			return fmt.Errorf("arena slot %d both free and listed (or the free list cycles)", n)
+		}
+		seen[n] = true
+		free++
+	}
+	if count+free != len(c.nodes)-1 {
+		return fmt.Errorf("arena leaks slots: %d listed + %d free != %d", count, free, len(c.nodes)-1)
 	}
 	if st != (PartStats{Insertions: c.Insertions, Evictions: c.Evictions, Hits: c.Hits, Misses: c.Misses}) {
 		return fmt.Errorf("global counters %+v diverge from partition sums %+v",

@@ -196,6 +196,46 @@ func TestLLCInvariantsProperty(t *testing.T) {
 	}
 }
 
+// TestLLCSteadyStateZeroAlloc pins the arena's recycling: once the node
+// arena and index have grown to the resident set's high-water mark, DDIO
+// insert/consume churn and state-line touches that hit, refill and evict
+// allocate nothing.
+func TestLLCSteadyStateZeroAlloc(t *testing.T) {
+	const (
+		stateLines = 64 << 10 // 4 MB of 64 B state lines
+		inFlight   = 1024     // 2 MB of 2 KB I/O buffers
+	)
+	c := NewLLC(6 << 20)
+	next, x := BufID(0), uint64(1)
+	packet := func() {
+		next++
+		c.InsertIO(next, 2048)
+		if next > inFlight {
+			c.Consume(next - inFlight)
+		}
+		for t := 0; t < 8; t++ {
+			x = x*6364136223846793005 + 1442695040888963407
+			c.TouchState(0, 1<<63|BufID(x>>33%stateLines), 64)
+		}
+	}
+	for i := 0; i < 200_000; i++ {
+		packet()
+	}
+	if c.Len() < 60_000 {
+		t.Fatalf("warm resident set %d lines, want at least 60k", c.Len())
+	}
+	evictions := c.Evictions
+	if allocs := testing.AllocsPerRun(5000, packet); allocs != 0 {
+		t.Fatalf("steady-state churn allocates %v times per packet, want 0", allocs)
+	}
+	if c.Evictions == evictions {
+		t.Fatal("measured churn evicted nothing; the region is not under pressure")
+	}
+	if err := c.checkInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // The core DDIO phenomenon: in-flight volume beyond the DDIO region
 // produces a miss rate that grows with the overshoot.
 func TestLLCPressureDrivesMissRate(t *testing.T) {

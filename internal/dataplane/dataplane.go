@@ -19,7 +19,7 @@
 // Determinism: the lines a packet touches are a pure hash of (flow,
 // sequence, module, touch index) — no engine RNG is consumed — so runs
 // are bit-identical at any -parallel level, and the hot path performs
-// no allocation (state lines reuse the LLC's pooled LRU nodes).
+// no allocation (state lines reuse the LLC's recycled arena nodes).
 package dataplane
 
 import (
@@ -292,14 +292,14 @@ func (e *Engine) PacketCost(chain []*Module, part, flowID int, seq uint64) sim.T
 		for t := 0; t < mod.Touches; t++ {
 			line := int(splitmix64(base+uint64(t)) % uint64(mod.lines))
 			id := stateLineID(mod.idx, line)
-			hit, evicted := e.llc.TouchState(part, id, LineBytes)
+			hit, filled, evicted := e.llc.TouchState(part, id, LineBytes)
 			if hit {
 				mod.Hits++
 				c += e.hitLat
 			} else {
 				mod.Misses++
 				c += e.mem.AccessLatency(LineBytes)
-				if e.llc.Resident(id) {
+				if filled {
 					mod.Resident += LineBytes
 				}
 				if len(evicted) > 0 && e.sink != nil {

@@ -141,6 +141,63 @@ func TestResidentGaugeTracksLLC(t *testing.T) {
 	}
 }
 
+// TestResidentGaugeCountsResidentLines pins each module's Resident gauge
+// to the LLC's contents through a zero-way carve and a refill: it must
+// equal LineBytes times the module's state lines actually resident, with
+// TouchState's filled report the only residency signal PacketCost reads.
+func TestResidentGaugeCountsResidentLines(t *testing.T) {
+	const capacity = 256 << 10
+	e, llc, _ := newTestEngine(capacity)
+	if err := llc.Partition([]int64{capacity / 2, capacity / 2}); err != nil {
+		t.Fatal(err)
+	}
+	chain, _, err := e.Resolve([]string{"nat64", "upf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := uint64(0)
+	run := func(part int) {
+		for end := seq + 2000; seq < end; seq++ {
+			e.PacketCost(chain, part, 1, seq)
+		}
+	}
+	check := func(stage string) {
+		t.Helper()
+		for _, mod := range chain {
+			var lines int64
+			for l := 0; l < mod.lines; l++ {
+				if llc.Resident(stateLineID(mod.idx, l)) {
+					lines++
+				}
+			}
+			if mod.Resident != LineBytes*lines {
+				t.Fatalf("%s: %s Resident %d, want %d × %d resident lines", stage, mod.Name, mod.Resident, LineBytes, lines)
+			}
+		}
+	}
+	sink := func(evs []cache.Evicted) {
+		for _, ev := range evs {
+			e.StateEvicted(ev.ID)
+		}
+	}
+
+	run(1)
+	check("partition 1 warm")
+	sink(llc.MoveCapacity(1, 0, capacity/2)) // zero-way carve of partition 1
+	check("after carve")
+	run(1) // every miss bypasses
+	check("touches into the zero-way partition")
+	run(0)
+	run(1) // hits on lines partition 0 holds, bypass elsewhere
+	check("zero-way partition beside a warm one")
+	sink(llc.MoveCapacity(0, 1, capacity/4)) // refill partition 1
+	run(1)
+	check("after refill")
+	if chain[1].Resident == 0 {
+		t.Fatal("refill left upf with no resident state; the check proved nothing")
+	}
+}
+
 func TestResetWindowKeepsResident(t *testing.T) {
 	e, _, _ := newTestEngine(6 << 20)
 	chain, _, _ := e.Resolve([]string{"vxlan"})
