@@ -7,6 +7,7 @@ package ceio_test
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ceio"
@@ -67,48 +68,34 @@ func BenchmarkSimulatedPacketRate(b *testing.B) {
 }
 
 // BenchmarkMachineSteadyState drives the full machine hot path — emit,
-// DMA commit, LLC insert, pipelined CPU cost with state touches,
-// delivery — after warm-up, asserting via the CI -benchmem gate that the
-// per-packet path performs no allocation (buffer payloads ride in the
-// LLC's recycled arena nodes; module state lines reuse the same arena).
+// DMA commit and Landed hook, LLC insert, poll into the core's batch,
+// pipelined CPU cost with state touches, bypass consumption, delivery —
+// after warm-up, one sub-benchmark per architecture
+// (BenchmarkMachineSteadyState/Baseline, ...). The CI -benchmem gate
+// asserts every datapath's per-packet path performs no allocation:
+// buffer payloads ride in the LLC's recycled arena nodes, DMA and rx
+// carriers are pooled, and polls append into the core's reused batch.
 func BenchmarkMachineSteadyState(b *testing.B) {
-	b.ReportAllocs()
-	sim := ceio.NewSimulator(ceio.DefaultConfig(), ceio.ArchCEIO)
-	for i := 1; i <= 4; i++ {
-		f := ceio.KVFlow(i, 256)
-		f.Pipeline = []string{"nat64", "firewall"}
-		sim.AddFlow(f)
-	}
-	sim.AddFlow(ceio.FileTransferFlow(5, 1024, 64))
-	sim.RunFor(2 * ceio.Millisecond) // reach pooled steady state
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.RunFor(10 * ceio.Microsecond)
-	}
-}
-
-// BenchmarkRDCASteadyState drives the RDCA datapath hot path — window
-// admission check, in-flight tagging, DMA, recycling demotion at
-// delivery, periodic controller tick with the LLC imminence walk —
-// after warm-up. The CI -benchmem gate asserts zero allocations per
-// op: parked arrivals ride the pooled job free list and the controller
-// resizes windows in place.
-func BenchmarkRDCASteadyState(b *testing.B) {
-	b.ReportAllocs()
-	sim := ceio.NewRDCASimulator(ceio.DefaultConfig(), ceio.DefaultRDCAOptions())
-	for i := 1; i <= 4; i++ {
-		f := ceio.KVFlow(i, 256)
-		f.Pipeline = []string{"nat64", "firewall"}
-		sim.AddFlow(f)
-	}
-	sim.AddFlow(ceio.FileTransferFlow(5, 1024, 64))
-	// The pooled free lists and per-partition pend FIFO backing arrays
-	// keep growing for a few ms; warm until the measured region is
-	// allocation-free even at short -benchtime counts.
-	sim.RunFor(20 * ceio.Millisecond)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim.RunFor(10 * ceio.Microsecond)
+	for _, me := range slices.Concat(workload.AllMethods, []workload.Method{workload.MethodRDCA}) {
+		b.Run(string(me), func(b *testing.B) {
+			b.ReportAllocs()
+			sim := ceio.NewSimulator(ceio.DefaultConfig(), ceio.Architecture(me))
+			for i := 1; i <= 4; i++ {
+				f := ceio.KVFlow(i, 256)
+				f.Pipeline = []string{"nat64", "firewall"}
+				sim.AddFlow(f)
+			}
+			sim.AddFlow(ceio.FileTransferFlow(5, 1024, 64))
+			// Pooled free lists, RDCA's per-partition pend FIFOs and the
+			// core batch buffers grow for a few ms; warm until the
+			// measured region is allocation-free even at short
+			// -benchtime counts.
+			sim.RunFor(20 * ceio.Millisecond)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sim.RunFor(10 * ceio.Microsecond)
+			}
+		})
 	}
 }
 

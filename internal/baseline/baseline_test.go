@@ -158,3 +158,57 @@ func TestHostCCReactionIsDelayed(t *testing.T) {
 		t.Fatal("reduction never arrived after the reaction delay")
 	}
 }
+
+// A removed flow's trigger cooldown leaves with it: a flow re-added under
+// the same ID inside the old cooldown window is still force-reduced at
+// the next congested sample.
+func TestHostCCReAddedFlowTriggersInsideCooldown(t *testing.T) {
+	cfg := baseline.DefaultHostCCConfig()
+	cfg.IIOThreshold = -1     // every sample counts as congested
+	cfg.Cooldown = sim.Second // far longer than the test runs
+	h := baseline.NewHostCC(cfg)
+	m := iosys.NewMachine(iosys.DefaultConfig(), h)
+	m.AddFlow(kvSpec(1, 256))
+	for h.Triggers == 0 && m.Eng.Now() < sim.Millisecond {
+		m.Run(m.Eng.Now() + cfg.Period)
+	}
+	if h.Triggers != 1 {
+		t.Fatalf("first flow: %d triggers, want 1", h.Triggers)
+	}
+	m.RemoveFlow(1)
+	f := m.AddFlow(kvSpec(1, 256))
+	m.Run(m.Eng.Now() + 2*cfg.Period)
+	if h.Triggers != 2 {
+		t.Fatalf("re-added flow inherited the removed flow's cooldown: %d triggers, want 2", h.Triggers)
+	}
+	m.Run(m.Eng.Now() + cfg.ReactionDelay)
+	if f.CC.ForcedTriggers == 0 {
+		t.Fatal("the re-added flow never saw its forced reduction")
+	}
+}
+
+// ShRing frees a CPU-bypass packet's shared entry at delivery: with only
+// bypass traffic the budget fills while data is in flight and drains
+// back to zero once the senders stop.
+func TestShRingBypassOnlyDrainsBudget(t *testing.T) {
+	sh := baseline.NewShRing(baseline.DefaultShRingConfig())
+	m := iosys.NewMachine(iosys.DefaultConfig(), sh)
+	flows := []*iosys.Flow{m.AddFlow(dfsSpec(1)), m.AddFlow(dfsSpec(2))}
+	m.Run(5 * sim.Millisecond)
+	if sh.MaxUsed == 0 {
+		t.Fatal("bypass traffic never took a shared entry")
+	}
+	for _, f := range flows {
+		m.PauseFlow(f.ID)
+	}
+	m.Run(m.Eng.Now() + 5*sim.Millisecond)
+	if sh.Used() != 0 {
+		t.Fatalf("%d shared entries still held after the bypass flows drained", sh.Used())
+	}
+	for _, f := range flows {
+		if f.Delivered.Packets+f.Drops != f.Generated {
+			t.Fatalf("flow %d: delivered %d + dropped %d != generated %d",
+				f.ID, f.Delivered.Packets, f.Drops, f.Generated)
+		}
+	}
+}

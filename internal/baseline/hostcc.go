@@ -4,6 +4,7 @@ import (
 	"ceio/internal/iosys"
 	"ceio/internal/sim"
 	"ceio/internal/stats"
+	"ceio/internal/transport"
 )
 
 // HostCCConfig parameterises the reactive controller.
@@ -94,11 +95,21 @@ func (h *HostCC) monitor() {
 		}
 		h.lastTrigger[id] = now
 		h.Triggers++
-		cc := f.CC
 		// The reduction reaches the sender only after the reaction delay;
 		// by then more packets have already missed the LLC.
-		m.Eng.After(h.cfg.ReactionDelay, cc.ForceReduce)
+		m.Eng.AfterArg(h.cfg.ReactionDelay, forceReduce, f.CC)
 	}
+}
+
+// forceReduce is the delayed reaction monitor schedules: one
+// package-level func value, so a trigger allocates no method value.
+func forceReduce(arg any) { arg.(*transport.FlowCC).ForceReduce() }
+
+// FlowRemoved forgets the flow's trigger cooldown, so the map does not
+// grow with every flow ever seen and a re-added flow ID starts fresh.
+func (h *HostCC) FlowRemoved(f *iosys.Flow) {
+	h.Legacy.FlowRemoved(f)
+	delete(h.lastTrigger, f.ID)
 }
 
 var _ iosys.Datapath = (*HostCC)(nil)

@@ -10,11 +10,6 @@ import (
 	"ceio/internal/ring"
 )
 
-// flowState is the per-flow driver state shared by the baseline paths.
-type flowState struct {
-	rx *ring.HWRing
-}
-
 // Legacy is the unmanaged DDIO datapath of Figure 2: per-flow hardware
 // receive rings, DMA straight into the DDIO region of the LLC, no I/O
 // rate or capacity management. Under memory pressure its in-flight volume
@@ -33,9 +28,12 @@ func (l *Legacy) Name() string { return "Baseline" }
 // Attach implements iosys.Datapath.
 func (l *Legacy) Attach(m *iosys.Machine) { l.m = m }
 
-// FlowAdded allocates the flow's receive ring.
+// FlowAdded allocates a CPU-involved flow's receive ring; it rides in
+// Flow.DP as a *ring.HWRing. Bypass flows never post to a ring.
 func (l *Legacy) FlowAdded(f *iosys.Flow) {
-	f.DP = &flowState{rx: ring.NewHWRing(l.m.Cfg.RxRingEntries)}
+	if f.Kind == iosys.CPUInvolved {
+		f.DP = ring.NewHWRing(l.m.Cfg.RxRingEntries)
+	}
 }
 
 // FlowRemoved implements iosys.Datapath.
@@ -44,47 +42,35 @@ func (l *Legacy) FlowRemoved(f *iosys.Flow) {}
 // Ingress posts the packet to the flow's rx ring (dropping when the ring
 // is full) and DMAs it to the host.
 func (l *Legacy) Ingress(f *iosys.Flow, p *pkt.Packet) {
-	switch f.Kind {
-	case iosys.CPUInvolved:
-		st := f.DP.(*flowState)
-		if st.rx.Free() == 0 {
-			l.m.Drop(f, p)
-			return
-		}
-		if !l.m.ReserveHostBuf(p) {
-			l.m.DropNoHostBuf(f, p)
-			return
-		}
-		st.rx.Post(p)
-		l.m.DMAToHost(p, func() {})
-	default: // CPU-bypass: RDMA-style, no rx ring limit on the host side
-		if !l.m.ReserveHostBuf(p) {
-			l.m.DropNoHostBuf(f, p)
-			return
-		}
-		l.m.DMAToHost(p, func() {
-			l.m.ConsumeBypass(f, p, nil)
-		})
+	// CPU-bypass flows have no rx ring: RDMA-style, no ring limit on the
+	// host side.
+	rx, _ := f.DP.(*ring.HWRing)
+	if rx != nil && rx.Free() == 0 {
+		l.m.Drop(f, p)
+		return
+	}
+	if !l.m.ReserveHostBuf(p) {
+		l.m.DropNoHostBuf(f, p)
+		return
+	}
+	if rx != nil {
+		rx.Post(p)
+	}
+	l.m.DMAToHost(f, p)
+}
+
+// Landed hands a landed CPU-bypass packet to its memory-controller
+// consumer; CPU-involved packets wait in the rx ring for the core's poll.
+func (l *Legacy) Landed(f *iosys.Flow, p *pkt.Packet) {
+	if f.Kind == iosys.CPUBypass {
+		l.m.ConsumeBypass(f, p)
 	}
 }
 
 // Poll hands landed packets from the flow's rx ring to the core.
-func (l *Legacy) Poll(f *iosys.Flow, max int) []*pkt.Packet {
-	return popLanded(f.DP.(*flowState).rx, max)
+func (l *Legacy) Poll(f *iosys.Flow, out []*pkt.Packet, max int) []*pkt.Packet {
+	return f.DP.(*ring.HWRing).PopLanded(out, max)
 }
 
 // OnDelivered implements iosys.Datapath.
 func (l *Legacy) OnDelivered(f *iosys.Flow, p *pkt.Packet) {}
-
-// popLanded pops in-order packets whose DMA completed.
-func popLanded(r *ring.HWRing, max int) []*pkt.Packet {
-	var out []*pkt.Packet
-	for len(out) < max {
-		head := r.Peek()
-		if head == nil || !head.Landed {
-			break
-		}
-		out = append(out, r.Pop())
-	}
-	return out
-}

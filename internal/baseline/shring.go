@@ -50,12 +50,16 @@ func (s *ShRing) Name() string { return "ShRing" }
 // Attach implements iosys.Datapath.
 func (s *ShRing) Attach(m *iosys.Machine) { s.m = m }
 
-// FlowAdded allocates the flow's dispatch FIFO. Ordering within a flow is
-// kept per flow; capacity accounting is shared across all flows, which is
-// what lets newly arriving CPU-bypass flows consume the I/O buffers that
-// CPU-involved flows were using (the Fig. 4a failure mode).
+// FlowAdded allocates a CPU-involved flow's dispatch FIFO (a
+// *ring.HWRing in Flow.DP). Ordering within a flow is kept per flow;
+// capacity accounting is shared across all flows, which is what lets
+// newly arriving CPU-bypass flows consume the I/O buffers that
+// CPU-involved flows were using (the Fig. 4a failure mode). Bypass flows
+// take shared entries but never post to a FIFO, so they get none.
 func (s *ShRing) FlowAdded(f *iosys.Flow) {
-	f.DP = &flowState{rx: ring.NewHWRing(nextPow2(s.cfg.Entries))}
+	if f.Kind == iosys.CPUInvolved {
+		f.DP = ring.NewHWRing(nextPow2(s.cfg.Entries))
+	}
 }
 
 // FlowRemoved releases nothing eagerly; in-flight entries drain normally.
@@ -91,34 +95,40 @@ func (s *ShRing) Ingress(f *iosys.Flow, p *pkt.Packet) {
 		s.m.DropNoHostBuf(f, p)
 		return
 	}
-	switch f.Kind {
-	case iosys.CPUInvolved:
-		st := f.DP.(*flowState)
-		if !st.rx.Post(p) {
-			s.release()
-			s.m.Drop(f, p)
-			return
-		}
-		s.m.DMAToHost(p, func() {})
-	default:
-		s.m.DMAToHost(p, func() {
-			s.m.ConsumeBypass(f, p, s.release)
-		})
+	if rx, ok := f.DP.(*ring.HWRing); ok && !rx.Post(p) {
+		s.release()
+		s.m.Drop(f, p)
+		return
+	}
+	s.m.DMAToHost(f, p)
+}
+
+// Landed hands a landed CPU-bypass packet to its memory-controller
+// consumer; CPU-involved packets wait in their FIFO for the core's poll.
+func (s *ShRing) Landed(f *iosys.Flow, p *pkt.Packet) {
+	if f.Kind == iosys.CPUBypass {
+		s.m.ConsumeBypass(f, p)
 	}
 }
 
 // Poll hands landed packets to the core and frees their shared entries
 // (ownership transfers to the application at pop, like posted receives).
-func (s *ShRing) Poll(f *iosys.Flow, max int) []*pkt.Packet {
-	out := popLanded(f.DP.(*flowState).rx, max)
-	for range out {
+func (s *ShRing) Poll(f *iosys.Flow, out []*pkt.Packet, max int) []*pkt.Packet {
+	n := len(out)
+	out = f.DP.(*ring.HWRing).PopLanded(out, max)
+	for range out[n:] {
 		s.release()
 	}
 	return out
 }
 
-// OnDelivered implements iosys.Datapath.
-func (s *ShRing) OnDelivered(f *iosys.Flow, p *pkt.Packet) {}
+// OnDelivered frees a CPU-bypass packet's shared entry once its consumer
+// has streamed it onward (CPU-involved entries were freed at Poll).
+func (s *ShRing) OnDelivered(f *iosys.Flow, p *pkt.Packet) {
+	if f.Kind == iosys.CPUBypass {
+		s.release()
+	}
+}
 
 // Used exposes current shared occupancy for tests.
 func (s *ShRing) Used() int { return s.used }

@@ -115,9 +115,6 @@ type flowState struct {
 	slowUnpushed  int           // slow packets not yet inserted in the SW ring
 	readsInFlight int
 
-	// pollOut backs the batch Poll returns; reused across polls (the
-	// consuming core delivers a batch before polling the flow again).
-	pollOut []*pkt.Packet
 	// pending is the reused scratch for the SW-ring indices issueReads
 	// and the synchronous-read path scan for.
 	pending []uint64
@@ -402,14 +399,10 @@ func (c *CEIO) finishDrain(st *flowState) {
 	}
 }
 
-// Ingress implements the NIC-entrance decision of Figure 6: consume a
-// credit and take the legacy fast path, or divert to the elastic on-NIC
-// buffer. The control overhead models the flow controller logic on the
-// NIC cores.
 // ctrlJob carries one packet's (controller, flow state, packet) context
-// through the NIC controller's processing window, the fast-path DMA, and
-// the slow-path read pipeline; pool-recycled so the steady state
-// schedules without allocating.
+// through the NIC controller's processing window and the slow-path read
+// pipeline; pool-recycled so the steady state schedules without
+// allocating.
 type ctrlJob struct {
 	c    *CEIO
 	st   *flowState
@@ -444,6 +437,10 @@ func (c *CEIO) putJob(j *ctrlJob) {
 	c.freeJobs = j
 }
 
+// Ingress implements the NIC-entrance decision of Figure 6: consume a
+// credit and take the legacy fast path, or divert to the elastic on-NIC
+// buffer. The control overhead models the flow controller logic on the
+// NIC cores.
 func (c *CEIO) Ingress(f *iosys.Flow, p *pkt.Packet) {
 	st := c.flows[f.ID]
 	if st == nil {
@@ -596,18 +593,12 @@ func (c *CEIO) ingressFast(st *flowState, p *pkt.Packet) {
 	p.Path = pkt.PathFast
 	c.FastPackets++
 	st.fastInFlight++
-	c.m.DMAToHostArg(p, ceioFastLanded, c.getJob(st, p))
+	c.m.DMAToHost(st.f, p)
 }
 
-// ceioFastLanded is the DMA completion trampoline for the fast path: a
-// single package-level func value, so each landing dispatches without
-// allocating a closure.
-func ceioFastLanded(arg any) {
-	j := arg.(*ctrlJob)
-	c, st, p := j.c, j.st, j.p
-	c.putJob(j)
-	c.fastLanded(st, p)
-}
+// Landed implements iosys.Datapath: every CEIO DMA write is a fast-path
+// packet.
+func (c *CEIO) Landed(f *iosys.Flow, p *pkt.Packet) { c.fastLanded(f.DP.(*flowState), p) }
 
 // unadmit returns the credit taken by admit when the fast path could not
 // be used after all.
@@ -669,7 +660,7 @@ func (c *CEIO) fastLanded(st *flowState, p *pkt.Packet) {
 	}
 	if st.f.Kind == iosys.CPUBypass {
 		// CPU-bypass fast path: the memory controller retires the packet.
-		c.m.ConsumeBypass(st.f, p, nil)
+		c.m.ConsumeBypass(st.f, p)
 	} else {
 		if !st.sw.PushFast(p) {
 			panic("core: SW ring overflow on fast path (sizing bug)")
@@ -927,11 +918,11 @@ func (c *CEIO) drainBypass(st *flowState) {
 
 // Poll implements the CEIO driver's recv()/async_recv() path (§5): flush
 // arrivals into the software ring, overlap slow-path DMA reads with
-// application processing, and return ready packets in order.
-func (c *CEIO) Poll(f *iosys.Flow, max int) []*pkt.Packet {
+// application processing, and append ready packets in order to out.
+func (c *CEIO) Poll(f *iosys.Flow, out []*pkt.Packet, max int) []*pkt.Packet {
 	st, ok := f.DP.(*flowState)
 	if !ok || st == nil {
-		return nil
+		return out
 	}
 	c.flushWaitQ(st)
 	if c.opt.AsyncDrain {
@@ -950,20 +941,12 @@ func (c *CEIO) Poll(f *iosys.Flow, max int) []*pkt.Packet {
 			}
 		}
 	}
-	// The returned batch is backed by a per-flow scratch buffer, reused on
-	// the flow's next poll (the consuming core always delivers a batch
-	// before polling the same flow again).
-	out := st.pollOut[:0]
-	for len(out) < max {
+	for ; max > 0; max-- {
 		p := st.sw.PopReady()
 		if p == nil {
 			break
 		}
 		out = append(out, p)
-	}
-	st.pollOut = out
-	if len(out) == 0 {
-		return nil
 	}
 	return out
 }

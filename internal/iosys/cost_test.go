@@ -63,6 +63,15 @@ func TestFlowFitsSizeClass(t *testing.T) {
 	}
 }
 
+// Core keeps its poll buffer in the in-flight batch field rather than a
+// field of its own, holding it in the 160-byte size class (one core per
+// CPU-involved flow on Cores == 0 machines).
+func TestCoreFitsSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(iosys.Core{}); n > 160 {
+		t.Fatalf("unsafe.Sizeof(Core{}) = %d, want <= 160", n)
+	}
+}
+
 // Idle cores must back off their polling instead of spinning at the base
 // interval (the event-budget guard for thousand-flow runs).
 func TestIdleCoreBackoff(t *testing.T) {

@@ -31,7 +31,8 @@ type Core struct {
 	// loopFn / serveFn are the loop's persistent scheduling callbacks,
 	// built once at first start so steady-state polling does not allocate.
 	// A core processes one batch at a time, so the in-flight batch rides
-	// in the fields below between the poll and its service completion.
+	// in the fields below between the poll and its service completion;
+	// batch's backing array is the buffer every poll appends into.
 	loopFn    func()
 	serveFn   func()
 	batch     []*pkt.Packet
@@ -111,7 +112,7 @@ func (c *Core) loop() {
 	n := len(c.flows)
 	for i := 0; i < n; i++ {
 		cand := c.flows[(c.cursor+i)%n]
-		if b := c.m.DP.Poll(cand, c.m.Cfg.BatchSize); len(b) > 0 {
+		if b := c.m.DP.Poll(cand, c.batch[:0], c.m.Cfg.BatchSize); len(b) > 0 {
 			batch, flow = b, cand
 			c.cursor = (c.cursor + i + 1) % n
 			break
@@ -151,7 +152,7 @@ func (c *Core) loop() {
 func (c *Core) serveBatch() {
 	batch, flow := c.batch, c.batchFlow
 	c.BusyTime += c.batchCost
-	c.batch, c.batchFlow = nil, nil
+	c.batch, c.batchFlow = batch[:0], nil
 	for _, p := range batch {
 		c.Processed++
 		c.m.Deliver(flow, p)

@@ -34,9 +34,15 @@ type Datapath interface {
 	// Ingress receives a packet at the NIC entrance, after wire
 	// serialisation and the NIC pipeline, and decides its fate.
 	Ingress(f *Flow, p *pkt.Packet)
+	// Landed runs when a DMA write started by Machine.DMAToHost has
+	// committed p's lines into the LLC: the datapath's one
+	// DMA-completion hook.
+	Landed(f *Flow, p *pkt.Packet)
 	// Poll implements the driver receive path for a CPU-involved flow:
-	// return up to max deliverable packets in order.
-	Poll(f *Flow, max int) []*pkt.Packet
+	// append up to max deliverable packets, in order, to out and return
+	// the extended slice. The caller owns out (the polling core reuses
+	// one buffer across polls), so a poll allocates nothing.
+	Poll(f *Flow, out []*pkt.Packet, max int) []*pkt.Packet
 	// OnDelivered runs after the application finished processing p
 	// (credit release hooks, ring head advancement).
 	OnDelivered(f *Flow, p *pkt.Packet)
@@ -523,13 +529,13 @@ func (m *Machine) windowOpened(f *Flow) {
 }
 
 // rxJob carries one packet's (machine, flow, packet) context through the
-// wire-serialisation and NIC-pipeline stages. Pool-recycled so the rx
-// path schedules with AtArg instead of allocating a closure per stage.
+// wire-serialisation, NIC-pipeline and bypass-consumer stages.
+// Pool-recycled so the rx path schedules with AtArg instead of
+// allocating a closure per stage.
 type rxJob struct {
 	m    *Machine
 	f    *Flow
 	p    *pkt.Packet
-	then func() // optional continuation (ConsumeBypass)
 	next *rxJob
 }
 
@@ -540,7 +546,7 @@ func (m *Machine) getRxJob(f *Flow, p *pkt.Packet) *rxJob {
 	} else {
 		m.freeRx = j.next
 	}
-	j.m, j.f, j.p, j.then, j.next = m, f, p, nil, nil
+	j.m, j.f, j.p, j.next = m, f, p, nil
 	return j
 }
 
@@ -613,25 +619,23 @@ func nicIngress(arg any) {
 }
 
 // dmaJob carries one packet's DMA-write context (IIO arrival, LLC
-// commit, landed continuation) without per-stage closures; pooled like
-// rxJob.
+// commit, Landed hook) without per-stage closures; pooled like rxJob.
 type dmaJob struct {
 	m    *Machine
+	f    *Flow
 	p    *pkt.Packet
-	fn   func(any) // landed continuation
-	arg  any
 	w    *pcie.Write
 	next *dmaJob
 }
 
-func (m *Machine) getDMAJob(p *pkt.Packet, fn func(any), arg any) *dmaJob {
+func (m *Machine) getDMAJob(f *Flow, p *pkt.Packet) *dmaJob {
 	j := m.freeDMA
 	if j == nil {
 		j = &dmaJob{}
 	} else {
 		m.freeDMA = j.next
 	}
-	j.m, j.p, j.fn, j.arg, j.w, j.next = m, p, fn, arg, nil, nil
+	j.m, j.f, j.p, j.w, j.next = m, f, p, nil, nil
 	return j
 }
 
@@ -640,21 +644,13 @@ func (m *Machine) putDMAJob(j *dmaJob) {
 	m.freeDMA = j
 }
 
-// DMAToHost carries p over PCIe, commits it through the IIO into the
-// DDIO region of the LLC, and invokes landed. Evictions of older
-// unconsumed I/O buffers write back to DRAM and delay the commit by the
-// memory controller's backlog — the host-congestion coupling HostCC's
-// IIO signal detects.
-func (m *Machine) DMAToHost(p *pkt.Packet, landed func()) {
-	m.DMAToHostArg(p, callLanded, landed)
-}
-
-func callLanded(arg any) { arg.(func())() }
-
-// DMAToHostArg is the allocation-free form of DMAToHost: landed(arg)
-// fires once the packet's lines are committed into the LLC.
-func (m *Machine) DMAToHostArg(p *pkt.Packet, landed func(any), arg any) {
-	m.DMA.WriteTo(p.Size, dmaArrived, m.getDMAJob(p, landed, arg))
+// DMAToHost carries flow f's packet p over PCIe, commits it through the
+// IIO into the DDIO region of the LLC, and hands it to the datapath's
+// Landed hook. Evictions of older unconsumed I/O buffers write back to
+// DRAM and delay the commit by the memory controller's backlog — the
+// host-congestion coupling HostCC's IIO signal detects.
+func (m *Machine) DMAToHost(f *Flow, p *pkt.Packet) {
+	m.DMA.WriteTo(p.Size, dmaArrived, m.getDMAJob(f, p))
 }
 
 // dmaArrived fires at the head of the IIO: the packet's lines commit
@@ -682,17 +678,16 @@ func dmaArrived(arg any, w *pcie.Write) {
 }
 
 // dmaCommitted finalises the DMA: the packet is resident, the IIO slot
-// drains, and the datapath's landed continuation runs.
+// drains, and the datapath's Landed hook runs.
 func dmaCommitted(arg any) {
 	j := arg.(*dmaJob)
-	m, p := j.m, j.p
+	m, f, p, w := j.m, j.f, j.p, j.w
 	p.Landed = true
 	m.HostBufLanded(p)
 	m.Trace(trace.KindLanded, p.FlowID, p.Seq)
-	w, fn, farg := j.w, j.fn, j.arg
 	m.putDMAJob(j)
 	w.Done()
-	fn(farg)
+	m.DP.Landed(f, p)
 }
 
 // writebackEvicted charges DRAM writebacks for buffers evicted from the
@@ -783,14 +778,12 @@ func (m *Machine) BufSize(id cache.BufID) int { return int(m.LLC.PayloadOf(id)) 
 // lines are NOT freed — a write-back cache keeps them resident (dirty)
 // until later DDIO insertions evict them, which is how sustained bypass
 // traffic flushes CPU-involved flows' packets out of the LLC (§2.2).
-func (m *Machine) ConsumeBypass(f *Flow, p *pkt.Packet, then func()) {
+func (m *Machine) ConsumeBypass(f *Flow, p *pkt.Packet) {
 	// The consumer's post-processing passes (LineFS replication and
 	// logging) multiply the memory traffic per received byte and gate
 	// delivery, so a DFS under load becomes memory-bandwidth-bound.
 	moved := p.Size * (1 + f.PostPasses)
-	j := m.getRxJob(f, p)
-	j.then = then
-	m.Mem.BulkMoveArg(moved, bypassMoved, j)
+	m.Mem.BulkMoveArg(moved, bypassMoved, m.getRxJob(f, p))
 }
 
 // bypassMoved fires when the memory controller finishes streaming a
@@ -798,7 +791,7 @@ func (m *Machine) ConsumeBypass(f *Flow, p *pkt.Packet, then func()) {
 // and deliver.
 func bypassMoved(arg any) {
 	j := arg.(*rxJob)
-	m, f, p, then := j.m, j.f, j.p, j.then
+	m, f, p := j.m, j.f, j.p
 	m.putRxJob(j)
 	hit := m.LLC.ProbeIn(p.Part, p.Buf)
 	if m.Tenants != nil {
@@ -810,9 +803,6 @@ func bypassMoved(arg any) {
 		m.Mem.Writeback(p.Size)
 	}
 	m.Deliver(f, p)
-	if then != nil {
-		then()
-	}
 }
 
 // PacketCPUCost computes the CPU time to process one packet on a core:

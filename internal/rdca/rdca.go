@@ -118,17 +118,15 @@ func (o Options) withDefaults() Options {
 
 // flowState is the per-flow driver state.
 type flowState struct {
-	rx *ring.HWRing // CPU-involved receive ring; nil for bypass flows
-	// pollOut backs the batch Poll returns; reused across polls (the
-	// consuming core delivers a batch before polling the flow again).
-	pollOut []*pkt.Packet
-	pending int  // this flow's packets parked in the partition FIFO
-	gone    bool // torn down; parked packets were drained at removal
+	rx      *ring.HWRing // CPU-involved receive ring; nil for bypass flows
+	pending int          // this flow's packets parked in the partition FIFO
+	gone    bool         // torn down; parked packets were drained at removal
 }
 
 // job carries one packet's (datapath, flow, packet) context through the
-// window check and DMA completion; pool-recycled so the admission path
-// schedules with AfterArg instead of allocating a closure per packet.
+// window check and any wait in the partition FIFO; pool-recycled so the
+// admission path schedules with AfterArg instead of allocating a closure
+// per packet.
 type job struct {
 	d    *RDCA
 	f    *iosys.Flow
@@ -343,34 +341,22 @@ func (d *RDCA) admit(j *job) {
 	pw := &d.wins[j.f.Partition()]
 	pw.inFlight++
 	d.inflight[j.p.Buf] = j.f.Partition()
-	d.m.DMAToHostArg(j.p, landed, j)
+	d.m.DMAToHost(j.f, j.p)
+	d.putJob(j)
 }
 
-// landed fires when the packet's lines are resident: involved packets
-// wait in the rx ring for their core's poll; bypass packets stream
-// onward through the memory controller.
-func landed(arg any) {
-	j := arg.(*job)
-	d, f, p := j.d, j.f, j.p
-	d.putJob(j)
+// Landed streams a landed CPU-bypass packet onward through the memory
+// controller; CPU-involved packets wait in the rx ring for their core's
+// poll.
+func (d *RDCA) Landed(f *iosys.Flow, p *pkt.Packet) {
 	if f.Kind == iosys.CPUBypass {
-		d.m.ConsumeBypass(f, p, nil)
+		d.m.ConsumeBypass(f, p)
 	}
 }
 
 // Poll hands landed packets from the flow's rx ring to the core.
-func (d *RDCA) Poll(f *iosys.Flow, max int) []*pkt.Packet {
-	st := f.DP.(*flowState)
-	out := st.pollOut[:0]
-	for len(out) < max {
-		head := st.rx.Peek()
-		if head == nil || !head.Landed {
-			break
-		}
-		out = append(out, st.rx.Pop())
-	}
-	st.pollOut = out
-	return out
+func (d *RDCA) Poll(f *iosys.Flow, out []*pkt.Packet, max int) []*pkt.Packet {
+	return f.DP.(*flowState).rx.PopLanded(out, max)
 }
 
 // OnDelivered recycles the buffer the moment its payload is consumed:

@@ -79,14 +79,17 @@ func (r *HWRing) Pop() *pkt.Packet {
 	return p
 }
 
-// PopBatch pops up to n descriptors into out and returns the slice.
-func (r *HWRing) PopBatch(out []*pkt.Packet, n int) []*pkt.Packet {
-	for i := 0; i < n; i++ {
-		p := r.Pop()
-		if p == nil {
+// PopLanded pops up to n in-order descriptors whose DMA completed
+// (Packet.Landed), appending them to out, and returns the extended
+// slice. It stops at the first unlanded head: the driver hands packets
+// to the application in ring order.
+func (r *HWRing) PopLanded(out []*pkt.Packet, n int) []*pkt.Packet {
+	for ; n > 0; n-- {
+		head := r.Peek()
+		if head == nil || !head.Landed {
 			break
 		}
-		out = append(out, p)
+		out = append(out, r.Pop())
 	}
 	return out
 }

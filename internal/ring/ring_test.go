@@ -66,13 +66,28 @@ func TestHWRingPeekAndBatch(t *testing.T) {
 	if r.Len() != 5 {
 		t.Fatal("peek must not consume")
 	}
-	out := r.PopBatch(nil, 3)
-	if len(out) != 3 || out[2].Seq != 2 {
+	if out := r.PopLanded(nil, 3); len(out) != 0 {
+		t.Fatalf("popped %d descriptors before any DMA landed", len(out))
+	}
+	for i := uint64(0); i < 5; i++ {
+		r.buf[i].Landed = i != 3 // entry 3's DMA is still in flight
+	}
+	out := r.PopLanded(nil, 2)
+	if len(out) != 2 || out[1].Seq != 1 {
 		t.Fatalf("batch = %v", out)
 	}
-	out = r.PopBatch(out[:0], 10)
-	if len(out) != 2 {
-		t.Fatalf("second batch = %d", len(out))
+	// An append keeps the caller's earlier entries and stops at the
+	// unlanded head, leaving it and everything behind it in the ring.
+	out = r.PopLanded(out, 10)
+	if len(out) != 3 || out[0].Seq != 0 || out[2].Seq != 2 {
+		t.Fatalf("appended batch = %v", out)
+	}
+	if r.Len() != 2 || r.Peek().Seq != 3 {
+		t.Fatalf("ring after stopping at the unlanded head: len %d, head %+v", r.Len(), r.Peek())
+	}
+	r.Peek().Landed = true
+	if out = r.PopLanded(out[:0], 10); len(out) != 2 || out[0].Seq != 3 {
+		t.Fatalf("batch after the head landed = %v", out)
 	}
 }
 
