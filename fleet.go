@@ -61,7 +61,7 @@ type FabricConfig = fabric.Config
 
 // FabricSwitch is the ToR switch model itself (Fleet.SW); read its
 // Stats for the delivered/dropped/queued ledger.
-type FabricSwitch = fabric.Switch
+type FabricSwitch = fleet.Switch
 
 // FabricStats is the switch-wide traffic ledger: injected, delivered,
 // and dropped frames and bytes, with tail drops and dark-port drops

@@ -983,6 +983,9 @@ func (c *CEIO) OnDelivered(f *iosys.Flow, p *pkt.Packet) {
 // lost in transit — the credits then stay InUse until the reconciliation
 // heartbeat notices the gap between releasesSent and releasesApplied and
 // reclaims them. Fault-free it is exactly a CreditController.Release.
+// A torn-down flow's stragglers stop short of the controller: teardown
+// already reclaimed its in-use credits, and the flow ID may since have
+// been re-established on this host with a fresh ledger.
 func (c *CEIO) release(st *flowState, n int) {
 	if n <= 0 {
 		return
@@ -1001,7 +1004,9 @@ func (c *CEIO) release(st *flowState, n int) {
 	}
 	if n > 0 {
 		st.releasesApplied += uint64(n)
-		c.ctrl.Release(st.f.ID, n)
+		if !st.gone {
+			c.ctrl.Release(st.f.ID, n)
+		}
 	}
 }
 

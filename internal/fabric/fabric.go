@@ -16,10 +16,12 @@
 // engine dependency: Inject files a frame at its injection time,
 // AdvanceTo runs service completions up to a bound, and Drain hands
 // back the finished deliveries stamped with their wire-exit times. The
-// sharded fleet drives it at lockstep-epoch barriers (single-threaded,
+// payload type P is the caller's: the switch carries it by value and
+// never inspects it, so a frame costs no interface boxing. The sharded
+// fleet drives the switch at lockstep-epoch barriers (single-threaded,
 // in canonical message order), which keeps every run byte-identical at
-// any worker-pool width; an engine-driven adapter would only need to
-// re-arm a timer at NextEventAt.
+// any worker-pool width, and its barrier planner reads NextEventAt to
+// skip barriers at which no service can complete.
 //
 // Two conservation properties hold by construction and are enforced by
 // the fleet auditor and FuzzFabric: every injected byte is eventually
@@ -29,8 +31,9 @@
 package fabric
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ceio/internal/sim"
 )
@@ -89,17 +92,17 @@ func (c Config) Validate() error {
 
 // Msg is one frame traversing the fabric. Payload is opaque to the
 // switch; the fleet routes on it at delivery time.
-type Msg struct {
+type Msg[P any] struct {
 	Src, Dst int
 	Bytes    int
-	Payload  any
+	Payload  P
 }
 
 // Delivery is a frame leaving the switch: Msg plus the time its last
 // bit exits the destination port's wire.
-type Delivery struct {
+type Delivery[P any] struct {
 	At  sim.Time
-	Msg Msg
+	Msg Msg[P]
 }
 
 // PortStats counts one port's traffic (egress-side: a frame belongs to
@@ -123,18 +126,18 @@ type Stats struct {
 }
 
 // qmsg is one queued frame.
-type qmsg struct {
-	msg Msg
+type qmsg[P any] struct {
+	msg Msg[P]
 	seq uint64 // global injection order, for delivery tie-breaks
 }
 
 // port is the egress state of one switch port.
-type port struct {
+type port[P any] struct {
 	// voq[s] is the FIFO of frames from source port s awaiting this
 	// egress port, drained by the round-robin arbiter. head indexes the
 	// first live entry (amortized in-place compaction, like the RDCA
 	// pend queue).
-	voq  [][]qmsg
+	voq  [][]qmsg[P]
 	head []int
 	// rr is the source index the arbiter starts its next scan after, so
 	// contending sources share the port in deterministic turns.
@@ -143,7 +146,7 @@ type port struct {
 	// busyUntil and reaches the wire PropDelay later.
 	busy      bool
 	busyUntil sim.Time
-	cur       qmsg
+	cur       qmsg[P]
 	// down mirrors the port-flap fault: a down port drops arrivals and
 	// pauses service (frames already queued wait out the flap).
 	down bool
@@ -154,9 +157,9 @@ type port struct {
 
 // Switch is the ToR model. Not safe for concurrent use: the fleet
 // drives it from barrier context only.
-type Switch struct {
+type Switch[P any] struct {
 	cfg   Config
-	ports []*port
+	ports []*port[P]
 	// clock is the switch's internal time; Inject and AdvanceTo must be
 	// called with nondecreasing times.
 	clock sim.Time
@@ -168,19 +171,19 @@ type Switch struct {
 	bufUsed int
 
 	seq   uint64
-	out   []Delivery
+	out   []Delivery[P] // completed since the last Drain; reused across Drains
 	stats Stats
 }
 
 // New builds a switch; invalid configurations are reported as errors.
-func New(cfg Config) (*Switch, error) {
+func New[P any](cfg Config) (*Switch[P], error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	s := &Switch{cfg: cfg, capFactor: 1}
+	s := &Switch[P]{cfg: cfg, capFactor: 1}
 	for i := 0; i < cfg.Ports; i++ {
-		s.ports = append(s.ports, &port{
-			voq:  make([][]qmsg, cfg.Ports),
+		s.ports = append(s.ports, &port[P]{
+			voq:  make([][]qmsg[P], cfg.Ports),
 			head: make([]int, cfg.Ports),
 		})
 	}
@@ -188,21 +191,21 @@ func New(cfg Config) (*Switch, error) {
 }
 
 // Config returns the switch configuration.
-func (s *Switch) Config() Config { return s.cfg }
+func (s *Switch[P]) Config() Config { return s.cfg }
 
 // Stats returns the aggregate switch counters.
-func (s *Switch) Stats() Stats { return s.stats }
+func (s *Switch[P]) Stats() Stats { return s.stats }
 
 // PortStats returns egress port p's counters.
-func (s *Switch) PortStats(p int) PortStats { return s.ports[p].stats }
+func (s *Switch[P]) PortStats(p int) PortStats { return s.ports[p].stats }
 
 // QueuedBytes reports the shared-buffer occupancy (queued plus
 // in-service frames). Together with the Stats counters it closes the
 // byte-conservation identity: injected == delivered + dropped + queued.
-func (s *Switch) QueuedBytes() int { return s.bufUsed }
+func (s *Switch[P]) QueuedBytes() int { return s.bufUsed }
 
 // QueuedMsgs reports the frames currently queued or in service.
-func (s *Switch) QueuedMsgs() int {
+func (s *Switch[P]) QueuedMsgs() int {
 	n := 0
 	for _, p := range s.ports {
 		n += p.queuedMsgs
@@ -214,7 +217,7 @@ func (s *Switch) QueuedMsgs() int {
 }
 
 // DownPorts counts administratively down (flapped) ports.
-func (s *Switch) DownPorts() int {
+func (s *Switch[P]) DownPorts() int {
 	n := 0
 	for _, p := range s.ports {
 		if p.down {
@@ -225,12 +228,12 @@ func (s *Switch) DownPorts() int {
 }
 
 // CapacityFactor returns the current line-rate scale (1 = full).
-func (s *Switch) CapacityFactor() float64 { return s.capFactor }
+func (s *Switch[P]) CapacityFactor() float64 { return s.capFactor }
 
 // SetPortDown flaps egress port p: while down it drops arrivals and
 // pauses service start (a frame mid-serialization finishes; queued
 // frames wait for the port to come back).
-func (s *Switch) SetPortDown(p int, down bool) {
+func (s *Switch[P]) SetPortDown(p int, down bool) {
 	if p < 0 || p >= len(s.ports) {
 		return
 	}
@@ -245,7 +248,7 @@ func (s *Switch) SetPortDown(p int, down bool) {
 // SetCapacityFactor scales every port's line rate (the fabric_cut
 // degrade); factor is clamped to (0, 1]. In-service frames keep the
 // rate they started with; the cut applies from the next service start.
-func (s *Switch) SetCapacityFactor(f float64) {
+func (s *Switch[P]) SetCapacityFactor(f float64) {
 	if f <= 0 {
 		f = 0.01
 	}
@@ -258,7 +261,7 @@ func (s *Switch) SetCapacityFactor(f float64) {
 // serTime returns the serialization occupancy of an n-byte frame at the
 // current effective line rate (minimum 1ns, so zero-length control
 // frames still occupy the port).
-func (s *Switch) serTime(n int) sim.Time {
+func (s *Switch[P]) serTime(n int) sim.Time {
 	gbps := s.cfg.GbpsPerPort * s.capFactor
 	ns := float64(n) * 8 / gbps
 	t := sim.Time(ns)
@@ -273,7 +276,7 @@ func (s *Switch) serTime(n int) sim.Time {
 // The return reports acceptance: false means the frame was dropped at
 // ingress — shared buffer full, destination port down, or destination
 // out of range — and will never be delivered.
-func (s *Switch) Inject(now sim.Time, m Msg) bool {
+func (s *Switch[P]) Inject(now sim.Time, m Msg[P]) bool {
 	s.AdvanceTo(now)
 	s.stats.InjectedMsgs++
 	s.stats.InjectedBytes += uint64(m.Bytes)
@@ -294,14 +297,14 @@ func (s *Switch) Inject(now sim.Time, m Msg) bool {
 	}
 	s.bufUsed += m.Bytes
 	s.seq++
-	p.voq[m.Src] = append(p.voq[m.Src], qmsg{msg: m, seq: s.seq})
+	p.voq[m.Src] = append(p.voq[m.Src], qmsg[P]{msg: m, seq: s.seq})
 	p.queuedMsgs++
 	s.kick(p, now)
 	return true
 }
 
 // drop counts one dropped frame (portDown selects the drop class).
-func (s *Switch) drop(m Msg, portDown bool) {
+func (s *Switch[P]) drop(m Msg[P], portDown bool) {
 	s.stats.DroppedMsgs++
 	s.stats.DroppedBytes += uint64(m.Bytes)
 	if portDown {
@@ -317,7 +320,7 @@ func (s *Switch) drop(m Msg, portDown bool) {
 }
 
 // kick starts service on an idle, up port with queued frames.
-func (s *Switch) kick(p *port, now sim.Time) {
+func (s *Switch[P]) kick(p *port[P], now sim.Time) {
 	if p.busy || p.down {
 		return
 	}
@@ -333,7 +336,7 @@ func (s *Switch) kick(p *port, now sim.Time) {
 // nextRR pops the next frame under round-robin arbitration: scan source
 // ports starting after the last-served one, take the head of the first
 // non-empty VOQ. Deterministic by construction.
-func (s *Switch) nextRR(p *port) (qmsg, bool) {
+func (s *Switch[P]) nextRR(p *port[P]) (qmsg[P], bool) {
 	n := len(p.voq)
 	for i := 1; i <= n; i++ {
 		src := (p.rr + i) % n
@@ -355,14 +358,14 @@ func (s *Switch) nextRR(p *port) (qmsg, bool) {
 		p.queuedMsgs--
 		return m, true
 	}
-	return qmsg{}, false
+	return qmsg[P]{}, false
 }
 
 // AdvanceTo runs every service completion with busyUntil <= t, starting
 // follow-on services as ports free up, and leaves the internal clock at
 // t. Completions are processed in (busyUntil, port) order, so the
 // delivery sequence is a pure function of the injection schedule.
-func (s *Switch) AdvanceTo(t sim.Time) {
+func (s *Switch[P]) AdvanceTo(t sim.Time) {
 	for {
 		best := -1
 		var bestAt sim.Time
@@ -381,7 +384,7 @@ func (s *Switch) AdvanceTo(t sim.Time) {
 		s.stats.DeliveredBytes += uint64(p.cur.msg.Bytes)
 		p.stats.DeliveredMsgs++
 		p.stats.DeliveredBytes += uint64(p.cur.msg.Bytes)
-		s.out = append(s.out, Delivery{At: bestAt + s.cfg.PropDelay, Msg: p.cur.msg})
+		s.out = append(s.out, Delivery[P]{At: bestAt + s.cfg.PropDelay, Msg: p.cur.msg})
 		s.kick(p, bestAt)
 	}
 	if t > s.clock {
@@ -389,10 +392,11 @@ func (s *Switch) AdvanceTo(t sim.Time) {
 	}
 }
 
-// NextEventAt returns the earliest pending service completion, for
-// engine-driven adapters that re-arm a timer instead of stepping at
-// barriers.
-func (s *Switch) NextEventAt() (sim.Time, bool) {
+// NextEventAt returns the earliest pending service completion. Between
+// injections nothing changes inside the switch before that time, so the
+// fleet's barrier planner may skip every barrier earlier than it; an
+// engine-driven adapter would re-arm a timer at it instead.
+func (s *Switch[P]) NextEventAt() (sim.Time, bool) {
 	best := sim.Time(0)
 	ok := false
 	for _, p := range s.ports {
@@ -406,17 +410,16 @@ func (s *Switch) NextEventAt() (sim.Time, bool) {
 // Drain returns the deliveries completed since the last Drain, sorted
 // by (exit time, destination port, injection order) — the canonical
 // order the fleet's barrier schedules them into destination shards.
-func (s *Switch) Drain() []Delivery {
+// The slice is the switch's own buffer, reused by the next completion:
+// it is valid until the next Inject or AdvanceTo.
+func (s *Switch[P]) Drain() []Delivery[P] {
 	out := s.out
-	s.out = nil
-	sort.SliceStable(out, func(i, j int) bool {
-		if out[i].At != out[j].At {
-			return out[i].At < out[j].At
+	slices.SortStableFunc(out, func(a, b Delivery[P]) int {
+		if c := cmp.Compare(a.At, b.At); c != 0 {
+			return c
 		}
-		if out[i].Msg.Dst != out[j].Msg.Dst {
-			return out[i].Msg.Dst < out[j].Msg.Dst
-		}
-		return false
+		return cmp.Compare(a.Msg.Dst, b.Msg.Dst)
 	})
+	s.out = out[:0]
 	return out
 }

@@ -6,9 +6,9 @@ import (
 	"ceio/internal/sim"
 )
 
-func mustNew(t *testing.T, cfg Config) *Switch {
+func mustNew[P any](t *testing.T, cfg Config) *Switch[P] {
 	t.Helper()
-	s, err := New(cfg)
+	s, err := New[P](cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -16,7 +16,7 @@ func mustNew(t *testing.T, cfg Config) *Switch {
 }
 
 // conserve asserts the byte- and frame-conservation identity.
-func conserve(t *testing.T, s *Switch) {
+func conserve[P any](t *testing.T, s *Switch[P]) {
 	t.Helper()
 	st := s.Stats()
 	if st.InjectedBytes != st.DeliveredBytes+st.DroppedBytes+uint64(s.QueuedBytes()) {
@@ -32,8 +32,8 @@ func conserve(t *testing.T, s *Switch) {
 // An uncontended frame is delivered after serialization plus propagation.
 func TestUncontendedLatency(t *testing.T) {
 	cfg := Config{Ports: 4, GbpsPerPort: 100, BufBytes: 1 << 20, PropDelay: sim.Microsecond}
-	s := mustNew(t, cfg)
-	if !s.Inject(0, Msg{Src: 0, Dst: 1, Bytes: 1250}) { // 1250B at 100Gbps = 100ns
+	s := mustNew[struct{}](t, cfg)
+	if !s.Inject(0, Msg[struct{}]{Src: 0, Dst: 1, Bytes: 1250}) { // 1250B at 100Gbps = 100ns
 		t.Fatal("uncontended inject rejected")
 	}
 	s.AdvanceTo(10 * sim.Microsecond)
@@ -53,13 +53,13 @@ func TestUncontendedLatency(t *testing.T) {
 // the other.
 func TestRoundRobinArbitration(t *testing.T) {
 	cfg := Config{Ports: 3, GbpsPerPort: 100, BufBytes: 1 << 20, PropDelay: sim.Microsecond}
-	s := mustNew(t, cfg)
+	s := mustNew[string](t, cfg)
 	// 8 frames from each of src 0 and src 1 to dst 2, all at t=0.
 	for i := 0; i < 8; i++ {
-		s.Inject(0, Msg{Src: 0, Dst: 2, Bytes: 1250, Payload: "a"})
+		s.Inject(0, Msg[string]{Src: 0, Dst: 2, Bytes: 1250, Payload: "a"})
 	}
 	for i := 0; i < 8; i++ {
-		s.Inject(0, Msg{Src: 1, Dst: 2, Bytes: 1250, Payload: "b"})
+		s.Inject(0, Msg[string]{Src: 1, Dst: 2, Bytes: 1250, Payload: "b"})
 	}
 	s.AdvanceTo(100 * sim.Microsecond)
 	ds := s.Drain()
@@ -81,9 +81,9 @@ func TestRoundRobinArbitration(t *testing.T) {
 // port's deliveries are spaced by at least the serialization time.
 func TestPerPairFIFOAndSerialization(t *testing.T) {
 	cfg := Config{Ports: 2, GbpsPerPort: 10, BufBytes: 1 << 20, PropDelay: sim.Microsecond}
-	s := mustNew(t, cfg)
+	s := mustNew[int](t, cfg)
 	for i := 0; i < 10; i++ {
-		s.Inject(sim.Time(i*10), Msg{Src: 0, Dst: 1, Bytes: 1000, Payload: i})
+		s.Inject(sim.Time(i*10), Msg[int]{Src: 0, Dst: 1, Bytes: 1000, Payload: i})
 	}
 	s.AdvanceTo(100 * sim.Microsecond)
 	ds := s.Drain()
@@ -92,7 +92,7 @@ func TestPerPairFIFOAndSerialization(t *testing.T) {
 	}
 	ser := s.serTime(1000) // 800ns at 10Gbps
 	for i, d := range ds {
-		if d.Msg.Payload.(int) != i {
+		if d.Msg.Payload != i {
 			t.Fatalf("delivery %d carries payload %v; FIFO order broken", i, d.Msg.Payload)
 		}
 		if i > 0 && d.At-ds[i-1].At < ser {
@@ -107,10 +107,10 @@ func TestPerPairFIFOAndSerialization(t *testing.T) {
 // toward conservation.
 func TestSharedBufferTailDrop(t *testing.T) {
 	cfg := Config{Ports: 2, GbpsPerPort: 1, BufBytes: 4000, PropDelay: sim.Microsecond}
-	s := mustNew(t, cfg)
+	s := mustNew[struct{}](t, cfg)
 	accepted := 0
 	for i := 0; i < 10; i++ {
-		if s.Inject(0, Msg{Src: 0, Dst: 1, Bytes: 1000}) {
+		if s.Inject(0, Msg[struct{}]{Src: 0, Dst: 1, Bytes: 1000}) {
 			accepted++
 		}
 	}
@@ -123,7 +123,7 @@ func TestSharedBufferTailDrop(t *testing.T) {
 	conserve(t, s)
 	// The buffer drains as frames serialize out; later arrivals fit again.
 	s.AdvanceTo(100 * sim.Microsecond)
-	if !s.Inject(100*sim.Microsecond, Msg{Src: 0, Dst: 1, Bytes: 1000}) {
+	if !s.Inject(100*sim.Microsecond, Msg[struct{}]{Src: 0, Dst: 1, Bytes: 1000}) {
 		t.Fatal("inject rejected after buffer drained")
 	}
 	conserve(t, s)
@@ -133,15 +133,15 @@ func TestSharedBufferTailDrop(t *testing.T) {
 // and resumes service when restored.
 func TestPortFlap(t *testing.T) {
 	cfg := Config{Ports: 2, GbpsPerPort: 1, BufBytes: 1 << 20, PropDelay: sim.Microsecond}
-	s := mustNew(t, cfg)
-	s.Inject(0, Msg{Src: 0, Dst: 1, Bytes: 1000, Payload: "before"})
-	s.Inject(0, Msg{Src: 0, Dst: 1, Bytes: 1000, Payload: "queued"})
+	s := mustNew[string](t, cfg)
+	s.Inject(0, Msg[string]{Src: 0, Dst: 1, Bytes: 1000, Payload: "before"})
+	s.Inject(0, Msg[string]{Src: 0, Dst: 1, Bytes: 1000, Payload: "queued"})
 	s.AdvanceTo(100)
 	s.SetPortDown(1, true)
 	if s.DownPorts() != 1 {
 		t.Fatalf("down ports = %d, want 1", s.DownPorts())
 	}
-	if s.Inject(200, Msg{Src: 0, Dst: 1, Bytes: 1000, Payload: "flapped"}) {
+	if s.Inject(200, Msg[string]{Src: 0, Dst: 1, Bytes: 1000, Payload: "flapped"}) {
 		t.Fatal("inject accepted on a down port")
 	}
 	if s.Stats().PortDownDrops != 1 {
@@ -165,9 +165,9 @@ func TestPortFlap(t *testing.T) {
 // A capacity cut stretches serialization by the configured factor.
 func TestCapacityCut(t *testing.T) {
 	cfg := Config{Ports: 2, GbpsPerPort: 100, BufBytes: 1 << 20, PropDelay: sim.Microsecond}
-	s := mustNew(t, cfg)
+	s := mustNew[struct{}](t, cfg)
 	s.SetCapacityFactor(0.25)
-	s.Inject(0, Msg{Src: 0, Dst: 1, Bytes: 1250})
+	s.Inject(0, Msg[struct{}]{Src: 0, Dst: 1, Bytes: 1250})
 	s.AdvanceTo(10 * sim.Microsecond)
 	ds := s.Drain()
 	if len(ds) != 1 {
@@ -183,13 +183,13 @@ func TestCapacityCut(t *testing.T) {
 // The switch is a pure function of the injection schedule: identical
 // schedules produce identical delivery sequences.
 func TestDeterministicReplay(t *testing.T) {
-	run := func() []Delivery {
+	run := func() []Delivery[int] {
 		cfg := Config{Ports: 8, GbpsPerPort: 40, BufBytes: 32 << 10, PropDelay: sim.Microsecond}
-		s := mustNew(t, cfg)
+		s := mustNew[int](t, cfg)
 		for i := 0; i < 500; i++ {
 			src := (i * 7) % 8
 			dst := (i*13 + 3) % 8
-			s.Inject(sim.Time(i*17), Msg{Src: src, Dst: dst, Bytes: 100 + (i*37)%1400, Payload: i})
+			s.Inject(sim.Time(i*17), Msg[int]{Src: src, Dst: dst, Bytes: 100 + (i*37)%1400, Payload: i})
 		}
 		s.AdvanceTo(sim.Millisecond)
 		return s.Drain()
@@ -213,7 +213,7 @@ func TestConfigValidate(t *testing.T) {
 		{Ports: 1, GbpsPerPort: 100, BufBytes: 1, PropDelay: 0},
 	}
 	for i, cfg := range bad {
-		if _, err := New(cfg); err == nil {
+		if _, err := New[struct{}](cfg); err == nil {
 			t.Errorf("config %d accepted: %+v", i, cfg)
 		}
 	}

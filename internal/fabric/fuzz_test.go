@@ -26,14 +26,13 @@ func FuzzFabric(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		const ports = 4
 		cfg := Config{Ports: ports, GbpsPerPort: 10, BufBytes: 8 << 10, PropDelay: 500 * sim.Nanosecond}
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-
 		type sent struct {
 			seq int
 			at  sim.Time
+		}
+		s, err := New[sent](cfg)
+		if err != nil {
+			t.Fatal(err)
 		}
 		var (
 			now      sim.Time
@@ -52,9 +51,9 @@ func FuzzFabric(f *testing.F) {
 					now, st.InjectedMsgs, st.DeliveredMsgs, st.DroppedMsgs, s.QueuedMsgs())
 			}
 		}
-		checkDeliveries := func(ds []Delivery) {
+		checkDeliveries := func(ds []Delivery[sent]) {
 			for _, d := range ds {
-				p := d.Msg.Payload.(sent)
+				p := d.Msg.Payload
 				pair := [2]int{d.Msg.Src, d.Msg.Dst}
 				q := inflight[pair]
 				k := seen[pair]
@@ -86,7 +85,7 @@ func FuzzFabric(f *testing.F) {
 				bytes := int(a)*11 + 1
 				m := sent{seq: nextSeq, at: now}
 				nextSeq++
-				if s.Inject(now, Msg{Src: src, Dst: dst, Bytes: bytes, Payload: m}) {
+				if s.Inject(now, Msg[sent]{Src: src, Dst: dst, Bytes: bytes, Payload: m}) {
 					pair := [2]int{src, dst}
 					inflight[pair] = append(inflight[pair], m)
 				}

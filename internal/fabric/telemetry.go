@@ -6,7 +6,7 @@ import "ceio/internal/telemetry"
 // (catalogued in OBSERVABILITY.md). The fleet registers them into its
 // rack-level registry, next to the fleet.* balancer series: the fabric
 // belongs to the rack, not to any host.
-func (s *Switch) RegisterMetrics(reg *telemetry.Registry) {
+func (s *Switch[P]) RegisterMetrics(reg *telemetry.Registry) {
 	reg.Counter("fabric.msgs.injected_total",
 		"Frames offered to the ToR switch.", func() uint64 { return s.stats.InjectedMsgs })
 	reg.Counter("fabric.msgs.delivered_total",

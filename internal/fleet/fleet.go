@@ -4,15 +4,19 @@
 // drain notices, credit-replaying re-steers — crosses an explicit ToR
 // switch model (internal/fabric) with per-port bandwidth, a shared
 // tail-drop buffer, and round-robin egress arbitration, replacing the
-// zero-cost hop of the single-engine rack. Shards advance in lockstep
-// epochs bounded by the fabric's propagation delay (the classic
-// conservative-lookahead argument: no frame can arrive sooner than one
-// propagation delay after it was sent), and every cross-shard frame is
-// sequenced through the switch at a barrier in canonical (time, source,
-// sequence) order — so a rack stepped by 8 workers is byte-identical to
-// the same rack stepped serially, and the host count can scale to 64
-// with each shard's cache-resident working set staying private to one
-// worker. Flows are placed by rendezvous (highest-random-weight)
+// zero-cost hop of the single-engine rack. Shards advance between
+// lockstep barriers on a grid of the fabric's propagation delay (the
+// classic conservative-lookahead argument: no frame can arrive sooner
+// than one propagation delay after it was sent), and every cross-shard
+// frame is sequenced through the switch at a barrier in canonical
+// (time, source, sequence) order — so a rack stepped by 8 workers is
+// byte-identical to the same rack stepped serially, and the host count
+// can scale to 64 with each shard's cache-resident working set staying
+// private to one worker. The same lookahead argument, applied to
+// next-event times instead of one fixed quantum, lets the rack execute
+// only the grid points where a frame, a switch completion, a fault
+// edge or an audit can land: the rest are provably empty and skipped.
+// Flows are placed by rendezvous (highest-random-weight)
 // consistent hashing; when a host_crash episode fires, the balancer
 // detects the missed heartbeats, drains the dead host's flows through a
 // loss-tolerant two-phase handshake (drain, then establish — each leg
@@ -28,6 +32,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -191,6 +196,44 @@ type outMsg struct {
 	m        netMsg
 }
 
+// inMsg is one frame the switch delivered to a shard, waiting in the
+// shard's inbox for its delivery event.
+type inMsg struct {
+	at  sim.Time
+	src int
+	m   netMsg
+}
+
+// inbox is a shard's FIFO of scheduled deliveries. A barrier pushes in
+// the switch's canonical (time, destination, injection) order and
+// schedules one delivery event per frame; each event pops the head, so
+// the head is always the shard's earliest pending delivery. Every
+// frame pushed at a barrier lands within one PropDelay of it, so by the
+// end of the next full epoch the inbox is empty and its buffer rewinds.
+type inbox struct {
+	q    []inMsg
+	head int
+}
+
+func (b *inbox) push(m inMsg) { b.q = append(b.q, m) }
+
+func (b *inbox) pop() inMsg {
+	m := b.q[b.head]
+	b.head++
+	if b.head == len(b.q) {
+		b.q, b.head = b.q[:0], 0
+	}
+	return m
+}
+
+// next returns the earliest pending delivery time.
+func (b *inbox) next() (sim.Time, bool) {
+	if b.head == len(b.q) {
+		return 0, false
+	}
+	return b.q[b.head].at, true
+}
+
 // Host is one rack member: a full simulated machine on its own shard
 // engine, plus the balancer's health bookkeeping about it. Fields split
 // by writer — shard-owned fields are touched only by events on h.M.Eng,
@@ -202,6 +245,7 @@ type Host struct {
 	Inj   *faults.Injector // nil when the host runs fault-free
 
 	out []outMsg // shard outbox, drained at each barrier
+	in  inbox    // frames the switch delivered, awaiting their event
 
 	// Shard-owned ground truth.
 	down      bool
@@ -216,9 +260,8 @@ type Host struct {
 	awaiting bool
 	sentOnce bool
 
-	// Barrier-written mirrors of shard ground truth, safe for the
+	// Barrier-written mirror of shard ground truth, safe for the
 	// control shard to read mid-epoch.
-	downMirror      bool
 	crashedAtMirror sim.Time
 
 	// Fabric-degrade episode state applied so far (barrier-owned).
@@ -324,13 +367,27 @@ type Fleet struct {
 	// and handshake logic run here.
 	Eng *sim.Engine
 	// SW is the rack's ToR switch.
-	SW *fabric.Switch
+	SW *Switch
 
 	hosts   []*Host
 	ctlOut  []outMsg
+	ctlIn   inbox
 	ctlPort int
 	// merge is the barrier's reused buffer for sequencing every outbox.
 	merge []outMsg
+	// placed is PlacedFlowIDs' reused result buffer.
+	placed []int
+
+	// scout makes the next ctlSend stop the control engine: the planner
+	// runs the control shard ahead to find its first frame of the epoch.
+	scout bool
+	// epochEnd is the barrier the host shards are being stepped to;
+	// stepHost, deliverHost and deliverCtl are bound once so an epoch
+	// allocates no closures.
+	epochEnd    sim.Time
+	stepHost    func(i int)
+	deliverHost func(any)
+	deliverCtl  func(any)
 
 	placement map[int]*placement
 	flowIDs   []int // every placed flow ID, ascending; kept sorted on placement
@@ -338,6 +395,9 @@ type Fleet struct {
 
 	now      sim.Time // last barrier
 	epochLen sim.Time // conservative lookahead = Fabric.PropDelay
+	// barriers counts executed barriers, skipped the epoch-grid points
+	// the planner proved empty and jumped over.
+	barriers, skipped uint64
 
 	audit       *invariants.FleetAuditor
 	auditPeriod sim.Time
@@ -354,6 +414,10 @@ type Fleet struct {
 	Reg *telemetry.Registry
 }
 
+// Switch is the rack's ToR switch model, carrying control frames by
+// value.
+type Switch = fabric.Switch[netMsg]
+
 // hostSeed spreads the configured seed across shards so no two hosts
 // share an RNG stream (a fixed odd stride keeps it deterministic).
 func hostSeed(base int64, i int) int64 { return base + int64(i)*1_000_003 }
@@ -366,7 +430,7 @@ func New(cfg Config) (*Fleet, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	sw, err := fabric.New(cfg.Fabric)
+	sw, err := fabric.New[netMsg](cfg.Fabric)
 	if err != nil {
 		return nil, fmt.Errorf("fleet: building fabric: %w", err)
 	}
@@ -378,6 +442,15 @@ func New(cfg Config) (*Fleet, error) {
 		placement: make(map[int]*placement),
 		expected:  make([]int, cfg.Hosts),
 		epochLen:  cfg.Fabric.PropDelay,
+	}
+	f.stepHost = func(i int) { f.hosts[i].M.Eng.RunUntil(f.epochEnd) }
+	f.deliverHost = func(arg any) {
+		h := arg.(*Host)
+		f.hostRecv(h, h.in.pop().m)
+	}
+	f.deliverCtl = func(any) {
+		d := f.ctlIn.pop()
+		f.ctlRecv(d.src, d.m)
 	}
 	for i := 0; i < cfg.Hosts; i++ {
 		mcfg := cfg.Machine
@@ -405,23 +478,55 @@ func New(cfg Config) (*Fleet, error) {
 	return f, nil
 }
 
-// ctlSend queues a frame from the balancer's fabric port.
+// ctlSend queues a frame from the balancer's fabric port. While the
+// planner scouts the control shard, the first frame also stops the
+// engine: its timestamp decides the epoch's barrier.
 func (f *Fleet) ctlSend(dst, bytes int, m netMsg) {
 	f.ctlOut = append(f.ctlOut, outMsg{at: f.Eng.Now(), src: f.ctlPort, dst: dst, bytes: bytes, m: m})
+	if f.scout {
+		f.scout = false
+		f.Eng.Stop()
+	}
 }
 
 // --- lockstep epochs ------------------------------------------------------
 
-// RunFor advances the whole rack by d, in lockstep epochs of one fabric
-// propagation delay each.
+// epochGrid is the barrier grid of one RunFor call: from + k·step,
+// clipped at end.
+type epochGrid struct {
+	from, end, step sim.Time
+}
+
+// ceil returns the first grid point at or after x that lies after the
+// last barrier now, clipped at end.
+func (g epochGrid) ceil(now, x sim.Time) sim.Time {
+	if x >= g.end {
+		return g.end
+	}
+	if x <= now {
+		x = now + 1
+	}
+	return min(g.from+(x-g.from+g.step-1)/g.step*g.step, g.end)
+}
+
+// prev returns the last grid point strictly before barrier t: where a
+// dense run would have held its previous barrier.
+func (g epochGrid) prev(t sim.Time) sim.Time {
+	return g.from + (t-g.from-1)/g.step*g.step
+}
+
+// never is the planner's "no pending event" time.
+const never = sim.Time(math.MaxInt64)
+
+// RunFor advances the whole rack by d. Barriers lie on the grid of one
+// fabric propagation delay from the current time (clipped at the end),
+// but only the grid points where something can happen are executed:
+// nextBarrier jumps over the rest, which a dense stepper would have
+// spent on barriers with nothing to do.
 func (f *Fleet) RunFor(d sim.Time) {
-	end := f.now + d
-	for f.now < end {
-		t := f.now + f.epochLen
-		if t > end {
-			t = end
-		}
-		f.runEpoch(t)
+	g := epochGrid{from: f.now, end: f.now + d, step: f.epochLen}
+	for f.now < g.end {
+		f.runEpoch(g, f.nextBarrier(g))
 	}
 }
 
@@ -437,50 +542,108 @@ func (f *Fleet) EventsProcessed() uint64 {
 	return n
 }
 
-// runEpoch steps every shard to the barrier t — in parallel when a pool
-// is configured — then sequences the epoch's cross-shard frames through
-// the switch. Shards are independent within an epoch because no frame
-// can be delivered sooner than one propagation delay after injection,
-// which is exactly the epoch length.
-func (f *Fleet) runEpoch(t sim.Time) {
-	n := len(f.hosts) + 1
-	f.Cfg.Pool.Do(n, func(i int) {
-		if i < len(f.hosts) {
-			f.hosts[i].M.Eng.RunUntil(t)
-		} else {
-			f.Eng.RunUntil(t)
+// nextBarrier plans the next barrier: the first grid point at or after
+// the earliest time any of these can happen —
+//   - a host shard receives a frame (the head of its inbox; hosts send
+//     only in reply to a frame, so nothing else bounds them);
+//   - a switch service completes (SW.NextEventAt);
+//   - the fleet auditor is due;
+//   - a host_crash, port_flap or fabric_cut episode crosses an edge;
+//   - the control shard queues a frame.
+//
+// The control shard sends from timers as well as from deliveries, so
+// its bound is found by running it: the planner steps the control
+// engine toward the bound of the other four, and ctlSend stops it on
+// the first frame. The rest of that shard's epoch runs in runEpoch.
+func (f *Fleet) nextBarrier(g epochGrid) sim.Time {
+	next := never
+	if at, ok := f.SW.NextEventAt(); ok {
+		next = at
+	}
+	if f.audit != nil {
+		next = min(next, f.auditNext)
+	}
+	for _, h := range f.hosts {
+		if at, ok := h.in.next(); ok {
+			next = min(next, at)
 		}
-	})
+		if h.Inj != nil {
+			flap, _ := h.Inj.PortFlap()
+			cut, _ := h.Inj.FabricCut()
+			next = min(next, nextEdge(h.Inj.HostCrash(), f.now), nextEdge(flap, f.now), nextEdge(cut, f.now))
+		}
+	}
+	t := g.ceil(f.now, next)
+	f.scout = true
+	f.Eng.RunUntil(t)
+	f.scout = false
+	if len(f.ctlOut) > 0 {
+		t = g.ceil(f.now, f.ctlOut[0].at)
+	}
+	return t
+}
+
+// nextEdge returns the first start or end of an ep window after t
+// (never for a disabled episode).
+func nextEdge(ep faults.Episode, t sim.Time) sim.Time {
+	if !ep.Enabled() {
+		return never
+	}
+	if ep.ActiveAt(t) {
+		return ep.EndAt(t)
+	}
+	return ep.NextStart(t + 1)
+}
+
+// runEpoch steps every shard to the barrier t — the host shards in
+// parallel when a pool is configured — then sequences the epoch's
+// cross-shard frames through the switch. Shards are independent within
+// an epoch because no frame can be delivered sooner than one
+// propagation delay after injection, and t is at most one grid step
+// past the first frame any shard sends.
+func (f *Fleet) runEpoch(g epochGrid, t sim.Time) {
+	f.Eng.RunUntil(t)
+	f.epochEnd = t
+	f.Cfg.Pool.Do(len(f.hosts), f.stepHost)
+	prev := g.prev(t)
+	f.barriers++
+	f.skipped += uint64((prev - f.now) / f.epochLen)
 	f.now = t
-	f.barrier(t)
+	f.barrier(prev, t)
 }
 
 // barrier is the serial tail of an epoch: fold ground-truth stats into
 // balancer mirrors, apply fabric-degrade episode edges, sequence every
 // outbox frame through the switch in canonical (time, source, sequence)
-// order, advance the switch to the barrier, and schedule the drained
-// deliveries onto their destination shards. Every step is deterministic
-// and independent of how the shards were scheduled.
-func (f *Fleet) barrier(t sim.Time) {
+// order, advance the switch to the barrier, and push the drained
+// deliveries into their destination shards' inboxes. Every step is
+// deterministic and independent of how the shards were scheduled.
+//
+// prev is the grid point before t. The planner skipped every grid point
+// after the last executed barrier up to prev because none of them had
+// anything to do, so the switch is advanced to prev first: that leaves
+// its clock where a dense run's previous barrier left it, and a port
+// coming back up restarts service at exactly that time.
+func (f *Fleet) barrier(prev, t sim.Time) {
 	var crashes, recovers uint64
 	for _, h := range f.hosts {
 		if h.Inj != nil {
 			crashes += h.Inj.Stats.HostCrashes
 			recovers += h.Inj.Stats.HostRecovers
 		}
-		h.downMirror = h.down
 		h.crashedAtMirror = h.crashedAt
 	}
 	f.Stats.Crashes, f.Stats.Recovers = crashes, recovers
 
+	f.SW.AdvanceTo(prev)
 	f.applyFabricFaults(t)
 
 	all := f.merge[:0]
 	for _, h := range f.hosts {
-		all = append(all, h.out...)
+		all = f.mergeOutbox(all, h.out, prev, t)
 		h.out = h.out[:0]
 	}
-	all = append(all, f.ctlOut...)
+	all = f.mergeOutbox(all, f.ctlOut, prev, t)
 	f.ctlOut = f.ctlOut[:0]
 	// Stable sort on (time, source): per-shard outboxes are already in
 	// time order, so stability preserves each source's FIFO.
@@ -493,19 +656,20 @@ func (f *Fleet) barrier(t sim.Time) {
 	for _, om := range all {
 		// A false return is a tail drop or a dark port: the frame is
 		// gone, and the handshake timeouts (or the next probe) recover.
-		f.SW.Inject(om.at, fabric.Msg{Src: om.src, Dst: om.dst, Bytes: om.bytes, Payload: om.m})
+		f.SW.Inject(om.at, fabric.Msg[netMsg]{Src: om.src, Dst: om.dst, Bytes: om.bytes, Payload: om.m})
 	}
 	clear(all) // drop payload references until the next epoch reuses it
 	f.merge = all[:0]
 	f.SW.AdvanceTo(t)
 	for _, d := range f.SW.Drain() {
-		m := d.Msg.Payload.(netMsg)
+		in := inMsg{at: d.At, src: d.Msg.Src, m: d.Msg.Payload}
 		if d.Msg.Dst == f.ctlPort {
-			src := d.Msg.Src
-			f.Eng.At(d.At, func() { f.ctlRecv(src, m) })
+			f.ctlIn.push(in)
+			f.Eng.AtArg(d.At, f.deliverCtl, nil)
 		} else {
 			h := f.hosts[d.Msg.Dst]
-			h.M.Eng.At(d.At, func() { f.hostRecv(h, m) })
+			h.in.push(in)
+			h.M.Eng.AtArg(d.At, f.deliverHost, h)
 		}
 	}
 
@@ -515,6 +679,22 @@ func (f *Fleet) barrier(t sim.Time) {
 			f.auditNext += f.auditPeriod
 		}
 	}
+}
+
+// mergeOutbox appends one shard's outbox to the barrier's merge buffer.
+// It is also the lookahead guard: a frame stamped at or before prev
+// belonged to a barrier the planner skipped, so some sender escaped the
+// planner's bounds and the run can no longer match dense stepping.
+func (f *Fleet) mergeOutbox(all, out []outMsg, prev, t sim.Time) []outMsg {
+	if len(out) > 0 && out[0].at <= prev {
+		shard := "control shard"
+		if src := out[0].src; src != f.ctlPort {
+			shard = fmt.Sprintf("host shard %d", src)
+		}
+		panic(fmt.Sprintf("fleet: %s sent a frame at %v, at or before the skipped grid point %v (barrier %v)",
+			shard, out[0].at, prev, t))
+	}
+	return append(all, out...)
 }
 
 // applyFabricFaults applies port_flap and fabric_cut episode edges,
@@ -657,7 +837,7 @@ func (f *Fleet) declareDead(h *Host) {
 	h.live = false
 	f.Stats.Deaths++
 	now := f.Eng.Now()
-	for _, id := range f.flowsOn(h.Index) {
+	for _, id := range f.flowsOn(nil, h.Index) {
 		p := f.placement[id]
 		p.migrating = true
 		p.rebalance = false
@@ -914,10 +1094,9 @@ func (f *Fleet) AddFlow(spec iosys.FlowSpec) {
 	}
 }
 
-// flowsOn returns the sorted IDs of non-migrating flows the balancer has
-// placed on host h.
-func (f *Fleet) flowsOn(h int) []int {
-	var ids []int
+// flowsOn appends to ids the sorted IDs of non-migrating flows the
+// balancer has placed on host h.
+func (f *Fleet) flowsOn(ids []int, h int) []int {
 	for _, id := range f.flowIDs {
 		if p := f.placement[id]; !p.migrating && p.host == h {
 			ids = append(ids, id)
@@ -971,8 +1150,12 @@ func (f *Fleet) Host(i int) *Host { return f.hosts[i] }
 // HostLive reports the balancer's view of host i.
 func (f *Fleet) HostLive(i int) bool { return f.hosts[i].live }
 
-// PlacedFlowIDs returns the sorted flow IDs placed on host i.
-func (f *Fleet) PlacedFlowIDs(i int) []int { return f.flowsOn(i) }
+// PlacedFlowIDs returns the sorted flow IDs placed on host i. The slice
+// is reused by the next call.
+func (f *Fleet) PlacedFlowIDs(i int) []int {
+	f.placed = f.flowsOn(f.placed[:0], i)
+	return f.placed
+}
 
 // OverdueMigrations returns the sorted IDs of flows still unplaced past
 // their drain deadline at time now.

@@ -92,7 +92,7 @@ func TestFailoverMigratesAndRecoveryRebalances(t *testing.T) {
 	audit := f.AttachAuditors(20 * sim.Microsecond)
 
 	f.RunFor(250 * sim.Microsecond)
-	victims := f.flowsOn(0)
+	victims := f.flowsOn(nil, 0)
 	if len(victims) == 0 {
 		t.Fatal("no flows placed on host 0; cannot exercise failover")
 	}

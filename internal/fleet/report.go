@@ -90,7 +90,7 @@ func (f *Fleet) WriteReport(w io.Writer) {
 			state = "probation"
 		}
 		fmt.Fprintf(w, "  host %d: %-9s flows=%d  %.2f Mpps  miss=%.1f%%\n",
-			h.Index, state, len(f.flowsOn(h.Index)),
+			h.Index, state, len(f.PlacedFlowIDs(h.Index)),
 			h.M.Delivered.Mpps(now), h.M.LLC.MissRate()*100)
 	}
 	s := f.Stats

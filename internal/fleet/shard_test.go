@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"fmt"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -12,20 +13,27 @@ import (
 )
 
 // rackFingerprint runs a rack to completion and folds everything
-// observable — the rack report, balancer stats, fabric ledger, and every
-// host's delivered/miss counters — into one comparable string.
-func rackFingerprint(t *testing.T, cfg Config, flows int, d sim.Time) string {
+// observable — the rack report, balancer stats, time-to-recover
+// histogram, audit sweeps, fabric ledger, and every host's
+// delivered/miss and fault-edge counters — into one comparable string.
+// run advances the rack by d; nil means one RunFor(d).
+func rackFingerprint(t *testing.T, cfg Config, flows int, d sim.Time, run func(f *Fleet, d sim.Time)) string {
 	t.Helper()
 	f, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addTestFlows(t, f, flows)
-	audit := f.AttachAuditors(20 * sim.Microsecond)
-	f.RunFor(d)
+	audit := f.AttachAuditors(7 * sim.Microsecond)
+	if run == nil {
+		run = (*Fleet).RunFor
+	}
+	run(f, d)
 	audit.Final()
 	var buf bytes.Buffer
 	f.WriteReport(&buf)
+	fmt.Fprintf(&buf, "%+v ttr=%d/%d/%d/%d/%d\n", f.Stats,
+		f.TTR.Count(), f.TTR.Min(), f.TTR.Max(), f.TTR.P50(), f.TTR.P99())
 	st := f.SW.Stats()
 	put := func(vs ...uint64) {
 		for _, v := range vs {
@@ -34,9 +42,12 @@ func rackFingerprint(t *testing.T, cfg Config, flows int, d sim.Time) string {
 		}
 	}
 	put(st.InjectedMsgs, st.InjectedBytes, st.DeliveredMsgs, st.DeliveredBytes,
-		st.DroppedMsgs, st.DroppedBytes, f.EventsProcessed(), audit.Count())
+		st.DroppedMsgs, st.DroppedBytes, f.EventsProcessed(), audit.Count(), audit.Fleet.Checks)
 	for _, h := range f.hosts {
 		put(h.M.Delivered.Packets, h.M.Delivered.Bytes, h.M.LLC.Hits, h.M.LLC.Misses)
+		if h.Inj != nil {
+			fmt.Fprintf(&buf, " %+v", h.Inj.Stats)
+		}
 	}
 	return buf.String()
 }
@@ -54,7 +65,7 @@ func TestParallelSerialByteIdentical(t *testing.T) {
 			{HostCrash: faults.OneShot(200*sim.Microsecond, 300*sim.Microsecond)},
 			{PortFlap: faults.OneShot(400*sim.Microsecond, 100*sim.Microsecond), PortFlapPort: 1},
 		}
-		return rackFingerprint(t, cfg, 18, 1200*sim.Microsecond)
+		return rackFingerprint(t, cfg, 18, 1200*sim.Microsecond, nil)
 	}
 	pool := runner.NewPool(8)
 	defer pool.Close()
@@ -170,7 +181,7 @@ func TestPortFlapDrivesFailover(t *testing.T) {
 	}
 	addTestFlows(t, f, 16)
 	audit := f.AttachAuditors(20 * sim.Microsecond)
-	victims := f.flowsOn(0)
+	victims := f.flowsOn(nil, 0)
 	if len(victims) == 0 {
 		t.Fatal("no flows placed on host 0; cannot exercise the flap")
 	}

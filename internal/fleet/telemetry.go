@@ -52,6 +52,12 @@ func (f *Fleet) registerMetrics() {
 		"Flows moved back to their rendezvous home after a revival.", func() uint64 { return f.Stats.Rebalances })
 	reg.Counter("fleet.failover.stranded_total",
 		"Migration retry budgets exhausted (flow waits for a revival rescue).", func() uint64 { return f.Stats.Stranded })
+	reg.Counter("fleet.epochs.barriers_total",
+		"Lockstep barriers executed (shards stepped, outboxes sequenced through the switch).",
+		func() uint64 { return f.barriers })
+	reg.Counter("fleet.epochs.skipped_total",
+		"Epoch-grid points the barrier planner jumped over because no frame, fault edge or audit could land there.",
+		func() uint64 { return f.skipped })
 	reg.Histogram("fleet.failover.time_to_recover_ns",
 		"Crash-to-re-steered time per failover-migrated flow.", &f.TTR)
 	f.Reg = reg

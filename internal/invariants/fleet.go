@@ -21,7 +21,8 @@ import (
 // FleetView is the read-only surface a fleet exposes for auditing.
 // Implementations must return deterministic (sorted) slices, since audit
 // sweeps run on the shared engine and their records are part of the
-// byte-identical run output.
+// byte-identical run output. The auditor is done with each returned
+// slice before its next call, so an implementation may reuse one buffer.
 type FleetView interface {
 	// HostCount returns the number of hosts in the rack.
 	HostCount() int
@@ -64,6 +65,10 @@ type FleetAuditor struct {
 	violations []Violation
 	total      uint64
 
+	// owner and ids are SweepAt's scratch, reused across sweeps.
+	owner map[int]int
+	ids   []int
+
 	// Checks counts completed sweeps (zero means the period outlived the
 	// run and nothing was audited).
 	Checks uint64
@@ -72,7 +77,7 @@ type FleetAuditor struct {
 // NewFleetAuditor builds an unscheduled fleet auditor; the caller drives
 // it with SweepAt (and Final, which stamps violations via now).
 func NewFleetAuditor(v FleetView, now func() sim.Time) *FleetAuditor {
-	return &FleetAuditor{v: v, now: now}
+	return &FleetAuditor{v: v, now: now, owner: make(map[int]int)}
 }
 
 // AttachFleet arms the fleet auditor on the rack's shared engine with the
@@ -101,14 +106,16 @@ func (a *FleetAuditor) SweepAt(now sim.Time) {
 	// machine, and the balancer's placement map agrees with machine
 	// reality (a placed flow is installed on exactly the host the
 	// balancer believes owns it).
-	owner := make(map[int]int)
+	owner := a.owner
+	clear(owner)
 	for h := 0; h < a.v.HostCount(); h++ {
 		m := a.v.HostMachine(h)
-		ids := make([]int, 0, len(m.Flows))
+		ids := a.ids[:0]
 		for id := range m.Flows {
 			ids = append(ids, id)
 		}
 		sort.Ints(ids)
+		a.ids = ids
 		for _, id := range ids {
 			if prev, dup := owner[id]; dup {
 				a.record(now, "flow-double-placed",

@@ -22,6 +22,7 @@ package runner
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // DefaultWorkers returns the default pool width: GOMAXPROCS.
@@ -31,14 +32,26 @@ func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 // A nil *Pool is valid and runs every job inline on the caller —
 // callers never need to special-case the serial path.
 type Pool struct {
-	jobs chan poolJob
-	wg   sync.WaitGroup // workers
-	once sync.Once
+	jobs    chan *batch
+	workers int
+	wg      sync.WaitGroup // workers
+	once    sync.Once
+
+	mu   sync.Mutex
+	free []*batch // finished batches, reused so a steady Do allocates nothing
 }
 
-type poolJob struct {
-	run  func()
-	done func(panicked any)
+// batch is one Do call: every worker handed the batch claims indices
+// from next until all n are taken, so a batch costs one channel handoff
+// per participating worker rather than one per index.
+type batch struct {
+	job  func(i int)
+	n    int64
+	next atomic.Int64
+	wg   sync.WaitGroup // participating workers
+
+	mu       sync.Mutex
+	panicked any // first panic value, re-raised by Do
 }
 
 // NewPool starts a pool with the given number of workers. workers <= 1
@@ -50,7 +63,7 @@ func NewPool(workers int) *Pool {
 	if workers <= 1 {
 		return nil
 	}
-	p := &Pool{jobs: make(chan poolJob)}
+	p := &Pool{jobs: make(chan *batch), workers: workers}
 	p.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.worker()
@@ -60,16 +73,36 @@ func NewPool(workers int) *Pool {
 
 func (p *Pool) worker() {
 	defer p.wg.Done()
-	for j := range p.jobs {
-		j.done(p.runOne(j.run))
+	for b := range p.jobs {
+		b.run()
+	}
+}
+
+// run claims and executes indices until the batch is exhausted. A
+// panicking job does not stop the worker: its value is kept for Do to
+// re-raise, and the remaining indices still run.
+func (b *batch) run() {
+	defer b.wg.Done()
+	for {
+		i := b.next.Add(1) - 1
+		if i >= b.n {
+			return
+		}
+		if pv := runOne(b.job, int(i)); pv != nil {
+			b.mu.Lock()
+			if b.panicked == nil {
+				b.panicked = pv
+			}
+			b.mu.Unlock()
+		}
 	}
 }
 
 // runOne executes one job, converting a panic into a value so the
 // submitting goroutine can re-raise it on its own stack.
-func (p *Pool) runOne(fn func()) (panicked any) {
+func runOne(job func(i int), i int) (panicked any) {
 	defer func() { panicked = recover() }()
-	fn()
+	job(i)
 	return nil
 }
 
@@ -89,7 +122,9 @@ func (p *Pool) Close() {
 // many goroutines concurrently (and from code that is itself fanned
 // out above the leaf level) without risking pool starvation. If any
 // job panics, Do re-panics with the first panic value after the
-// remaining jobs complete.
+// remaining jobs complete. A steady stream of Do calls allocates
+// nothing: batches are recycled, and job is only ever called, never
+// wrapped.
 func (p *Pool) Do(n int, job func(i int)) {
 	if n <= 0 {
 		return
@@ -100,32 +135,38 @@ func (p *Pool) Do(n int, job func(i int)) {
 		}
 		return
 	}
-	var (
-		wg       sync.WaitGroup
-		mu       sync.Mutex
-		panicked any
-	)
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		i := i
-		p.jobs <- poolJob{
-			run: func() { job(i) },
-			done: func(pv any) {
-				if pv != nil {
-					mu.Lock()
-					if panicked == nil {
-						panicked = pv
-					}
-					mu.Unlock()
-				}
-				wg.Done()
-			},
-		}
+	b := p.getBatch()
+	b.job, b.n = job, int64(n)
+	b.next.Store(0)
+	k := min(n, p.workers)
+	b.wg.Add(k)
+	for i := 0; i < k; i++ {
+		p.jobs <- b
 	}
-	wg.Wait()
+	b.wg.Wait()
+	panicked := b.panicked
+	b.job, b.panicked = nil, nil
+	p.putBatch(b)
 	if panicked != nil {
 		panic(panicked)
 	}
+}
+
+func (p *Pool) getBatch() *batch {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if k := len(p.free); k > 0 {
+		b := p.free[k-1]
+		p.free = p.free[:k-1]
+		return b
+	}
+	return new(batch)
+}
+
+func (p *Pool) putBatch(b *batch) {
+	p.mu.Lock()
+	p.free = append(p.free, b)
+	p.mu.Unlock()
 }
 
 // Map runs fn for every index and returns the results in index order,

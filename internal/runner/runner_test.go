@@ -117,3 +117,16 @@ func TestDoZeroJobs(t *testing.T) {
 		t.Fatal("Map(0) should be empty")
 	}
 }
+
+// A steady stream of Do calls with a long-lived job function allocates
+// nothing: the pool recycles its batches and never wraps the job.
+func TestDoSteadyStateZeroAlloc(t *testing.T) {
+	p := NewPool(2)
+	defer p.Close()
+	var sum atomic.Int64
+	job := func(i int) { sum.Add(int64(i)) }
+	p.Do(8, job) // warm the batch free list
+	if avg := testing.AllocsPerRun(100, func() { p.Do(33, job) }); avg != 0 {
+		t.Fatalf("Do allocates %.2f objects per call, want 0", avg)
+	}
+}
