@@ -98,9 +98,15 @@ func main() {
 	if *config != "" {
 		rejectFlags(func(name string) bool { return !slices.Contains(configFlags, name) },
 			"cannot be combined with -config: the scenario file declares its own flows and machine")
+		if *out != "text" && *out != "json" {
+			fmt.Fprintf(os.Stderr, "ceio-sim: -out must be text or json, got %q\n", *out)
+			os.Exit(2)
+		}
 		runConfig(*config, *out, &exp)
 		return
 	}
+	rejectFlags(func(name string) bool { return name == "out" },
+		"needs -config: flag-built and rack runs print text only")
 
 	if _, err := workload.ParseMethod(*arch); err != nil {
 		fmt.Fprintf(os.Stderr, "ceio-sim: %v\n", err)

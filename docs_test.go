@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -53,6 +54,17 @@ func goPackageDirs(t *testing.T, root string) []string {
 		t.Fatal(err)
 	}
 	return dirs
+}
+
+// readFile returns the contents of a repository file, failing the test
+// if it cannot be read.
+func readFile(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
 }
 
 // packageDoc returns the longest package doc comment among the
@@ -111,11 +123,7 @@ func TestPackageDocs(t *testing.T) {
 // name, so `ceio-bench <name>` output is never undocumented. "all" is
 // the meta-runner over the rest and needs no section of its own.
 func TestEveryExperimentDocumented(t *testing.T) {
-	docBytes, err := os.ReadFile("EXPERIMENTS.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := string(docBytes)
+	doc := readFile(t, "EXPERIMENTS.md")
 	for _, name := range experiments.Names() {
 		if name == "all" {
 			continue
@@ -131,20 +139,13 @@ func TestEveryExperimentDocumented(t *testing.T) {
 // bench_test.go, or BenchmarkExperiments/<name> for an experiment in the
 // registry — so the ledger cannot keep rows for deleted benchmarks.
 func TestBenchLedgerRowsExist(t *testing.T) {
-	raw, err := os.ReadFile("BENCH_fleet.json")
-	if err != nil {
-		t.Fatal(err)
-	}
 	var ledger struct {
 		Macro, Micro []struct{ Name string }
 	}
-	if err := json.Unmarshal(raw, &ledger); err != nil {
+	if err := json.Unmarshal([]byte(readFile(t, "BENCH_fleet.json")), &ledger); err != nil {
 		t.Fatal(err)
 	}
-	src, err := os.ReadFile("bench_test.go")
-	if err != nil {
-		t.Fatal(err)
-	}
+	src := readFile(t, "bench_test.go")
 	names := experiments.Names()
 	names = names[:len(names)-1] // drop "all", which has no sub-benchmark
 	for _, row := range append(ledger.Macro, ledger.Micro...) {
@@ -152,7 +153,7 @@ func TestBenchLedgerRowsExist(t *testing.T) {
 			if !slices.Contains(names, exp) {
 				t.Errorf("ledger row %q: no experiment %q in the registry", row.Name, exp)
 			}
-		} else if !strings.Contains(string(src), "func "+row.Name+"(b *testing.B)") {
+		} else if !strings.Contains(src, "func "+row.Name+"(b *testing.B)") {
 			t.Errorf("ledger row %q: no such benchmark in bench_test.go", row.Name)
 		}
 	}
@@ -167,11 +168,7 @@ func TestBenchLedgerRowsExist(t *testing.T) {
 // datapath's own telemetry surface and fails loudly if its registration
 // path stops firing (the broad test would silently shrink instead).
 func TestRDCASeriesCatalogued(t *testing.T) {
-	docBytes, err := os.ReadFile("OBSERVABILITY.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := string(docBytes)
+	doc := readFile(t, "OBSERVABILITY.md")
 	sim, err := ceio.NewSimulatorE(ceio.DefaultConfig(), ceio.ArchRDCA)
 	if err != nil {
 		t.Fatal(err)
@@ -197,11 +194,7 @@ func TestRDCASeriesCatalogued(t *testing.T) {
 // behind the tree. Example directories are covered collectively by the
 // entry-points section and individually by README.md.
 func TestEveryPackageInArchitectureMap(t *testing.T) {
-	docBytes, err := os.ReadFile("ARCHITECTURE.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := string(docBytes)
+	doc := readFile(t, "ARCHITECTURE.md")
 	for _, dir := range goPackageDirs(t, ".") {
 		dir = strings.TrimPrefix(dir, "./")
 		if !strings.HasPrefix(dir, "internal/") && !strings.HasPrefix(dir, "cmd/") {
@@ -210,5 +203,41 @@ func TestEveryPackageInArchitectureMap(t *testing.T) {
 		if !strings.Contains(doc, "`"+dir+"`") {
 			t.Errorf("package %s is not named in ARCHITECTURE.md", dir)
 		}
+	}
+}
+
+// TestFullResultsCoverExperimentsDoc asserts full_results.txt is the
+// recorded run behind EXPERIMENTS.md: every decimal number in a table
+// row there appears in it, verbatim or rounded to the doc's decimal
+// places. The full run must also render the same table titles, in the
+// same order, as the quick_results.txt golden, so it cannot lag the
+// experiment registry.
+func TestFullResultsCoverExperimentsDoc(t *testing.T) {
+	full := readFile(t, "full_results.txt")
+	decimal := regexp.MustCompile(`\d+\.\d+`)
+	printed := map[string]bool{}
+	for _, s := range decimal.FindAllString(full, -1) {
+		v, _ := strconv.ParseFloat(s, 64)
+		for places := len(s) - strings.IndexByte(s, '.') - 1; places >= 0; places-- {
+			printed[strconv.FormatFloat(v, 'f', places, 64)] = true
+		}
+	}
+	rows := regexp.MustCompile(`(?m)^\|.*$`).FindAllString(readFile(t, "EXPERIMENTS.md"), -1)
+	if len(rows) == 0 {
+		t.Fatal("no table rows in EXPERIMENTS.md")
+	}
+	for _, row := range rows {
+		for _, s := range decimal.FindAllString(row, -1) {
+			if !printed[s] {
+				t.Errorf("EXPERIMENTS.md number %s is not in full_results.txt (row %q)", s, row)
+			}
+		}
+	}
+
+	title := regexp.MustCompile(`(?m)^== .* ==$`)
+	f, q := title.FindAllString(full, -1), title.FindAllString(readFile(t, "quick_results.txt"), -1)
+	if !slices.Equal(f, q) {
+		t.Errorf("full_results.txt and quick_results.txt render different tables:\n%s\n---\n%s",
+			strings.Join(f, "\n"), strings.Join(q, "\n"))
 	}
 }

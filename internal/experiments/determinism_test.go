@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"strings"
+	"sync"
 	"testing"
 
 	"ceio/internal/iosys"
@@ -45,27 +46,59 @@ func renderSuite(t *testing.T, cfg Config, names []string) string {
 	return sb.String()
 }
 
-// TestParallelOutputByteIdentical guards the whole parallel driver: the
-// rendered tables and CSV of a suite of experiments must be
-// byte-identical between -parallel 1 and -parallel 8 at the same seed,
-// because every run owns its engine and results land in index-ordered
-// slots.
-func TestParallelOutputByteIdentical(t *testing.T) {
-	names := []string{"fig9", "fig10", "burst", "table4", "tenants", "cores", "pipelines", "fleet", "rdca"}
+// sampledRegistry holds every registry experiment rendered at microCfg
+// with 100us sampling, twice: one by one without a pool, and as "all" on
+// an 8-wide pool. It is rendered once and read by the two tests below.
+var sampledRegistry struct {
+	once             sync.Once
+	serial, parallel string
+}
 
-	serial := renderSuite(t, microCfg(), names) // nil pool: fully serial
+func renderSampledRegistry(t *testing.T) (serial, parallel string) {
+	t.Helper()
+	r := &sampledRegistry
+	r.once.Do(func() {
+		names := Names()
+		cfg := microCfg()
+		cfg.SampleEvery = 100 * sim.Microsecond
+		serial := renderSuite(t, cfg, names[:len(names)-1]) // nil pool: fully serial
 
-	pool := runner.NewPool(8)
-	defer pool.Close()
-	par := microCfg()
-	par.Pool = pool
-	parallel := renderSuite(t, par, names)
-
-	if serial != parallel {
-		t.Fatalf("parallel output diverges from serial output:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
+		pool := runner.NewPool(8)
+		defer pool.Close()
+		cfg.Pool = pool
+		r.serial, r.parallel = serial, renderSuite(t, cfg, []string{"all"})
+	})
+	if r.serial == "" || r.parallel == "" {
+		t.Fatal("rendering the sampled registry failed")
 	}
-	if !strings.Contains(serial, "Figure 9") || !strings.Contains(serial, "Burst sensitivity") {
-		t.Fatal("suite did not render the expected tables")
+	return r.serial, r.parallel
+}
+
+// TestParallelOutputByteIdentical guards the whole parallel driver: every
+// registry experiment, sampled timeline tables included, rendered one by
+// one without a pool must be byte-identical to "all" on an 8-wide pool,
+// because every run owns its engine and results land in indexed slots.
+func TestParallelOutputByteIdentical(t *testing.T) {
+	serial, parallel := renderSampledRegistry(t)
+	if serial != parallel {
+		t.Fatalf("\"all\" on an 8-wide pool diverges from the serial run:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
+	}
+}
+
+// TestSampledTimelineParallelByteIdentical checks that the byte-identity
+// above covers telemetry sampling: with SampleEvery set, the tenants and
+// dynamic-scenario timeline tables, clocked on simulated time only, are
+// rendered by both the serial and the 8-wide run.
+func TestSampledTimelineParallelByteIdentical(t *testing.T) {
+	serial, parallel := renderSampledRegistry(t)
+	for _, want := range []string{
+		"Timeline — dynamic repartitioning",
+		`cache.llc.ddio.occupancy_bytes{tenant="kv"}`,
+		"Timeline — Figure 4b — ShRing",
+	} {
+		if !strings.Contains(serial, want) || !strings.Contains(parallel, want) {
+			t.Errorf("sampled suite output lacks %q", want)
+		}
 	}
 }
 
@@ -88,34 +121,6 @@ func TestParallelSeedsByteIdentical(t *testing.T) {
 	// Multi-seed scalar cells render as min/mean/max triples.
 	if !strings.Contains(serial, "/") {
 		t.Fatal("expected min/mean/max cells in multi-seed output")
-	}
-}
-
-// TestSampledTimelineParallelByteIdentical extends the byte-identity
-// guarantee to telemetry sampling: with SampleEvery set, the tenants
-// and dynamic-scenario timeline tables are clocked on simulated time
-// only, so a -parallel 8 run renders them exactly as a serial run does.
-func TestSampledTimelineParallelByteIdentical(t *testing.T) {
-	run := func(workers int) string {
-		cfg := microCfg()
-		cfg.SampleEvery = 100 * sim.Microsecond
-		pool := runner.NewPool(workers)
-		defer pool.Close()
-		cfg.Pool = pool
-		return renderSuite(t, cfg, []string{"tenants", "fig4"})
-	}
-	serial, parallel := run(1), run(8)
-	if serial != parallel {
-		t.Fatalf("sampled timeline output diverges:\n--- serial ---\n%s\n--- parallel ---\n%s", serial, parallel)
-	}
-	if !strings.Contains(serial, "Timeline — dynamic repartitioning") {
-		t.Fatal("sampled run did not render timeline tables")
-	}
-	if !strings.Contains(serial, `cache.llc.ddio.occupancy_bytes{tenant="kv"}`) {
-		t.Fatal("timeline tables missing per-tenant occupancy series")
-	}
-	if !strings.Contains(serial, "Timeline — Figure 4b — ShRing") {
-		t.Fatal("sampled run did not render dynamic-scenario timeline tables")
 	}
 }
 

@@ -7,7 +7,6 @@ package ceio_test
 // a new series cannot ship undocumented.
 
 import (
-	"os"
 	"strings"
 	"testing"
 
@@ -91,11 +90,7 @@ var benchSeries = map[string]telemetry.Kind{
 // TestEverySeriesDocumented asserts OBSERVABILITY.md's catalogue covers
 // every series any run can emit.
 func TestEverySeriesDocumented(t *testing.T) {
-	docBytes, err := os.ReadFile("OBSERVABILITY.md")
-	if err != nil {
-		t.Fatal(err)
-	}
-	doc := string(docBytes)
+	doc := readFile(t, "OBSERVABILITY.md")
 	names := map[string]bool{}
 	for _, reg := range allRegistries(t) {
 		for _, m := range reg.Metrics() {
