@@ -19,6 +19,7 @@ import (
 	"ceio/internal/ring"
 	"ceio/internal/runner"
 	"ceio/internal/sim"
+	"ceio/internal/stats"
 	"ceio/internal/workload"
 )
 
@@ -67,6 +68,10 @@ func BenchmarkSimulatedPacketRate(b *testing.B) {
 	b.ReportMetric(float64(delivered)/float64(b.N), "pkts/op")
 }
 
+// steadyStateArchs are the sub-benchmarks of BenchmarkMachineSteadyState,
+// one per architecture.
+var steadyStateArchs = slices.Concat(workload.AllMethods, []workload.Method{workload.MethodRDCA})
+
 // BenchmarkMachineSteadyState drives the full machine hot path — emit,
 // DMA commit and Landed hook, LLC insert, poll into the core's batch,
 // pipelined CPU cost with state touches, bypass consumption, delivery —
@@ -76,7 +81,7 @@ func BenchmarkSimulatedPacketRate(b *testing.B) {
 // buffer payloads ride in the LLC's recycled arena nodes, DMA and rx
 // carriers are pooled, and polls append into the core's reused batch.
 func BenchmarkMachineSteadyState(b *testing.B) {
-	for _, me := range slices.Concat(workload.AllMethods, []workload.Method{workload.MethodRDCA}) {
+	for _, me := range steadyStateArchs {
 		b.Run(string(me), func(b *testing.B) {
 			b.ReportAllocs()
 			sim := ceio.NewSimulator(ceio.DefaultConfig(), ceio.Architecture(me))
@@ -263,6 +268,25 @@ func BenchmarkLLCStateWorkingSet(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		packet(warm + i)
+	}
+}
+
+// BenchmarkHistogramRecord is the per-delivery latency record: values
+// spread over the 1 µs–1 ms delivery-latency range into a histogram that
+// has already seen it, as every flow's and machine's histogram has after
+// warm-up. The CI -benchmem gate requires 0 allocs/op.
+func BenchmarkHistogramRecord(b *testing.B) {
+	b.ReportAllocs()
+	var h stats.Histogram
+	rng := rand.New(rand.NewSource(1))
+	vals := make([]int64, 4096)
+	for i := range vals {
+		vals[i] = 1000 + rng.Int63n(999_000)
+		h.Record(vals[i])
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		h.Record(vals[i%len(vals)])
 	}
 }
 

@@ -136,8 +136,10 @@ func TestEveryExperimentDocumented(t *testing.T) {
 
 // TestBenchLedgerRowsExist asserts every row of BENCH_fleet.json names
 // a benchmark the harness still defines — a Benchmark function in
-// bench_test.go, or BenchmarkExperiments/<name> for an experiment in the
-// registry — so the ledger cannot keep rows for deleted benchmarks.
+// bench_test.go, or Benchmark<F>/<sub> for a sub-benchmark a table-driven
+// function F still runs (an experiment in the registry, or an
+// architecture of BenchmarkMachineSteadyState) — so the ledger cannot
+// keep rows for deleted benchmarks.
 func TestBenchLedgerRowsExist(t *testing.T) {
 	var ledger struct {
 		Macro, Micro []struct{ Name string }
@@ -147,14 +149,19 @@ func TestBenchLedgerRowsExist(t *testing.T) {
 	}
 	src := readFile(t, "bench_test.go")
 	names := experiments.Names()
-	names = names[:len(names)-1] // drop "all", which has no sub-benchmark
+	subs := map[string][]string{
+		"BenchmarkExperiments":        names[:len(names)-1], // "all" has no sub-benchmark
+		"BenchmarkMachineSteadyState": nil,
+	}
+	for _, me := range steadyStateArchs {
+		subs["BenchmarkMachineSteadyState"] = append(subs["BenchmarkMachineSteadyState"], string(me))
+	}
 	for _, row := range append(ledger.Macro, ledger.Micro...) {
-		if exp, ok := strings.CutPrefix(row.Name, "BenchmarkExperiments/"); ok {
-			if !slices.Contains(names, exp) {
-				t.Errorf("ledger row %q: no experiment %q in the registry", row.Name, exp)
-			}
-		} else if !strings.Contains(src, "func "+row.Name+"(b *testing.B)") {
+		fn, sub, isSub := strings.Cut(row.Name, "/")
+		if !strings.Contains(src, "func "+fn+"(b *testing.B)") {
 			t.Errorf("ledger row %q: no such benchmark in bench_test.go", row.Name)
+		} else if isSub && !slices.Contains(subs[fn], sub) {
+			t.Errorf("ledger row %q: %s runs no sub-benchmark %q", row.Name, fn, sub)
 		}
 	}
 	if len(ledger.Macro) == 0 {

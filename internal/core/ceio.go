@@ -105,6 +105,13 @@ func DefaultOptions() Options {
 type flowState struct {
 	f  *iosys.Flow
 	sw *ring.SWRing
+	// cred is the flow's controller account, cached at FlowAdded so the
+	// per-packet credit reads skip the controller's ID lookup. RemoveFlow
+	// zeroes it, so a torn-down state reads no credits.
+	cred *FlowCredits
+	// slot is the flow's index in its byQueue member list (see
+	// coreshare.go); -1 when it is not listed there.
+	slot int32
 
 	mode pkt.Path // current steering action for this flow
 
@@ -180,6 +187,11 @@ type CEIO struct {
 	// multi-queue machine (see coreshare.go); nil when Cores == 0 or under
 	// the MPQ strawman.
 	coreShares []int
+	// byQueue lists the live flows of each rx queue (only while
+	// coreShares is set), so the per-core budget check scans only the
+	// flows it bounds.
+	byQueue   [][]*flowState
+	auditSums []int // reused scratch of auditMembers
 
 	// freeJobs recycles the per-packet ctrlJob carriers that ride the
 	// controller window, fast-path DMA, and on-NIC DRAM pipeline.
@@ -291,6 +303,7 @@ func (c *CEIO) Attach(m *iosys.Machine) {
 		// Multi-queue machine: carve C_total into per-core shares (equal
 		// until the active-flow scan learns the per-core populations).
 		c.coreShares = carveShares(total, make([]int, m.Cfg.Cores))
+		c.byQueue = make([][]*flowState, m.Cfg.Cores)
 	}
 	if c.opt.CreditRealloc && c.opt.MPQ == nil {
 		m.Eng.Every(c.opt.ScanPeriod, c.opt.ScanPeriod, c.scanActiveFlows)
@@ -317,7 +330,7 @@ func (c *CEIO) FaultsEnabled() {
 // fast-path steering rule to the RMT engine.
 func (c *CEIO) FlowAdded(f *iosys.Flow) {
 	c.ctrl.AddFlows(f.ID)
-	st := &flowState{f: f, sw: ring.NewSWRing(c.opt.SWRingEntries)}
+	st := &flowState{f: f, sw: ring.NewSWRing(c.opt.SWRingEntries), cred: c.ctrl.Flow(f.ID), slot: -1}
 	st.sw.FaultTolerant = c.faultMode
 	if c.opt.ForceSlowPath {
 		c.ctrl.Recycle(f.ID)
@@ -328,6 +341,7 @@ func (c *CEIO) FlowAdded(f *iosys.Flow) {
 		c.m.Steer.Install(f.ID, flowsteer.ActionFastPath)
 	}
 	c.flows[f.ID] = st
+	c.addMember(st)
 	f.DP = st
 }
 
@@ -343,6 +357,7 @@ func (c *CEIO) FlowRemoved(f *iosys.Flow) {
 	c.m.Steer.Uninstall(f.ID)
 	delete(c.flows, f.ID)
 	if st != nil {
+		c.dropMember(st)
 		c.teardownElastic(st)
 	}
 }
@@ -574,7 +589,7 @@ func (c *CEIO) admit(st *flowState, p *pkt.Packet) bool {
 	// with in-flight data just below the credit bound — before any LLC
 	// overflow occurs. This is the "proactive" half of Table 1: the signal
 	// fires ahead of misses, where HostCC's fires only after them.
-	if c.ctrl.Available(st.f.ID) < c.lowWater() {
+	if st.cred.Available < c.lowWater() {
 		p.Marked = true
 	}
 	return true
@@ -1075,7 +1090,7 @@ func (c *CEIO) maybeResumeFast(st *flowState) {
 		if c.ctrl.Total()-c.mpqInUse == 0 {
 			return
 		}
-	} else if c.ctrl.Available(st.f.ID) == 0 {
+	} else if st.cred.Available == 0 {
 		// Resuming without credits would demote again on the next packet,
 		// thrashing the steering rule; wait for a release or grant.
 		return

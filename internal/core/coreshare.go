@@ -14,6 +14,83 @@ import "fmt"
 // and cannot drift. The active-flow scan re-carves shares by per-core
 // active-flow population, moving credits between cores the same way the
 // Q3 reallocation moves them between flows.
+//
+// The per-core holdings are summed over member lists rather than over
+// every flow. A flow's rx queue is fixed at AddFlow, so on a multi-queue
+// machine each live flow sits, from FlowAdded to FlowRemoved, in exactly
+// one byQueue list, and its slot field records where, for O(1)
+// swap-removal. Summing the cached accounts' InUse over a list costs
+// O(flows on that queue) per admission instead of a scan of the flow map.
+// AuditCoreShares checks that the lists partition the live flows and that
+// every list sum equals a scan.
+
+// queueOf returns the byQueue list st belongs to, or -1 when the lists
+// are not kept (single-core machines and the MPQ strawman).
+func (c *CEIO) queueOf(st *flowState) int {
+	if q := st.f.QueueIndex(); q >= 0 && q < len(c.byQueue) {
+		return q
+	}
+	return -1
+}
+
+// addMember lists a newly added flow under its rx queue.
+func (c *CEIO) addMember(st *flowState) {
+	if q := c.queueOf(st); q >= 0 {
+		st.slot = int32(len(c.byQueue[q]))
+		c.byQueue[q] = append(c.byQueue[q], st)
+	}
+}
+
+// dropMember unlists a removed flow, moving its list's last member into
+// the vacated slot.
+func (c *CEIO) dropMember(st *flowState) {
+	if st.slot < 0 {
+		return
+	}
+	q := c.queueOf(st)
+	list := c.byQueue[q]
+	last := list[len(list)-1]
+	list[st.slot], last.slot = last, st.slot
+	list[len(list)-1] = nil
+	c.byQueue[q] = list[:len(list)-1]
+	st.slot = -1
+}
+
+// auditMembers checks the byQueue lists against a scan of the live
+// flows: every live flow caches the controller's account and sits at its
+// own slot of its own queue's list, the lists hold no other flows, and
+// each list's InUse sum equals the scan's.
+func (c *CEIO) auditMembers() error {
+	c.auditSums = append(c.auditSums[:0], make([]int, len(c.byQueue))...)
+	live := 0
+	for id, st := range c.flows {
+		acct := c.ctrl.Flow(id)
+		if st.cred != acct {
+			return fmt.Errorf("core: flow %d caches a credit account that is not the controller's", id)
+		}
+		q := c.queueOf(st)
+		if q < 0 {
+			continue
+		}
+		live++
+		if i := st.slot; i < 0 || int(i) >= len(c.byQueue[q]) || c.byQueue[q][i] != st {
+			return fmt.Errorf("core: live flow %d missing from its queue list %d", id, q)
+		}
+		c.auditSums[q] += acct.InUse
+	}
+	listed := 0
+	for q, list := range c.byQueue {
+		listed += len(list)
+		if got := c.coreInUse(q); got != c.auditSums[q] {
+			return fmt.Errorf("core: queue list %d holds %d in-use credits, a scan of the live flows finds %d",
+				q, got, c.auditSums[q])
+		}
+	}
+	if listed != live {
+		return fmt.Errorf("core: queue lists hold %d flows, %d live flows belong to them", listed, live)
+	}
+	return nil
+}
 
 // carveShares splits total credits across len(weights) shares,
 // proportionally to the weights (equally when all weights are zero).
@@ -58,12 +135,8 @@ func carveShares(total int, weights []int) []int {
 // RSS dispatched onto rx queue q (the per-core analogue of tenantInUse).
 func (c *CEIO) coreInUse(q int) int {
 	held := 0
-	for _, st := range c.flows {
-		if st.f.QueueIndex() == q {
-			if f := c.ctrl.Flow(st.f.ID); f != nil {
-				held += f.InUse
-			}
-		}
+	for _, st := range c.byQueue[q] {
+		held += st.cred.InUse
 	}
 	return held
 }
@@ -111,12 +184,16 @@ func (c *CEIO) recarveCoreShares() {
 
 // AuditCoreShares verifies the per-core carve invariant at runtime: every
 // share is non-negative and the shares sum exactly to Algorithm 1's
-// C_total, through every recarve a fault storm can trigger. Nil on
-// single-core machines (nothing is carved). The invariants auditor calls
-// this from its periodic sweep.
+// C_total, through every recarve a fault storm can trigger, and the
+// per-queue member lists partition the live flows with holdings equal to
+// a scan. Nil on single-core machines (nothing is carved). The invariants
+// auditor calls this from its periodic sweep.
 func (c *CEIO) AuditCoreShares() error {
 	if c.coreShares == nil {
 		return nil
+	}
+	if err := c.auditMembers(); err != nil {
+		return err
 	}
 	sum := 0
 	for q, s := range c.coreShares {

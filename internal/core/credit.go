@@ -181,7 +181,9 @@ func (c *CreditController) AddFlows(ids ...int) {
 
 // RemoveFlow returns the flow's credits (including those still in use by
 // draining packets) to the pool and cancels its debts. Debts other flows
-// owe to it are redirected to the pool when paid.
+// owe to it are redirected to the pool when paid. The retired account is
+// zeroed, so a holder of its pointer reads no credits, as Available does
+// for an unknown ID.
 func (c *CreditController) RemoveFlow(id int) {
 	f, ok := c.flows[id]
 	if !ok {
@@ -189,6 +191,7 @@ func (c *CreditController) RemoveFlow(id int) {
 	}
 	c.pool += f.Available + f.InUse
 	c.Reclaimed += uint64(f.InUse)
+	f.Available, f.InUse = 0, 0
 	delete(c.flows, id)
 	for i, v := range c.order {
 		if v == id {

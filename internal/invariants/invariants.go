@@ -169,7 +169,8 @@ func (a *Auditor) sweep() {
 			a.record("elastic-bytes", err.Error())
 		}
 		// Multi-queue carve: per-core credit shares must sum to Algorithm
-		// 1's C_total through every recarve a fault storm triggers.
+		// 1's C_total through every recarve a fault storm triggers, and
+		// the per-core member lists must partition the live flows.
 		if err := a.dp.AuditCoreShares(); err != nil {
 			a.record("core-shares", err.Error())
 		}

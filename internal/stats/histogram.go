@@ -15,16 +15,24 @@ import (
 // what tail-latency reporting (P99, P99.9) needs without storing samples.
 // Values are int64 (nanoseconds in this codebase). The zero value is ready
 // to use.
+//
+// Bucket counts live in pages, one per power of two (bucket i is slot
+// i&31 of page i>>subBucketBits). A page is allocated the first time a
+// value lands in it and kept across Reset, so a histogram that is reset
+// every measurement window stops allocating once its range is seen, and
+// a short-lived histogram pays only for the powers of two it touches.
 type Histogram struct {
-	counts map[int]uint64
-	total  uint64
-	sum    float64
-	min    int64
-	max    int64
-	hasMin bool
+	pages []*page
+	total uint64
+	sum   float64
+	min   int64 // exact extrema; meaningful only while total > 0
+	max   int64
 }
 
 const subBucketBits = 5 // 32 sub-buckets per power of two: <=3.1% relative error
+
+// page holds the bucket counts of one power of two.
+type page [1 << subBucketBits]uint64
 
 // bucketIndex maps v to a log-linear bucket index.
 func bucketIndex(v int64) int {
@@ -54,18 +62,27 @@ func bucketValue(i int) int64 {
 
 // Record adds one observation.
 func (h *Histogram) Record(v int64) {
-	if h.counts == nil {
-		h.counts = make(map[int]uint64)
-	}
-	h.counts[bucketIndex(v)]++
+	i := bucketIndex(v)
+	h.pageAt(i >> subBucketBits)[i&(1<<subBucketBits-1)]++
 	h.total++
 	h.sum += float64(v)
-	if !h.hasMin || v < h.min {
-		h.min, h.hasMin = v, true
+	if h.total == 1 || v < h.min {
+		h.min = v
 	}
 	if v > h.max {
 		h.max = v
 	}
+}
+
+// pageAt returns page pg, allocating it on first use.
+func (h *Histogram) pageAt(pg int) *page {
+	if pg >= len(h.pages) {
+		h.pages = append(h.pages, make([]*page, pg+1-len(h.pages))...)
+	}
+	if h.pages[pg] == nil {
+		h.pages[pg] = new(page)
+	}
+	return h.pages[pg]
 }
 
 // Count returns the number of recorded observations.
@@ -99,24 +116,24 @@ func (h *Histogram) Percentile(q float64) int64 {
 	if target == 0 {
 		target = 1
 	}
-	// Walk buckets in index order.
-	maxIdx := bucketIndex(h.max)
+	// Walk buckets in index order; slots past bucketIndex(max) are zero.
 	var cum uint64
-	for i := 0; i <= maxIdx; i++ {
-		c, ok := h.counts[i]
-		if !ok {
+	for pg, counts := range h.pages {
+		if counts == nil {
 			continue
 		}
-		cum += c
-		if cum >= target {
-			v := bucketValue(i)
-			if v < h.min {
-				v = h.min
+		for j, c := range counts {
+			cum += c
+			if c != 0 && cum >= target {
+				v := bucketValue(pg<<subBucketBits | j)
+				if v < h.min {
+					v = h.min
+				}
+				if v > h.max {
+					v = h.max
+				}
+				return v
 			}
-			if v > h.max {
-				v = h.max
-			}
-			return v
 		}
 	}
 	return h.max
@@ -127,33 +144,41 @@ func (h *Histogram) P50() int64  { return h.Percentile(0.50) }
 func (h *Histogram) P99() int64  { return h.Percentile(0.99) }
 func (h *Histogram) P999() int64 { return h.Percentile(0.999) }
 
-// Merge folds other into h.
+// Merge folds other into h, page by page.
 func (h *Histogram) Merge(other *Histogram) {
 	if other == nil || other.total == 0 {
 		return
 	}
-	if h.counts == nil {
-		h.counts = make(map[int]uint64)
+	for pg, counts := range other.pages {
+		if counts == nil {
+			continue
+		}
+		dst := h.pageAt(pg)
+		for j, c := range counts {
+			dst[j] += c
+		}
 	}
-	for i, c := range other.counts {
-		h.counts[i] += c
-	}
-	h.total += other.total
-	h.sum += other.sum
-	if !h.hasMin || other.min < h.min {
-		h.min, h.hasMin = other.min, true
+	if h.total == 0 || other.min < h.min {
+		h.min = other.min
 	}
 	if other.max > h.max {
 		h.max = other.max
 	}
+	h.total += other.total
+	h.sum += other.sum
 }
 
-// Reset clears all observations.
+// Reset clears all observations. Pages are zeroed and kept, so refilling
+// the same range allocates nothing.
 func (h *Histogram) Reset() {
-	h.counts = nil
+	for _, counts := range h.pages {
+		if counts != nil {
+			*counts = page{}
+		}
+	}
 	h.total = 0
 	h.sum = 0
-	h.min, h.max, h.hasMin = 0, 0, false
+	h.min, h.max = 0, 0
 }
 
 func (h *Histogram) String() string {
