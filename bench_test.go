@@ -104,6 +104,39 @@ func BenchmarkMachineSteadyState(b *testing.B) {
 	}
 }
 
+// BenchmarkIdleCores steps Fig. 12's one-core-per-flow layout (Cores ==
+// 0) at its idle extreme: a CEIO machine with 1040 established echo
+// flows, 1024 of them paused. The 16 active flows together offer a
+// sixteenth of the link, so most events are idle cores' back-off poll
+// ticks, and the doorbell gate answers most of those. One op is 10 us of
+// simulated time; polls/op and gated/op come from the machine-wide poll
+// counters. The CI -benchmem gate asserts 0 allocs/op.
+func BenchmarkIdleCores(b *testing.B) {
+	const active, paused = 16, 1024
+	b.ReportAllocs()
+	cfg := ceio.DefaultConfig()
+	s := ceio.NewSimulator(cfg, ceio.ArchCEIO)
+	for id := 1; id <= active+paused; id++ {
+		f := ceio.EchoFlow(id, 512)
+		f.InitialRate = cfg.LinkBandwidth / (16 * active)
+		f.FixedRate = true
+		s.AddFlow(f)
+		if id > active {
+			s.PauseFlow(id)
+		}
+	}
+	reg := s.Metrics()
+	s.RunFor(5 * ceio.Millisecond)
+	polls, gated := reg.Value("iosys.core.polls_total"), reg.Value("iosys.core.gated_polls_total")
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		s.RunFor(10 * ceio.Microsecond)
+	}
+	b.StopTimer()
+	b.ReportMetric((reg.Value("iosys.core.polls_total")-polls)/float64(b.N), "polls/op")
+	b.ReportMetric((reg.Value("iosys.core.gated_polls_total")-gated)/float64(b.N), "gated/op")
+}
+
 // BenchmarkFleetEventThroughput measures raw event-dispatch throughput
 // (engine events per wall-clock second) on the 16-host rack scenario with
 // 3 flows per host — the schedule-heavy macro workload ROADMAP item 1

@@ -552,6 +552,7 @@ func (c *CEIO) steerFallback(st *flowState) {
 	st.degraded = true
 	if st.mode != pkt.PathSlow {
 		st.mode = pkt.PathSlow
+		c.m.Doorbell(st.f)
 		c.m.Trace(trace.KindModeSlow, st.f.ID, 0)
 	}
 }
@@ -694,6 +695,7 @@ func (c *CEIO) ingressSlow(st *flowState, p *pkt.Packet) {
 		// Credits exhausted: update the steering rule so subsequent
 		// packets divert without consulting the controller.
 		st.mode = pkt.PathSlow
+		c.m.Doorbell(st.f)
 		c.setSteer(st, flowsteer.ActionSlowPath)
 		c.m.Trace(trace.KindModeSlow, st.f.ID, p.Seq)
 	}
@@ -759,6 +761,7 @@ func (c *CEIO) slowArrived(st *flowState, p *pkt.Packet) {
 		return
 	}
 	st.waitQ = append(st.waitQ, p)
+	c.m.Doorbell(st.f)
 	if st.fastInFlight == 0 {
 		c.flushWaitQ(st)
 	}
@@ -933,7 +936,9 @@ func (c *CEIO) drainBypass(st *flowState) {
 
 // Poll implements the CEIO driver's recv()/async_recv() path (§5): flush
 // arrivals into the software ring, overlap slow-path DMA reads with
-// application processing, and append ready packets in order to out.
+// application processing, and append ready packets in order to out. A
+// flow that is not quiescent keeps its core armed: its next poll may
+// flush, read or resume without any landing.
 func (c *CEIO) Poll(f *iosys.Flow, out []*pkt.Packet, max int) []*pkt.Packet {
 	st, ok := f.DP.(*flowState)
 	if !ok || st == nil {
@@ -963,7 +968,19 @@ func (c *CEIO) Poll(f *iosys.Flow, out []*pkt.Packet, max int) []*pkt.Packet {
 		}
 		out = append(out, p)
 	}
+	if !st.quiescent() {
+		c.m.Doorbell(f)
+	}
 	return out
+}
+
+// quiescent reports whether polling st can do nothing until a fast-path
+// landing: the flow is on the fast path with an empty wait queue and SW
+// ring, so Poll has nothing to flush, read or pop. Leaving this state
+// outside a landing (a switch to the slow path, a wait-queue append)
+// rings the flow's doorbell.
+func (st *flowState) quiescent() bool {
+	return st.mode == pkt.PathFast && st.wqLen() == 0 && st.sw.Len() == 0
 }
 
 // OnDelivered performs lazy credit release: when the application finishes

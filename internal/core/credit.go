@@ -40,6 +40,8 @@ type CreditController struct {
 	pool  int
 	flows map[int]*FlowCredits
 	order []int // insertion order for deterministic distribution
+	// creditors is settle's reused scratch for a debtor's creditor IDs.
+	creditors []int
 
 	// Statistics.
 	Consumed  uint64
@@ -244,11 +246,12 @@ func (c *CreditController) Release(id, n int) {
 func (c *CreditController) settle(f *FlowCredits, n int) int {
 	remaining := n
 	if f.InDebt() {
-		creditors := make([]int, 0, len(f.Owes))
+		creditors := c.creditors[:0]
 		for cid := range f.Owes {
 			creditors = append(creditors, cid)
 		}
 		sort.Ints(creditors)
+		c.creditors = creditors
 		for _, cid := range creditors {
 			if remaining == 0 {
 				break

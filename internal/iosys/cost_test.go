@@ -64,8 +64,9 @@ func TestFlowFitsSizeClass(t *testing.T) {
 }
 
 // Core keeps its poll buffer in the in-flight batch field rather than a
-// field of its own, holding it in the 160-byte size class (one core per
-// CPU-involved flow on Cores == 0 machines).
+// field of its own, and packs its idle streak beside its flags, holding
+// it in the 160-byte size class (one core per CPU-involved flow on
+// Cores == 0 machines).
 func TestCoreFitsSizeClass(t *testing.T) {
 	if n := unsafe.Sizeof(iosys.Core{}); n > 160 {
 		t.Fatalf("unsafe.Sizeof(Core{}) = %d, want <= 160", n)

@@ -18,33 +18,60 @@ import (
 // share the LLC/DDIO region, memory controller, and PCIe link through
 // the common Machine models, so they contend exactly where real cores
 // do.
+//
+// Polls are gated on a doorbell (see Datapath and Machine.Doorbell): a
+// round of polls that finds nothing disarms the core, and a landing or a
+// datapath doorbell re-arms it. A disarmed core still ticks at its
+// back-off schedule and counts each tick as an empty poll, but skips the
+// datapath, whose answer is known to be empty. Such a tick reads and
+// writes only the leading fields below (48 bytes), so thousands of idle
+// per-flow cores stay cheap to step.
 type Core struct {
-	m     *Machine
+	m      *Machine
+	loopFn func() // the loop's persistent scheduling callback
+	// running is set while the core has flows to drain (start/stop), so
+	// a running core always has at least one.
+	running bool
+	armed   bool // the next poll asks the datapath
+	// idleStreak is int32 so it packs beside the two flags, holding Core
+	// in its allocation size class.
+	idleStreak int32
+
+	pollCounts // Polls, EmptyPolls, GatedPolls
+
 	queue int // rx queue index, -1 for a Cores == 0 per-flow core
 
 	flows  []*Flow // flows this core drains (at most 1 when Cores == 0)
 	cursor int     // round-robin position into flows
 
-	running    bool
-	idleStreak int
-
-	// loopFn / serveFn are the loop's persistent scheduling callbacks,
-	// built once at first start so steady-state polling does not allocate.
-	// A core processes one batch at a time, so the in-flight batch rides
-	// in the fields below between the poll and its service completion;
-	// batch's backing array is the buffer every poll appends into.
-	loopFn    func()
+	// loopFn (above) and serveFn are built once at first start so
+	// steady-state polling does not allocate. A core processes one batch
+	// at a time, so the in-flight batch rides in the fields below between
+	// the poll and its service completion; batch's backing array is the
+	// buffer every poll appends into.
 	serveFn   func()
 	batch     []*pkt.Packet
 	batchFlow *Flow
 	batchCost sim.Time
 
-	// Statistics.
+	// Service statistics.
+	Processed uint64
+	BusyTime  sim.Time
+	StallTime sim.Time // injected CPU stall time absorbed by this core
+}
+
+// pollCounts are a core's poll-loop statistics. EmptyPolls includes
+// GatedPolls, the empty polls answered without calling the datapath.
+type pollCounts struct {
 	Polls      uint64
 	EmptyPolls uint64
-	Processed  uint64
-	BusyTime   sim.Time
-	StallTime  sim.Time // injected CPU stall time absorbed by this core
+	GatedPolls uint64
+}
+
+func (p *pollCounts) add(q pollCounts) {
+	p.Polls += q.Polls
+	p.EmptyPolls += q.EmptyPolls
+	p.GatedPolls += q.GatedPolls
 }
 
 // maxIdleBackoff caps the poll back-off for long-idle cores so thousands
@@ -59,9 +86,11 @@ func (c *Core) Queue() int { return c.queue }
 func (c *Core) FlowCount() int { return len(c.flows) }
 
 // addFlow hands a flow to this core's poll loop, starting the loop if the
-// core was idle with no flows.
+// core was idle with no flows. A joining flow arms the core, so its first
+// poll asks the datapath whatever state the flow starts in.
 func (c *Core) addFlow(f *Flow) {
 	c.flows = append(c.flows, f)
+	c.armed = true
 	c.start()
 }
 
@@ -100,13 +129,24 @@ func (c *Core) start() {
 func (c *Core) stop() { c.running = false }
 
 func (c *Core) loop() {
-	if !c.running || len(c.flows) == 0 {
+	if !c.running {
 		return
 	}
 	c.Polls++
+	if !c.armed {
+		// Nothing landed and no datapath rang since the last empty round,
+		// so every flow's poll would come back empty. The tick stays in
+		// the schedule: same-timestamp events fire in scheduling order, so
+		// dropping it would move every later poll relative to them.
+		c.GatedPolls++
+		c.idle()
+		return
+	}
+	c.armed = false
 	// Round-robin service: starting at the cursor, the first flow with a
 	// non-empty batch wins the poll. With a single flow this is a
-	// dedicated-core loop.
+	// dedicated-core loop. A datapath whose flow can still make progress
+	// rings the doorbell from inside Poll, re-arming the core.
 	var batch []*pkt.Packet
 	var flow *Flow
 	n := len(c.flows)
@@ -119,19 +159,12 @@ func (c *Core) loop() {
 		}
 	}
 	if len(batch) == 0 {
-		c.EmptyPolls++
-		// Exponential back-off while idle: a busy core re-polls at the
-		// configured interval, a long-idle one at up to 128x that.
-		if c.idleStreak < maxIdleBackoff {
-			c.idleStreak += c.idleStreak + 1
-		}
-		backoff := c.idleStreak
-		if backoff > maxIdleBackoff {
-			backoff = maxIdleBackoff
-		}
-		c.m.Eng.After(c.m.Cfg.PollInterval*sim.Time(backoff), c.loopFn)
+		c.idle()
 		return
 	}
+	// The round stopped at the first busy flow: it, or the flows after
+	// it, may have more waiting.
+	c.armed = true
 	c.idleStreak = 0
 	var total sim.Time
 	for _, p := range batch {
@@ -145,6 +178,21 @@ func (c *Core) loop() {
 	}
 	c.batch, c.batchFlow, c.batchCost = batch, flow, total
 	c.m.Eng.After(total, c.serveFn)
+}
+
+// idle counts an empty poll and schedules the next one under exponential
+// back-off: a busy core re-polls at the configured interval, a long-idle
+// one at up to maxIdleBackoff times that.
+func (c *Core) idle() {
+	c.EmptyPolls++
+	if c.idleStreak < maxIdleBackoff {
+		c.idleStreak += c.idleStreak + 1
+	}
+	backoff := c.idleStreak
+	if backoff > maxIdleBackoff {
+		backoff = maxIdleBackoff
+	}
+	c.m.Eng.After(c.m.Cfg.PollInterval*sim.Time(backoff), c.loopFn)
 }
 
 // serveBatch completes the in-flight batch after its modelled CPU time:

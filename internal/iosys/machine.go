@@ -42,6 +42,13 @@ type Datapath interface {
 	// append up to max deliverable packets, in order, to out and return
 	// the extended slice. The caller owns out (the polling core reuses
 	// one buffer across polls), so a poll allocates nothing.
+	//
+	// A round of polls that returns nothing disarms the flow's core,
+	// which then skips Poll until Machine.Doorbell re-arms it; every
+	// Landed rings it. A datapath whose Poll can make progress without a
+	// landing (issue a read, flush a queue, switch paths) must ring
+	// Doorbell whenever that becomes possible, and from Poll itself
+	// while it remains so.
 	Poll(f *Flow, out []*pkt.Packet, max int) []*pkt.Packet
 	// OnDelivered runs after the application finished processing p
 	// (credit release hooks, ring head advancement).
@@ -92,6 +99,9 @@ type Machine struct {
 	// while sharing the LLC/DDIO region, memory controller, and PCIe link.
 	RSS    *flowsteer.RSS
 	queues []*Core
+	// retiredPolls sums the poll counters of Cores == 0 per-flow cores
+	// whose flows were removed (see pollTotals).
+	retiredPolls pollCounts
 
 	nextBuf cache.BufID
 
@@ -441,6 +451,11 @@ func (m *Machine) RemoveFlow(id int) {
 	f.CC.Stop()
 	if f.core != nil {
 		f.core.removeFlow(id)
+		if m.RSS == nil {
+			// The flow's own core is stopped for good: its counters are
+			// final.
+			m.retiredPolls.add(f.core.pollCounts)
+		}
 	}
 	m.DP.FlowRemoved(f)
 	if m.Tenants != nil {
@@ -460,6 +475,19 @@ func (m *Machine) Core(id int) *Core {
 		return f.core
 	}
 	return nil
+}
+
+// pollTotals sums the poll counters of every per-flow core a Cores == 0
+// machine has run: the live flows' cores plus those retired by
+// RemoveFlow. Read-time only; the poll loop keeps no machine total.
+func (m *Machine) pollTotals() pollCounts {
+	t := m.retiredPolls
+	for _, f := range m.Flows {
+		if f.core != nil {
+			t.add(f.core.pollCounts)
+		}
+	}
+	return t
 }
 
 // QueueCores returns the per-queue cores of a multi-queue machine (nil on
@@ -687,7 +715,17 @@ func dmaCommitted(arg any) {
 	m.Trace(trace.KindLanded, p.FlowID, p.Seq)
 	m.putDMAJob(j)
 	w.Done()
+	m.Doorbell(f)
 	m.DP.Landed(f, p)
+}
+
+// Doorbell arms the core that drains f, so its next poll calls the
+// datapath instead of being answered empty (see Datapath.Poll). A no-op
+// for CPU-bypass flows, which have no core.
+func (m *Machine) Doorbell(f *Flow) {
+	if f.core != nil {
+		f.core.armed = true
+	}
 }
 
 // writebackEvicted charges DRAM writebacks for buffers evicted from the

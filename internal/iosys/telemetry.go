@@ -181,6 +181,24 @@ func (m *Machine) registerMetrics() {
 			func() uint64 { return m.Tenants.WaysMoved })
 	}
 
+	// Poll-loop counters. A multi-queue machine labels them per core
+	// below; with Cores == 0 every CPU-involved flow has a core of its
+	// own, and one unlabelled machine-wide series sums them all, retired
+	// cores included, at read time.
+	const (
+		pollsHelp      = "Poll-loop iterations run by the core."
+		emptyPollsHelp = "Poll-loop iterations that found no packets."
+		gatedPollsHelp = "Empty polls answered without calling the datapath (core disarmed, no doorbell since its last empty round)."
+	)
+	if m.RSS == nil {
+		reg.Counter("iosys.core.polls_total", pollsHelp,
+			func() uint64 { return m.pollTotals().Polls })
+		reg.Counter("iosys.core.empty_polls_total", emptyPollsHelp,
+			func() uint64 { return m.pollTotals().EmptyPolls })
+		reg.Counter("iosys.core.gated_polls_total", gatedPollsHelp,
+			func() uint64 { return m.pollTotals().GatedPolls })
+	}
+
 	// Multi-queue rx path: RSS dispatch counters plus one series set per
 	// rx-queue core, labelled core="<queue index>". The per-core LLC split
 	// is consume-side attribution — which core paid for each read — so
@@ -194,10 +212,12 @@ func (m *Machine) registerMetrics() {
 		for q, c := range m.queues {
 			q, c := q, c
 			lbl := telemetry.L("core", strconv.Itoa(q))
-			reg.Counter("iosys.core.polls_total", "Poll-loop iterations run by the core.",
+			reg.Counter("iosys.core.polls_total", pollsHelp,
 				func() uint64 { return c.Polls }, lbl)
-			reg.Counter("iosys.core.empty_polls_total", "Poll-loop iterations that found no packets.",
+			reg.Counter("iosys.core.empty_polls_total", emptyPollsHelp,
 				func() uint64 { return c.EmptyPolls }, lbl)
+			reg.Counter("iosys.core.gated_polls_total", gatedPollsHelp,
+				func() uint64 { return c.GatedPolls }, lbl)
 			reg.Counter("iosys.core.processed_total", "Packets processed by the core.",
 				func() uint64 { return c.Processed }, lbl)
 			reg.Gauge("iosys.core.busy_ratio", "Fraction of wall time the core spent processing packets.",
