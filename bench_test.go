@@ -353,12 +353,12 @@ func BenchmarkSWRingMixedPath(b *testing.B) {
 func BenchmarkCreditConsumeRelease(b *testing.B) {
 	b.ReportAllocs()
 	ctrl := core.NewCreditController(3072)
-	ctrl.AddFlows(1, 2, 3, 4)
+	accts := ctrl.AddFlows(1, 2, 3, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := i%4 + 1
-		if ctrl.Consume(id) {
-			ctrl.Release(id, 1)
+		f := accts[i%4]
+		if ctrl.Consume(f) {
+			ctrl.Release(f, 1)
 		}
 	}
 }

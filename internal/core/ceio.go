@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"ceio/internal/flowsteer"
 	"ceio/internal/iosys"
@@ -101,13 +102,13 @@ func DefaultOptions() Options {
 }
 
 // flowState is the per-flow state of the flow controller plus elastic
-// buffer manager.
+// buffer manager. Hooks reach it through Flow.DP, never by flow ID, so a
+// torn-down flow's packets find only its own (gone) state.
 type flowState struct {
 	f  *iosys.Flow
 	sw *ring.SWRing
-	// cred is the flow's controller account, cached at FlowAdded so the
-	// per-packet credit reads skip the controller's ID lookup. RemoveFlow
-	// zeroes it, so a torn-down state reads no credits.
+	// cred is the flow's controller account. RemoveFlow zeroes and retires
+	// it, so a torn-down state reads no credits and releases nothing.
 	cred *FlowCredits
 	// slot is the flow's index in its byQueue member list (see
 	// coreshare.go); -1 when it is not listed there.
@@ -179,7 +180,7 @@ type CEIO struct {
 	opt  Options
 	ctrl *CreditController
 
-	flows    map[int]*flowState
+	flows    []*flowState // live flows; flows[i].cred is ctrl.flows[i]
 	rrCursor int
 	mpqInUse int // shared credits consumed (MPQ scheduler only)
 
@@ -276,7 +277,6 @@ func New(opts Options) *CEIO {
 	}
 	return &CEIO{
 		opt:      opts,
-		flows:    make(map[int]*flowState),
 		draining: make(map[*flowState]struct{}),
 	}
 }
@@ -329,18 +329,17 @@ func (c *CEIO) FaultsEnabled() {
 // FlowAdded allocates credits per Algorithm 1 and offloads the initial
 // fast-path steering rule to the RMT engine.
 func (c *CEIO) FlowAdded(f *iosys.Flow) {
-	c.ctrl.AddFlows(f.ID)
-	st := &flowState{f: f, sw: ring.NewSWRing(c.opt.SWRingEntries), cred: c.ctrl.Flow(f.ID), slot: -1}
+	st := &flowState{f: f, sw: ring.NewSWRing(c.opt.SWRingEntries), cred: c.ctrl.AddFlows(f.ID)[0], slot: -1}
 	st.sw.FaultTolerant = c.faultMode
 	if c.opt.ForceSlowPath {
-		c.ctrl.Recycle(f.ID)
+		c.ctrl.Recycle(st.cred)
 		st.mode = pkt.PathSlow
 		c.m.Steer.Install(f.ID, flowsteer.ActionSlowPath)
 	} else {
 		st.mode = pkt.PathFast
 		c.m.Steer.Install(f.ID, flowsteer.ActionFastPath)
 	}
-	c.flows[f.ID] = st
+	c.flows = append(c.flows, st)
 	c.addMember(st)
 	f.DP = st
 }
@@ -348,18 +347,18 @@ func (c *CEIO) FlowAdded(f *iosys.Flow) {
 // FlowRemoved releases the flow's credits back to the pool, removes its
 // steering rule, and tears down its elastic-buffer residue.
 func (c *CEIO) FlowRemoved(f *iosys.Flow) {
-	st := c.flows[f.ID]
-	if st != nil && st.unreleased > 0 {
+	st := f.DP.(*flowState)
+	if st.unreleased > 0 {
 		c.release(st, st.unreleased)
 		st.unreleased = 0
 	}
-	c.ctrl.RemoveFlow(f.ID)
+	c.ctrl.RemoveFlow(st.cred)
 	c.m.Steer.Uninstall(f.ID)
-	delete(c.flows, f.ID)
-	if st != nil {
-		c.dropMember(st)
-		c.teardownElastic(st)
+	if i := slices.Index(c.flows, st); i >= 0 {
+		c.flows = slices.Delete(c.flows, i, i+1)
 	}
+	c.dropMember(st)
+	c.teardownElastic(st)
 }
 
 // teardownElastic surrenders the elastic-buffer state a removed flow still
@@ -457,8 +456,8 @@ func (c *CEIO) putJob(j *ctrlJob) {
 // buffer. The control overhead models the flow controller logic on the
 // NIC cores.
 func (c *CEIO) Ingress(f *iosys.Flow, p *pkt.Packet) {
-	st := c.flows[f.ID]
-	if st == nil {
+	st := f.DP.(*flowState)
+	if st.gone {
 		return // flow torn down while the packet was on the wire
 	}
 	c.m.Eng.AfterArg(c.opt.ControlOverhead, ctrlDecide, c.getJob(st, p))
@@ -507,7 +506,7 @@ func (c *CEIO) setSteer(st *flowState, a flowsteer.Action) {
 }
 
 func (c *CEIO) trySteer(st *flowState, a flowsteer.Action, epoch uint64, attempt int) {
-	if st.steerEpoch != epoch || c.flows[st.f.ID] != st {
+	if st.steerEpoch != epoch || st.gone {
 		return // superseded, or flow gone
 	}
 	if c.m.Faults == nil {
@@ -535,7 +534,7 @@ func (c *CEIO) trySteer(st *flowState, a flowsteer.Action, epoch uint64, attempt
 }
 
 func (c *CEIO) commitSteer(st *flowState, a flowsteer.Action, epoch uint64) {
-	if st.steerEpoch != epoch || c.flows[st.f.ID] != st {
+	if st.steerEpoch != epoch || st.gone {
 		return
 	}
 	c.m.Steer.SetAction(st.f.ID, a)
@@ -582,7 +581,7 @@ func (c *CEIO) admit(st *flowState, p *pkt.Packet) bool {
 		c.CoreRejects++
 		return false
 	}
-	if !c.ctrl.Consume(st.f.ID) {
+	if !c.ctrl.Consume(st.cred) {
 		return false
 	}
 	// Proactive rate signal: when the flow's credit balance runs low, the
@@ -623,7 +622,7 @@ func (c *CEIO) unadmit(st *flowState) {
 		c.mpqReleaseOne()
 		return
 	}
-	c.ctrl.Release(st.f.ID, 1)
+	c.ctrl.Release(st.cred, 1)
 }
 
 // tenantInUse sums the fast-path credits currently in flight for the
@@ -635,9 +634,7 @@ func (c *CEIO) tenantInUse(idx int) int {
 	held := 0
 	for _, st := range c.flows {
 		if st.f.TenantIndex() == idx {
-			if f := c.ctrl.Flow(st.f.ID); f != nil {
-				held += f.InUse
-			}
+			held += st.cred.InUse
 		}
 	}
 	return held
@@ -1015,9 +1012,9 @@ func (c *CEIO) OnDelivered(f *iosys.Flow, p *pkt.Packet) {
 // lost in transit — the credits then stay InUse until the reconciliation
 // heartbeat notices the gap between releasesSent and releasesApplied and
 // reclaims them. Fault-free it is exactly a CreditController.Release.
-// A torn-down flow's stragglers stop short of the controller: teardown
-// already reclaimed its in-use credits, and the flow ID may since have
-// been re-established on this host with a fresh ledger.
+// A torn-down flow's stragglers reach only its retired account, where
+// they are no-ops: teardown already reclaimed its in-use credits, and a
+// flow that since reuses the ID holds a fresh account.
 func (c *CEIO) release(st *flowState, n int) {
 	if n <= 0 {
 		return
@@ -1036,9 +1033,7 @@ func (c *CEIO) release(st *flowState, n int) {
 	}
 	if n > 0 {
 		st.releasesApplied += uint64(n)
-		if !st.gone {
-			c.ctrl.Release(st.f.ID, n)
-		}
+		c.ctrl.Release(st.cred, n)
 	}
 }
 
@@ -1050,16 +1045,12 @@ func (c *CEIO) release(st *flowState, n int) {
 // back. Reclaiming the difference restores credit conservation and lets
 // the flow resume the fast path.
 func (c *CEIO) reconcileCredits() {
-	for _, id := range c.ctrl.order {
-		st := c.flows[id]
-		if st == nil {
-			continue
-		}
+	for _, st := range c.flows {
 		leak := int64(st.releasesSent) - int64(st.releasesApplied)
 		if leak <= 0 {
 			continue
 		}
-		if r := c.ctrl.ReclaimInUse(id, int(leak)); r > 0 {
+		if r := c.ctrl.ReclaimInUse(st.cred, int(leak)); r > 0 {
 			st.releasesApplied += uint64(r)
 			c.CreditsReclaimed += uint64(r)
 			c.maybeResumeFast(st)
@@ -1155,13 +1146,13 @@ func (c *CEIO) scanActiveFlows() {
 		case inactive:
 			// Long-idle flows hold no credits at all (the paper's coarse
 			// inactivity timer, scaled).
-			c.ctrl.Recycle(st.f.ID)
+			c.ctrl.Recycle(st.cred)
 		case st.mode == pkt.PathSlow:
 			// Slow-path flows (more likely CPU-bypass) donate everything
 			// above a small reserve kept for their return to the fast
 			// path; the round-robin timer guarantees they come back.
-			if extra := c.ctrl.Available(st.f.ID) - c.opt.ReactivateQuota; extra > 0 {
-				c.ctrl.Take(st.f.ID, extra)
+			if extra := st.cred.Available - c.opt.ReactivateQuota; extra > 0 {
+				c.ctrl.Take(st.cred, extra)
 			}
 		}
 	}
@@ -1173,24 +1164,14 @@ func (c *CEIO) scanActiveFlows() {
 	if nActive > 0 {
 		share = c.ctrl.Total() / nActive
 	}
-	// Grants never add or remove flows, so the controller's insertion
-	// order is iterated in place.
-	for _, id := range c.ctrl.order {
-		st := c.flows[id]
-		if st == nil || !st.active || st.mode != pkt.PathFast {
-			continue
-		}
-		if have := c.ctrl.Available(id); have < share {
-			c.ctrl.Grant(id, share-have)
+	for _, st := range c.flows {
+		if st.active && st.mode == pkt.PathFast && st.cred.Available < share {
+			c.ctrl.Grant(st.cred, share-st.cred.Available)
 		}
 	}
-	for _, id := range c.ctrl.order {
-		st := c.flows[id]
-		if st == nil || !st.active || st.mode != pkt.PathSlow {
-			continue
-		}
-		if have := c.ctrl.Available(id); have < c.opt.ReactivateQuota {
-			c.ctrl.Grant(id, c.opt.ReactivateQuota-have)
+	for _, st := range c.flows {
+		if st.active && st.mode == pkt.PathSlow && st.cred.Available < c.opt.ReactivateQuota {
+			c.ctrl.Grant(st.cred, c.opt.ReactivateQuota-st.cred.Available)
 		}
 	}
 	// Move per-core shares toward the cores that carry the active flows,
@@ -1202,17 +1183,13 @@ func (c *CEIO) scanActiveFlows() {
 // grants a quota to the next slow-path flow so every flow gets an
 // opportunity to return to the fast path.
 func (c *CEIO) reactivateRoundRobin() {
-	ids := c.ctrl.order
-	if len(ids) == 0 {
-		return
-	}
-	for i := 0; i < len(ids); i++ {
-		c.rrCursor = (c.rrCursor + 1) % len(ids)
-		st := c.flows[ids[c.rrCursor]]
-		if st == nil || st.mode != pkt.PathSlow {
+	for range c.flows {
+		c.rrCursor = (c.rrCursor + 1) % len(c.flows)
+		st := c.flows[c.rrCursor]
+		if st.mode != pkt.PathSlow {
 			continue
 		}
-		c.ctrl.Grant(st.f.ID, c.opt.ReactivateQuota)
+		c.ctrl.Grant(st.cred, c.opt.ReactivateQuota)
 		c.maybeResumeFast(st)
 		return
 	}
@@ -1221,10 +1198,20 @@ func (c *CEIO) reactivateRoundRobin() {
 var _ iosys.Datapath = (*CEIO)(nil)
 var _ iosys.FaultAware = (*CEIO)(nil)
 
-// AuditCredits verifies both credit invariants: instantaneous pool
-// conservation (pool + Σ accounts == total) and the lifetime consumption
-// ledger (consumed == released + reclaimed + in-use).
+// AuditCredits verifies that the live flows pair up index by index with
+// the controller's live accounts, none retired, then both credit
+// invariants: instantaneous pool conservation (pool + Σ accounts == total)
+// and the lifetime consumption ledger (consumed == released + reclaimed +
+// in-use).
 func (c *CEIO) AuditCredits() error {
+	if accts := c.ctrl.flows; len(c.flows) != len(accts) {
+		return fmt.Errorf("core: %d live flows, %d live credit accounts", len(c.flows), len(accts))
+	}
+	for i, st := range c.flows {
+		if st.cred != c.ctrl.flows[i] || st.cred.retired {
+			return fmt.Errorf("core: live flow %d at %d does not hold the controller's live account there", st.f.ID, i)
+		}
+	}
 	if err := c.ctrl.CheckInvariant(); err != nil {
 		return err
 	}
@@ -1292,10 +1279,11 @@ func (c *CEIO) Degraded() int {
 // DebugFlow returns a one-line summary of a flow's elastic state
 // (diagnostics and tests).
 func (c *CEIO) DebugFlow(id int) string {
-	st := c.flows[id]
-	if st == nil {
+	f := c.m.Flows[id]
+	if f == nil {
 		return "<none>"
 	}
+	st := f.DP.(*flowState)
 	return fmt.Sprintf("mode=%v onNIC=%d waitQ=%d reads=%d swLen=%d unreleased=%d",
 		st.mode, st.onNIC, st.wqLen(), st.readsInFlight, st.sw.Len(), st.unreleased)
 }

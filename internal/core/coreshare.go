@@ -19,8 +19,8 @@ import "fmt"
 // every flow. A flow's rx queue is fixed at AddFlow, so on a multi-queue
 // machine each live flow sits, from FlowAdded to FlowRemoved, in exactly
 // one byQueue list, and its slot field records where, for O(1)
-// swap-removal. Summing the cached accounts' InUse over a list costs
-// O(flows on that queue) per admission instead of a scan of the flow map.
+// swap-removal. Summing InUse over one list's accounts costs
+// O(flows on that queue) per admission instead of a scan of every flow.
 // AuditCoreShares checks that the lists partition the live flows and that
 // every list sum equals a scan.
 
@@ -57,26 +57,22 @@ func (c *CEIO) dropMember(st *flowState) {
 }
 
 // auditMembers checks the byQueue lists against a scan of the live
-// flows: every live flow caches the controller's account and sits at its
-// own slot of its own queue's list, the lists hold no other flows, and
-// each list's InUse sum equals the scan's.
+// flows: every live flow sits at its own slot of its own queue's list,
+// the lists hold no other flows, and each list's InUse sum equals the
+// scan's.
 func (c *CEIO) auditMembers() error {
 	c.auditSums = append(c.auditSums[:0], make([]int, len(c.byQueue))...)
 	live := 0
-	for id, st := range c.flows {
-		acct := c.ctrl.Flow(id)
-		if st.cred != acct {
-			return fmt.Errorf("core: flow %d caches a credit account that is not the controller's", id)
-		}
+	for _, st := range c.flows {
 		q := c.queueOf(st)
 		if q < 0 {
 			continue
 		}
 		live++
 		if i := st.slot; i < 0 || int(i) >= len(c.byQueue[q]) || c.byQueue[q][i] != st {
-			return fmt.Errorf("core: live flow %d missing from its queue list %d", id, q)
+			return fmt.Errorf("core: live flow %d missing from its queue list %d", st.f.ID, q)
 		}
-		c.auditSums[q] += acct.InUse
+		c.auditSums[q] += st.cred.InUse
 	}
 	listed := 0
 	for q, list := range c.byQueue {

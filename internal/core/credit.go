@@ -5,11 +5,14 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 )
 
-// FlowCredits is the controller's per-flow account.
+// FlowCredits is the controller's per-flow account: the handle AddFlows
+// returns and every other operation takes. There is no flow-ID index, so
+// an ID re-added after RemoveFlow gets a fresh, unrelated account.
 type FlowCredits struct {
 	ID int
 	// Available credits may be consumed by arriving packets.
@@ -19,10 +22,15 @@ type FlowCredits struct {
 	InUse int
 	// Owes records IOUs created by Algorithm 1 when this flow lacked
 	// sufficient available credits at reallocation time (the paper's set
-	// I and o_j^i bookkeeping): creditor flow ID -> credits owed. Debts
-	// are settled first out of this flow's released credits. Nil until
-	// the flow first goes into debt.
-	Owes map[int]int
+	// I and o_j^i bookkeeping): creditor account -> credits owed. Debts
+	// are settled first out of this flow's released credits, in ascending
+	// creditor-ID order; a debt to a retired creditor pays the pool, never
+	// a later account that reuses the creditor's ID. Nil until the flow
+	// first goes into debt.
+	Owes map[*FlowCredits]int
+	// retired is set by RemoveFlow: the account is zeroed and out of the
+	// controller's list, and Release and Grant on it are no-ops.
+	retired bool
 }
 
 // InDebt reports whether the flow still owes credits (member of I).
@@ -33,15 +41,17 @@ func (f *FlowCredits) InDebt() bool { return len(f.Owes) > 0 }
 // (C_total = Size_LLC / Size_buf, Eq. 1); a packet that cannot obtain a
 // credit is diverted to the slow path by the flow controller.
 //
-// Invariant: pool + Σ_flows (Available + InUse) == total, always.
-// IOUs are promises against future releases and carry no credits.
+// Invariants: pool + Σ_flows (Available + InUse) == total, always, where
+// the sum runs over the live accounts (retired ones are zeroed). The live
+// accounts are listed in insertion order, which fixes Algorithm 1's
+// contribution order, and none of them is retired. IOUs are promises
+// against future releases and carry no credits.
 type CreditController struct {
 	total int
 	pool  int
-	flows map[int]*FlowCredits
-	order []int // insertion order for deterministic distribution
-	// creditors is settle's reused scratch for a debtor's creditor IDs.
-	creditors []int
+	flows []*FlowCredits // live accounts, in insertion order
+	// creditors is settle's reused scratch for a debtor's creditors.
+	creditors []*FlowCredits
 
 	// Statistics.
 	Consumed  uint64
@@ -63,7 +73,7 @@ func NewCreditController(total int) *CreditController {
 	if total <= 0 {
 		panic("core: total credits must be positive")
 	}
-	return &CreditController{total: total, pool: total, flows: make(map[int]*FlowCredits)}
+	return &CreditController{total: total, pool: total}
 }
 
 // Total returns C_total.
@@ -72,44 +82,29 @@ func (c *CreditController) Total() int { return c.total }
 // Pool returns currently unassigned credits.
 func (c *CreditController) Pool() int { return c.pool }
 
-// Flow returns the account for id, or nil.
-func (c *CreditController) Flow(id int) *FlowCredits { return c.flows[id] }
-
-// Available returns the flow's spendable credits (0 for unknown flows).
-func (c *CreditController) Available(id int) int {
-	if f := c.flows[id]; f != nil {
-		return f.Available
-	}
-	return 0
-}
-
 // AddFlows runs the credit assignment of Algorithm 1 for m newly arrived
-// flows against the n existing ones: each new flow is targeted at
-// C_flow = C_total/(n+m) credits, funded first from the unassigned pool
-// and then by equal contributions from existing flows. An existing flow
-// whose available credits cannot cover its contribution (its credits are
-// InUse by in-flight packets) enters the debtor set: it gives what it has
-// and records IOUs (o_j^i) settled during future releases — this is what
+// flows against the n existing ones and returns the new accounts, in
+// argument order: each new flow is targeted at C_flow = C_total/(n+m)
+// credits, funded first from the unassigned pool and then by equal
+// contributions from existing flows. An existing flow whose available
+// credits cannot cover its contribution (its credits are InUse by
+// in-flight packets) enters the debtor set: it gives what it has and
+// records IOUs (o_j^i) settled during future releases — this is what
 // prevents starvation of newly arrived flows (lines 8-14 of Algorithm 1).
-func (c *CreditController) AddFlows(ids ...int) {
+func (c *CreditController) AddFlows(ids ...int) []*FlowCredits {
 	m := len(ids)
 	if m == 0 {
-		return
+		return nil
 	}
-	n := len(c.order)
-	newFlows := make([]*FlowCredits, 0, m)
-	for _, id := range ids {
-		if _, dup := c.flows[id]; dup {
-			panic(fmt.Sprintf("core: duplicate flow %d", id))
-		}
-		f := &FlowCredits{ID: id}
-		c.flows[id] = f
-		c.order = append(c.order, id)
-		newFlows = append(newFlows, f)
+	// The existing flows are the prefix of the list before the appends.
+	n := len(c.flows)
+	newFlows := make([]*FlowCredits, m)
+	for k, id := range ids {
+		newFlows[k] = &FlowCredits{ID: id}
 	}
-	// The existing flows are the prefix of the order before the appends.
-	existing := c.order[:n]
-	cflow := c.total / len(c.order)
+	c.flows = append(c.flows, newFlows...)
+	existing := c.flows[:n]
+	cflow := c.total / len(c.flows)
 	need := make([]int, m)
 	totalNeed := 0
 	for k := range need {
@@ -140,14 +135,14 @@ func (c *CreditController) AddFlows(ids ...int) {
 		remaining += v
 	}
 	if remaining == 0 || len(existing) == 0 {
-		return
+		return newFlows
 	}
 
 	// Equal contributions from existing flows (remainder spread over the
 	// first flows in insertion order).
 	quota := remaining / len(existing)
 	extra := remaining % len(existing)
-	for idx, id := range existing {
+	for idx, e := range existing {
 		q := quota
 		if idx < extra {
 			q++
@@ -155,14 +150,13 @@ func (c *CreditController) AddFlows(ids ...int) {
 		if q == 0 {
 			continue
 		}
-		e := c.flows[id]
 		give := min(e.Available, q)
 		e.Available -= give
 		fill(give)
 		if deficit := q - give; deficit > 0 {
 			// Record IOUs toward new flows that are still under target.
 			if e.Owes == nil {
-				e.Owes = make(map[int]int)
+				e.Owes = make(map[*FlowCredits]int)
 			}
 			for k := range need {
 				if deficit == 0 {
@@ -172,42 +166,40 @@ func (c *CreditController) AddFlows(ids ...int) {
 					continue
 				}
 				d := min(need[k], deficit)
-				e.Owes[newFlows[k].ID] += d
+				e.Owes[newFlows[k]] += d
 				need[k] -= d
 				deficit -= d
 			}
 			c.Reallocs++
 		}
 	}
+	return newFlows
 }
 
 // RemoveFlow returns the flow's credits (including those still in use by
-// draining packets) to the pool and cancels its debts. Debts other flows
-// owe to it are redirected to the pool when paid. The retired account is
-// zeroed, so a holder of its pointer reads no credits, as Available does
-// for an unknown ID.
-func (c *CreditController) RemoveFlow(id int) {
-	f, ok := c.flows[id]
-	if !ok {
+// draining packets) to the pool, cancels its debts and retires the
+// account. Debts other flows owe to it are redirected to the pool when
+// paid. The retired account is zeroed, so a holder of its pointer reads no
+// credits, and Release and Grant on it are no-ops. Removing a retired
+// account again is a no-op.
+func (c *CreditController) RemoveFlow(f *FlowCredits) {
+	if f.retired {
 		return
 	}
 	c.pool += f.Available + f.InUse
 	c.Reclaimed += uint64(f.InUse)
 	f.Available, f.InUse = 0, 0
-	delete(c.flows, id)
-	for i, v := range c.order {
-		if v == id {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
+	f.Owes = nil
+	f.retired = true
+	if i := slices.Index(c.flows, f); i >= 0 {
+		c.flows = slices.Delete(c.flows, i, i+1)
 	}
 }
 
 // Consume attempts to take one credit for an arriving packet. Failure
 // means the flow controller must steer the packet to the slow path.
-func (c *CreditController) Consume(id int) bool {
-	f := c.flows[id]
-	if f == nil || f.Available == 0 {
+func (c *CreditController) Consume(f *FlowCredits) bool {
+	if f.Available == 0 {
 		c.Rejected++
 		return false
 	}
@@ -222,56 +214,64 @@ func (c *CreditController) Consume(id int) bool {
 // message batch, returning n credits. Debts from Algorithm 1 are settled
 // first, in ascending creditor-ID order for determinism; the remainder
 // returns to the flow.
-func (c *CreditController) Release(id, n int) {
-	if n <= 0 {
-		return
-	}
-	f := c.flows[id]
-	if f == nil {
-		// Flow already torn down: RemoveFlow reclaimed its in-use credits,
+func (c *CreditController) Release(f *FlowCredits, n int) {
+	if n <= 0 || f.retired {
+		// A retired account's in-use credits were reclaimed by RemoveFlow,
 		// so a straggling release must not refund them twice.
 		return
 	}
 	if n > f.InUse {
-		panic(fmt.Sprintf("core: flow %d releasing %d credits with only %d in use", id, n, f.InUse))
+		panic(fmt.Sprintf("core: flow %d releasing %d credits with only %d in use", f.ID, n, f.InUse))
 	}
-	f.InUse -= n
 	c.Released += uint64(n)
-	f.Available += c.settle(f, n)
+	c.settle(f, n)
 }
 
-// settle pays down f's IOUs from n freshly freed credits (ascending
-// creditor-ID order for determinism) and returns the unspent remainder,
-// which the caller credits back to the flow.
-func (c *CreditController) settle(f *FlowCredits, n int) int {
-	remaining := n
-	if f.InDebt() {
-		creditors := c.creditors[:0]
-		for cid := range f.Owes {
-			creditors = append(creditors, cid)
+// byCreditor orders settle's creditors by ascending ID; a retired account
+// sorts before a live one that reuses its ID. Retired accounts sharing an
+// ID tie, which is harmless: each of them pays the pool.
+func byCreditor(a, b *FlowCredits) int {
+	if a.ID != b.ID || a.retired == b.retired {
+		return cmp.Compare(a.ID, b.ID)
+	}
+	if a.retired {
+		return -1
+	}
+	return 1
+}
+
+// settle frees n of f's in-use credits: they pay down f's IOUs first
+// (ascending creditor-ID order for determinism), and the remainder
+// returns to f's available balance.
+func (c *CreditController) settle(f *FlowCredits, n int) {
+	f.InUse -= n
+	if !f.InDebt() {
+		f.Available += n
+		return
+	}
+	creditors := c.creditors[:0]
+	for cr := range f.Owes {
+		creditors = append(creditors, cr)
+	}
+	slices.SortFunc(creditors, byCreditor)
+	c.creditors = creditors
+	for _, cr := range creditors {
+		if n == 0 {
+			break
 		}
-		sort.Ints(creditors)
-		c.creditors = creditors
-		for _, cid := range creditors {
-			if remaining == 0 {
-				break
-			}
-			pay := min(f.Owes[cid], remaining)
-			if cr := c.flows[cid]; cr != nil {
-				cr.Available += pay
-			} else {
-				c.pool += pay
-			}
-			remaining -= pay
-			c.DebtsPaid += uint64(pay)
-			if f.Owes[cid] == pay {
-				delete(f.Owes, cid)
-			} else {
-				f.Owes[cid] -= pay
-			}
+		pay := min(f.Owes[cr], n)
+		if cr.retired {
+			c.pool += pay
+		} else {
+			cr.Available += pay
+		}
+		n -= pay
+		c.DebtsPaid += uint64(pay)
+		if f.Owes[cr] -= pay; f.Owes[cr] == 0 {
+			delete(f.Owes, cr)
 		}
 	}
-	return remaining
+	f.Available += n
 }
 
 // ReclaimInUse forcibly recovers up to n of the flow's in-use credits
@@ -281,29 +281,20 @@ func (c *CreditController) settle(f *FlowCredits, n int) int {
 // forever). Recovered credits settle the flow's debts first, like a
 // normal release, and the remainder returns to the flow's available
 // balance. It returns the number actually reclaimed.
-func (c *CreditController) ReclaimInUse(id, n int) int {
-	f := c.flows[id]
-	if f == nil || n <= 0 {
-		return 0
-	}
+func (c *CreditController) ReclaimInUse(f *FlowCredits, n int) int {
 	r := min(f.InUse, n)
-	if r == 0 {
+	if r <= 0 {
 		return 0
 	}
-	f.InUse -= r
 	c.Reclaimed += uint64(r)
-	f.Available += c.settle(f, r)
+	c.settle(f, r)
 	return r
 }
 
 // Recycle implements the active-flow strategy's reclamation (§4.1 Q3):
 // an inactive flow's available credits return to the pool for
 // reallocation. It returns the number recycled.
-func (c *CreditController) Recycle(id int) int {
-	f := c.flows[id]
-	if f == nil {
-		return 0
-	}
+func (c *CreditController) Recycle(f *FlowCredits) int {
 	n := f.Available
 	f.Available = 0
 	c.pool += n
@@ -312,22 +303,17 @@ func (c *CreditController) Recycle(id int) int {
 
 // Take moves up to n of the flow's available credits back to the pool
 // (partial recycle) and returns the amount taken.
-func (c *CreditController) Take(id, n int) int {
-	f := c.flows[id]
-	if f == nil || n <= 0 {
-		return 0
-	}
-	t := min(f.Available, n)
+func (c *CreditController) Take(f *FlowCredits, n int) int {
+	t := max(0, min(f.Available, n))
 	f.Available -= t
 	c.pool += t
 	return t
 }
 
 // Grant moves up to max credits from the pool to the flow and returns the
-// amount granted.
-func (c *CreditController) Grant(id, max int) int {
-	f := c.flows[id]
-	if f == nil || max <= 0 {
+// amount granted (none to a retired account).
+func (c *CreditController) Grant(f *FlowCredits, max int) int {
+	if f.retired || max <= 0 {
 		return 0
 	}
 	g := min(c.pool, max)
@@ -339,10 +325,10 @@ func (c *CreditController) Grant(id, max int) int {
 // FairShare returns C_total divided by the current flow count (C_flow of
 // Eq. 2), or C_total when no flows exist.
 func (c *CreditController) FairShare() int {
-	if len(c.order) == 0 {
+	if len(c.flows) == 0 {
 		return c.total
 	}
-	return c.total / len(c.order)
+	return c.total / len(c.flows)
 }
 
 // CheckInvariant verifies credit conservation.
@@ -378,11 +364,4 @@ func (c *CreditController) CheckConservation() error {
 			c.Consumed, c.Released, c.Reclaimed, inUse)
 	}
 	return nil
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -98,9 +98,8 @@ func (c *CEIO) mpqOf(st *flowState) *mpqState {
 // scheduler (0 = highest; -1 when MPQ is disabled or the flow is
 // unknown). Exposed for the ablation experiment and diagnostics.
 func (c *CEIO) FlowPriority(id int) int {
-	st := c.flows[id]
-	if st == nil || st.mpq == nil {
-		return -1
+	if f := c.m.Flows[id]; f != nil && f.DP.(*flowState).mpq != nil {
+		return f.DP.(*flowState).mpq.priority
 	}
-	return st.mpq.priority
+	return -1
 }

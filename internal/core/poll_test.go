@@ -24,7 +24,7 @@ func TestCEIOPollSteadyStateZeroAlloc(t *testing.T) {
 		ID: 1, Kind: iosys.CPUInvolved, PktSize: 512, MsgPkts: 4,
 		Cost: iosys.CostModel{PerPacket: 250 * sim.Nanosecond, ZeroCopy: true},
 	})
-	st := dp.flows[1]
+	st := f.DP.(*flowState)
 	// Warm up until an arrival burst sits in the ring, then poll directly
 	// with the engine stopped: in-flight reads stay unready, so every
 	// poll rescans the same pending entries.
