@@ -280,7 +280,6 @@ func BenchmarkLLCStateWorkingSet(b *testing.B) {
 	const (
 		stateLines = 3_700_000 / 64
 		inFlight   = 1536
-		stateTag   = cache.BufID(1) << 63
 	)
 	llc := cache.NewLLC(6 << 20)
 	rng := rand.New(rand.NewSource(1))
@@ -291,7 +290,7 @@ func BenchmarkLLCStateWorkingSet(b *testing.B) {
 		}
 		for t := 0; t < 8; t++ {
 			line := rng.Intn(stateLines)
-			llc.TouchState(0, stateTag|cache.BufID(line%4)<<40|cache.BufID(line), 64)
+			llc.TouchState(0, cache.StateLineID(line%4, line/4), 64)
 		}
 	}
 	const warm = 4 * stateLines

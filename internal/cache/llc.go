@@ -15,6 +15,47 @@ import "fmt"
 // BufID identifies one I/O buffer in flight through the hierarchy.
 type BufID uint64
 
+// A dataplane state line (see internal/dataplane) shares the BufID space
+// with packet buffers, which count up from 1 per machine. Its ID is
+// stateTag | module<<stateLineBits | line, so the ID itself says where
+// the line's entry sits in its module's direct table.
+const (
+	stateTag      BufID = 1 << 63
+	stateLineBits       = 24 // lines per module: 1 GiB of 64 B state
+	stateModBits        = 8  // modules per machine
+	stateLineMask       = 1<<stateLineBits - 1
+)
+
+// StateLineID builds the BufID for one line of one module's state. It
+// panics when module or line does not fit its bit field: such an ID
+// would alias another line, and a direct table sized by it would grow
+// without bound.
+func StateLineID(module, line int) BufID {
+	if uint(module) >= 1<<stateModBits || uint(line) >= 1<<stateLineBits {
+		panic(badStateLine{module, line})
+	}
+	return stateTag | BufID(module)<<stateLineBits | BufID(line)
+}
+
+// badStateLine is StateLineID's panic value; a value rather than a
+// formatted string keeps StateLineID small enough to inline.
+type badStateLine struct{ module, line int }
+
+func (e badStateLine) Error() string {
+	return fmt.Sprintf("cache: state line %d of module %d outside the %d-bit line or %d-bit module field",
+		e.line, e.module, stateLineBits, stateModBits)
+}
+
+// IsStateLine reports whether id is a dataplane state line: an ID
+// StateLineID builds, rather than a packet I/O buffer. A tagged ID with
+// bits outside the module and line fields is not one.
+func IsStateLine(id BufID) bool {
+	return id>>(stateLineBits+stateModBits) == stateTag>>(stateLineBits+stateModBits)
+}
+
+// StateModule returns the module index of the state line id.
+func StateModule(id BufID) int { return int(id>>stateLineBits) & (1<<stateModBits - 1) }
+
 // node is one resident buffer in the LLC's node arena. prev and next
 // are arena indices linking the node into its partition's LRU list, and
 // next also threads the free list; index 0 is nil (slot 0 of the arena
@@ -94,14 +135,23 @@ type LLC struct {
 	nodes []node
 	free  int32
 
-	// index maps a resident BufID to its arena slot: an open-addressed,
-	// linear-probing table of arena indices (0 = empty slot) whose key
-	// is compared in the node. Its length is a power of two, 1<<(64-shift),
-	// and it doubles once half full; deletion shifts later entries of the
-	// probe run back, so there are no tombstones. count is the number of
-	// resident buffers.
-	index []int32
-	shift uint
+	// index maps a resident packet buffer's BufID to its arena slot: an
+	// open-addressed, linear-probing table of arena indices (0 = empty
+	// slot) whose key is compared in the node. Its length is a power of
+	// two, 1<<(64-shift), and it doubles once hashed reaches half of it;
+	// deletion shifts later entries of the probe run back, so there are
+	// no tombstones.
+	index  []int32
+	shift  uint
+	hashed int
+
+	// states maps a resident state line to its arena slot without a
+	// probe: states[module][line] is the line's arena index, 0 when it is
+	// not resident. Each table grows on demand to cover the highest line
+	// filled, so only a machine with a pipeline has any.
+	states [][]int32
+
+	// count is the number of resident buffers and state lines.
 	count int
 
 	parts []partition
@@ -147,8 +197,7 @@ func NewLLC(capacityBytes int64) *LLC {
 const minIndexBits = 4
 
 // slot returns id's home slot in the index: Fibonacci (multiplicative)
-// hashing, whose top bits spread both sequential packet buffer IDs and
-// the tagged module|line IDs of dataplane state.
+// hashing, whose top bits spread sequential packet buffer IDs.
 func (c *LLC) slot(id BufID) int {
 	return int(uint64(id) * 0x9E3779B97F4A7C15 >> c.shift)
 }
@@ -165,14 +214,37 @@ func (c *LLC) lookup(id BufID) (slot int, n int32) {
 	}
 }
 
+// findState returns the state line id's arena index, 0 when it is not
+// resident: one load from its module's table.
+func (c *LLC) findState(id BufID) int32 {
+	m, line := StateModule(id), int(id&stateLineMask)
+	if m < len(c.states) && line < len(c.states[m]) {
+		return c.states[m][line]
+	}
+	return 0
+}
+
+// locate returns id's arena index, 0 when id is not resident, and for a
+// packet buffer its index slot (the empty slot an insert would take when
+// it is not resident). A state line has no slot; its table entry is
+// found from the ID. The tag is tested here, not in lookup, so the
+// hashed probe stays small enough to inline on the packet path.
+func (c *LLC) locate(id BufID) (slot int, n int32) {
+	if IsStateLine(id) {
+		return -1, c.findState(id)
+	}
+	return c.lookup(id)
+}
+
 // find returns id's arena index, 0 when id is not resident.
 func (c *LLC) find(id BufID) int32 {
-	_, n := c.lookup(id)
+	_, n := c.locate(id)
 	return n
 }
 
 // insertNode allocates an arena node for the non-resident id and records
-// it at the empty index slot lookup returned.
+// it at the empty index slot locate returned, or in its module's table
+// for a state line (slot -1).
 func (c *LLC) insertNode(slot int, id BufID, size, payload int64, part int) int32 {
 	n := c.free
 	if n == 0 {
@@ -182,12 +254,33 @@ func (c *LLC) insertNode(slot int, id BufID, size, payload int64, part int) int3
 		c.free = c.nodes[n].next
 	}
 	c.nodes[n] = node{id: id, size: size, payload: payload, part: int32(part)}
-	c.index[slot] = n
 	c.count++
-	if 2*c.count >= len(c.index) {
+	if slot < 0 {
+		c.setState(id, n)
+		return n
+	}
+	c.index[slot] = n
+	c.hashed++
+	if 2*c.hashed >= len(c.index) {
 		c.growIndex()
 	}
 	return n
+}
+
+// setState records n as the state line id's arena index, extending its
+// module's table to cover the line. The table grows by append, like the
+// arena, so most extensions reuse spare capacity and allocate nothing.
+func (c *LLC) setState(id BufID, n int32) {
+	m, line := StateModule(id), int(id&stateLineMask)
+	if m >= len(c.states) {
+		c.states = append(c.states, make([][]int32, m+1-len(c.states))...)
+	}
+	t := c.states[m]
+	if line >= len(t) {
+		t = append(t, make([]int32, line+1-len(t))...)
+		c.states[m] = t
+	}
+	t[line] = n
 }
 
 // growIndex doubles the index and reinserts every resident node.
@@ -208,22 +301,31 @@ func (c *LLC) growIndex() {
 	}
 }
 
-// removeNode deletes the resident node n from the index and returns its
-// arena slot to the free list. The caller has already unlinked it.
-func (c *LLC) removeNode(n int32) {
-	i, _ := c.lookup(c.nodes[n].id)
-	// Backward-shift deletion: walk the probe run after the hole and move
-	// back every entry whose home slot the hole lies on the way to, so
-	// lookups never need tombstones.
-	mask := len(c.index) - 1
-	for j := (i + 1) & mask; c.index[j] != 0; j = (j + 1) & mask {
-		m := c.index[j]
-		if (j-c.slot(c.nodes[m].id))&mask >= (j-i)&mask {
-			c.index[i] = m
-			i = j
+// removeNode deletes the resident node n from its table or the index and
+// returns its arena slot to the free list. The caller has already
+// unlinked it. slot is a packet buffer's index slot when the caller's
+// lookup already found it, -1 to look it up; a state line ignores it.
+func (c *LLC) removeNode(slot int, n int32) {
+	if id := c.nodes[n].id; IsStateLine(id) {
+		c.states[StateModule(id)][id&stateLineMask] = 0
+	} else {
+		if slot < 0 {
+			slot, _ = c.lookup(id)
 		}
+		// Backward-shift deletion: walk the probe run after the hole and
+		// move back every entry whose home slot the hole lies on the way
+		// to, so lookups never need tombstones.
+		mask := len(c.index) - 1
+		for j := (slot + 1) & mask; c.index[j] != 0; j = (j + 1) & mask {
+			m := c.index[j]
+			if (j-c.slot(c.nodes[m].id))&mask >= (j-slot)&mask {
+				c.index[slot] = m
+				slot = j
+			}
+		}
+		c.index[slot] = 0
+		c.hashed--
 	}
-	c.index[i] = 0
 	c.count--
 	c.nodes[n] = node{next: c.free}
 	c.free = n
@@ -315,7 +417,7 @@ func (c *LLC) evictOver(p *partition, keep int32, evicted []Evicted) []Evicted {
 		victim := p.tail
 		v := c.nodes[victim]
 		c.unlink(p, victim)
-		c.removeNode(victim)
+		c.removeNode(-1, victim)
 		p.occupancy -= v.size
 		c.occupancy -= v.size
 		p.stats.Evictions++
@@ -412,7 +514,13 @@ func (c *LLC) InsertIOSized(part int, id BufID, size, payload int64) (evicted []
 		c.evictScratch = evicted
 		return evicted
 	}
-	slot, n := c.lookup(id)
+	var slot int // locate, inlined by hand on the packet path
+	var n int32
+	if IsStateLine(id) {
+		slot, n = -1, c.findState(id)
+	} else {
+		slot, n = c.lookup(id)
+	}
 	if n != 0 {
 		// Refresh within the buffer's home partition (a buffer belongs to
 		// one flow, and a flow's partition is fixed for its lifetime).
@@ -500,7 +608,13 @@ func (c *LLC) TouchState(part int, id BufID, size int64) (hit, filled bool, evic
 	if size <= 0 {
 		panic(fmt.Sprintf("cache: state touch of non-positive size %d", size))
 	}
-	slot, n := c.lookup(id)
+	var slot int // locate, inlined by hand on the state path
+	var n int32
+	if IsStateLine(id) {
+		slot, n = -1, c.findState(id)
+	} else {
+		slot, n = c.lookup(id)
+	}
 	if n != 0 {
 		c.moveToFront(n)
 		return true, false, nil
@@ -529,27 +643,33 @@ func (c *LLC) Consume(id BufID) bool { return c.ConsumeIn(0, id) }
 // charge a DRAM access. A hit is charged to the buffer's home partition;
 // a miss to part, the reader's own partition.
 func (c *LLC) ConsumeIn(part int, id BufID) bool {
-	n := c.find(id)
+	var slot int // locate, inlined by hand on the packet path
+	var n int32
+	if IsStateLine(id) {
+		slot, n = -1, c.findState(id)
+	} else {
+		slot, n = c.lookup(id)
+	}
 	if n == 0 {
 		c.parts[part].stats.Misses++
 		c.Misses++
 		return false
 	}
-	p := c.retire(n)
+	p := c.retire(slot, n)
 	p.stats.Hits++
 	c.Hits++
 	return true
 }
 
-// retire removes the resident node n from the cache without counting an
-// eviction and returns its home partition.
-func (c *LLC) retire(n int32) *partition {
+// retire removes the resident node n, found at slot by locate, from the
+// cache without counting an eviction and returns its home partition.
+func (c *LLC) retire(slot int, n int32) *partition {
 	nd := &c.nodes[n]
 	p := &c.parts[nd.part]
 	p.occupancy -= nd.size
 	c.occupancy -= nd.size
 	c.unlink(p, n)
-	c.removeNode(n)
+	c.removeNode(slot, n)
 	return p
 }
 
@@ -593,8 +713,8 @@ func (c *LLC) ProbeIn(part int, id BufID) bool {
 // Drop removes a buffer without classifying it as hit or miss (used when a
 // packet is dropped before any consumer touches it).
 func (c *LLC) Drop(id BufID) {
-	if n := c.find(id); n != 0 {
-		c.retire(n)
+	if slot, n := c.locate(id); n != 0 {
+		c.retire(slot, n)
 	}
 }
 
@@ -713,11 +833,27 @@ func (c *LLC) checkInvariants() error {
 			indexed++
 		}
 	}
-	if count != c.count || indexed != c.count {
-		return fmt.Errorf("lists hold %d buffers, index holds %d, count %d", count, indexed, c.count)
+	tabled := 0
+	for m, t := range c.states {
+		for line, n := range t {
+			if n == 0 {
+				continue
+			}
+			if n < 0 || int(n) >= len(c.nodes) || !seen[n] {
+				return fmt.Errorf("state table %d line %d holds arena slot %d, which no partition lists", m, line, n)
+			}
+			if id := c.nodes[n].id; id != StateLineID(m, line) {
+				return fmt.Errorf("state table %d line %d points at buffer %#x", m, line, uint64(id))
+			}
+			tabled++
+		}
 	}
-	if 2*c.count >= len(c.index) {
-		return fmt.Errorf("index at %d/%d slots, over half load", c.count, len(c.index))
+	if count != c.count || indexed != c.hashed || tabled+indexed != c.count {
+		return fmt.Errorf("lists hold %d buffers, index %d (hashed count %d), state tables %d, count %d",
+			count, indexed, c.hashed, tabled, c.count)
+	}
+	if 2*c.hashed >= len(c.index) {
+		return fmt.Errorf("index at %d/%d slots, over half load", c.hashed, len(c.index))
 	}
 	free := 0
 	for n := c.free; n != 0; n = c.nodes[n].next {

@@ -197,9 +197,9 @@ func TestLLCInvariantsProperty(t *testing.T) {
 }
 
 // TestLLCSteadyStateZeroAlloc pins the arena's recycling: once the node
-// arena and index have grown to the resident set's high-water mark, DDIO
-// insert/consume churn and state-line touches that hit, refill and evict
-// allocate nothing.
+// arena, the index and four modules' state tables have grown to the
+// resident set's high-water mark, DDIO insert/consume churn and
+// state-line touches that hit, refill and evict allocate nothing.
 func TestLLCSteadyStateZeroAlloc(t *testing.T) {
 	const (
 		stateLines = 64 << 10 // 4 MB of 64 B state lines
@@ -215,7 +215,8 @@ func TestLLCSteadyStateZeroAlloc(t *testing.T) {
 		}
 		for t := 0; t < 8; t++ {
 			x = x*6364136223846793005 + 1442695040888963407
-			c.TouchState(0, 1<<63|BufID(x>>33%stateLines), 64)
+			line := int(x >> 33 % stateLines)
+			c.TouchState(0, StateLineID(line%4, line/4), 64)
 		}
 	}
 	for i := 0; i < 200_000; i++ {

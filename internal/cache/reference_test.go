@@ -265,9 +265,12 @@ func diffState(c *LLC, r *refLLC) error {
 // eviction list (contents and order), a counter, a partition's
 // occupancy or a partition's LRU order. data[0] picks 1–4 partitions
 // and the next bytes their capacities; then every 4 bytes are one
-// operation: kind and partition, then a buffer ID drawn from 2048 values
-// spread over the high bits the way tagged state-line IDs are, then a
-// size or argument byte.
+// operation: kind and partition, then a buffer ID drawn from 2048
+// values, then a size or argument byte. Half the IDs are dataplane state
+// lines of four modules whose lines spread over 4k values, so the
+// direct tables grow again and again mid-stream; the rest take
+// the hashed index, module 3's carrying the state tag with bits outside
+// the state fields.
 func runLLCDiff(t *testing.T, data []byte) {
 	t.Helper()
 	if len(data) == 0 {
@@ -302,7 +305,13 @@ func runLLCDiff(t *testing.T, data []byte) {
 	for i := 0; i+3 < len(data); i += 4 {
 		op, x, y, z := data[i], data[i+1], data[i+2], data[i+3]
 		part := int(op/10) % nParts
-		id := BufID(x) | BufID(y&3)<<40 | BufID(y>>2&1)<<63
+		id := BufID(x) | BufID(y&3)<<40
+		switch {
+		case y&4 != 0:
+			id = StateLineID(int(y&3), int(x)*16)
+		case y&3 == 3:
+			id |= stateTag
+		}
 		size := 64 * int64(1+z%32)
 		fail := func(format string, args ...any) {
 			t.Helper()

@@ -33,22 +33,6 @@ import (
 // LineBytes is the cache-line granularity module state is charged at.
 const LineBytes = 64
 
-// stateTag marks the BufID space of module state lines. Packet buffer
-// IDs count up from 1 per machine and can never collide with it.
-const stateTag cache.BufID = 1 << 63
-
-// stateModShift positions the module index inside a state-line ID.
-const stateModShift = 40
-
-// IsStateLine reports whether a buffer ID names a dataplane state line
-// rather than a packet I/O buffer.
-func IsStateLine(id cache.BufID) bool { return id&stateTag != 0 }
-
-// stateLineID builds the BufID for one line of one module's state.
-func stateLineID(module, line int) cache.BufID {
-	return stateTag | cache.BufID(module)<<stateModShift | cache.BufID(line)
-}
-
 // Spec declares one module type: its name, the CPU cycles it spends per
 // packet (excluding memory stalls, which the cache model charges), and
 // the state working set it walks.
@@ -291,7 +275,7 @@ func (e *Engine) PacketCost(chain []*Module, part, flowID int, seq uint64) sim.T
 		base := uint64(flowID)<<24 ^ seq<<8 ^ uint64(mod.idx)
 		for t := 0; t < mod.Touches; t++ {
 			line := int(splitmix64(base+uint64(t)) % uint64(mod.lines))
-			id := stateLineID(mod.idx, line)
+			id := cache.StateLineID(mod.idx, line)
 			hit, filled, evicted := e.llc.TouchState(part, id, LineBytes)
 			if hit {
 				mod.Hits++
@@ -317,8 +301,7 @@ func (e *Engine) PacketCost(chain []*Module, part, flowID int, seq uint64) sim.T
 // StateEvicted records the eviction of one module state line (capacity
 // pressure or tenant way movement), keeping the residency gauges true.
 func (e *Engine) StateEvicted(id cache.BufID) {
-	idx := int((id &^ stateTag) >> stateModShift)
-	if idx < len(e.mods) {
+	if idx := cache.StateModule(id); idx < len(e.mods) {
 		e.mods[idx].Resident -= LineBytes
 	}
 }

@@ -14,7 +14,7 @@ func newTestEngine(capacity int64) (*Engine, *cache.LLC, *cache.Memory) {
 	var e *Engine
 	sink := func(evs []cache.Evicted) {
 		for _, ev := range evs {
-			if IsStateLine(ev.ID) {
+			if cache.IsStateLine(ev.ID) {
 				e.StateEvicted(ev.ID)
 			}
 		}
@@ -166,7 +166,7 @@ func TestResidentGaugeCountsResidentLines(t *testing.T) {
 		for _, mod := range chain {
 			var lines int64
 			for l := 0; l < mod.lines; l++ {
-				if llc.Resident(stateLineID(mod.idx, l)) {
+				if llc.Resident(cache.StateLineID(mod.idx, l)) {
 					lines++
 				}
 			}
@@ -239,7 +239,7 @@ func FuzzPipeline(f *testing.F) {
 		var e *Engine
 		sink := func(evs []cache.Evicted) {
 			for _, ev := range evs {
-				if IsStateLine(ev.ID) {
+				if cache.IsStateLine(ev.ID) {
 					e.StateEvicted(ev.ID)
 				} else {
 					delete(ioResident, ev.ID)

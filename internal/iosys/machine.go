@@ -734,7 +734,7 @@ func (m *Machine) Doorbell(f *Flow) {
 // replacing the per-buffer side map the emit path used to maintain.
 func (m *Machine) writebackEvicted(evicted []cache.Evicted) {
 	for _, e := range evicted {
-		if dataplane.IsStateLine(e.ID) {
+		if cache.IsStateLine(e.ID) {
 			// Module state lines are read-mostly: eviction is free, the
 			// cost is the refill DRAM access at the next touch. The
 			// pipeline engine keeps its residency gauge in step.
