@@ -458,7 +458,9 @@ func (c *CEIO) putJob(j *ctrlJob) {
 func (c *CEIO) Ingress(f *iosys.Flow, p *pkt.Packet) {
 	st := f.DP.(*flowState)
 	if st.gone {
-		return // flow torn down while the packet was on the wire
+		// Torn down while the packet was on the wire.
+		c.m.Drop(f, p)
+		return
 	}
 	c.m.Eng.AfterArg(c.opt.ControlOverhead, ctrlDecide, c.getJob(st, p))
 }

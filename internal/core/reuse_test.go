@@ -66,3 +66,32 @@ func TestReAddedFlowIDGetsNoStalePackets(t *testing.T) {
 		}
 	}
 }
+
+// TestRemovedFlowPacketsAccounted removes a flow while its packets are in
+// flight and requires every packet it generated to end up delivered or
+// dropped once the machine has drained: a packet that is neither never
+// returns to the packet pool and is missing from Flow.Drops and
+// TotalDrops. The cut instants sweep one packet interval at both CPU
+// layouts, so some land with a packet of the removed flow on the wire,
+// bound for a torn-down flow at the NIC's entrance.
+func TestRemovedFlowPacketsAccounted(t *testing.T) {
+	for _, cores := range []int{0, 4} {
+		for k := 0; k < 300; k += 15 {
+			cfg := iosys.DefaultConfig()
+			cfg.Cores = cores
+			m := iosys.NewMachine(cfg, core.New(core.DefaultOptions()))
+			for id := 1; id <= 8; id++ {
+				m.AddFlow(workload.ERPCKV(id, 256, workload.DPDK))
+			}
+			cut := 500*sim.Microsecond + sim.Time(k)
+			m.Run(cut)
+			f := m.Flows[3]
+			m.RemoveFlow(3)
+			m.Run(cut + 2*sim.Millisecond)
+			if got := f.Delivered.Packets + f.Drops; got != f.Generated {
+				t.Errorf("cores=%d/+%dns: removed flow generated %d packets, delivered %d + dropped %d",
+					cores, k, f.Generated, f.Delivered.Packets, f.Drops)
+			}
+		}
+	}
+}
