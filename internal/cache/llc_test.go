@@ -295,7 +295,7 @@ func TestMemoryBulkMove(t *testing.T) {
 	e := sim.NewEngine(1)
 	m := NewMemory(e, 1e9, 100) // 1 B/ns
 	var doneAt sim.Time
-	m.BulkMove(1000, func() { doneAt = e.Now() })
+	m.BulkMoveArg(1000, func(any) { doneAt = e.Now() }, nil)
 	e.Run()
 	if doneAt != 1000 {
 		t.Fatalf("bulk move completed at %v, want 1000", doneAt)

@@ -50,7 +50,7 @@ func (m *Memory) AccessLatency(size int) sim.Time {
 	if cap := 4 * m.latency; queued > cap {
 		queued = cap
 	}
-	m.controller.Submit(size, nil)
+	m.controller.Submit(size)
 	ser := sim.Time(float64(size) / (m.bandwidth / 1e9))
 	if ser < 1 {
 		ser = 1
@@ -62,20 +62,13 @@ func (m *Memory) AccessLatency(size int) sim.Time {
 // the LLC to DRAM. The CPU does not stall on it, so no latency is returned.
 func (m *Memory) Writeback(size int) {
 	m.Writebacks++
-	m.controller.Submit(size, nil)
+	m.controller.Submit(size)
 }
 
-// BulkMove models a CPU-bypass (RDMA-style) transfer of size bytes through
-// the memory controller (LLC -> DRAM for large-file flows). done fires when
-// the transfer completes; the return value is the completion time.
-func (m *Memory) BulkMove(size int, done func()) sim.Time {
-	m.BulkMoves++
-	t := m.controller.Submit(size, done)
-	return t + m.latency
-}
-
-// BulkMoveArg is the allocation-free variant of BulkMove: fn(arg) fires
-// when the transfer completes.
+// BulkMoveArg models a CPU-bypass (RDMA-style) transfer of size bytes
+// through the memory controller (LLC -> DRAM for large-file flows).
+// fn(arg) fires when the transfer completes; the return value is the
+// completion time plus the access latency.
 func (m *Memory) BulkMoveArg(size int, fn func(any), arg any) sim.Time {
 	m.BulkMoves++
 	t := m.controller.SubmitArg(size, fn, arg)

@@ -126,8 +126,6 @@ type flowState struct {
 	// pending is the reused scratch for the SW-ring indices issueReads
 	// and the synchronous-read path scan for.
 	pending []uint64
-	// drainFn is the persistent retry callback for a stalled bypass drain.
-	drainFn func()
 
 	unreleased      int    // fast-path packets delivered since last release
 	deliveredAtScan uint64 // activity tracking for the credit scan
@@ -194,9 +192,10 @@ type CEIO struct {
 	byQueue   [][]*flowState
 	auditSums []int // reused scratch of auditMembers
 
-	// freeJobs recycles the per-packet ctrlJob carriers that ride the
-	// controller window, fast-path DMA, and on-NIC DRAM pipeline.
-	freeJobs *ctrlJob
+	// jobs recycles the per-packet ctrlJob carriers that ride the
+	// controller window, fast-path DMA, on-NIC DRAM pipeline and stalled
+	// drain retries.
+	jobs sim.FreeList[ctrlJob]
 
 	// faultMode is set once fault injection is armed: rings tolerate
 	// protocol violations, reconciliation runs, and graceful shedding under
@@ -423,7 +422,6 @@ type ctrlJob struct {
 	p    *pkt.Packet
 	cont uint8  // read-completion continuation selector
 	idx  uint64 // SW-ring index for contMarkReady
-	next *ctrlJob
 }
 
 // Read-completion continuations (ctrlJob.cont).
@@ -436,19 +434,9 @@ const (
 )
 
 func (c *CEIO) getJob(st *flowState, p *pkt.Packet) *ctrlJob {
-	j := c.freeJobs
-	if j == nil {
-		j = &ctrlJob{}
-	} else {
-		c.freeJobs = j.next
-	}
-	j.c, j.st, j.p, j.next = c, st, p, nil
+	j := c.jobs.Get()
+	*j = ctrlJob{c: c, st: st, p: p}
 	return j
-}
-
-func (c *CEIO) putJob(j *ctrlJob) {
-	*j = ctrlJob{next: c.freeJobs}
-	c.freeJobs = j
 }
 
 // Ingress implements the NIC-entrance decision of Figure 6: consume a
@@ -470,7 +458,7 @@ func (c *CEIO) Ingress(f *iosys.Flow, p *pkt.Packet) {
 func ctrlDecide(arg any) {
 	j := arg.(*ctrlJob)
 	c, st, p := j.c, j.st, j.p
-	c.putJob(j)
+	c.jobs.Put(j)
 	if st.gone {
 		// Torn down during the controller's processing window.
 		c.m.Drop(st.f, p)
@@ -735,7 +723,7 @@ func (c *CEIO) ingressSlow(st *flowState, p *pkt.Packet) {
 func ceioSlowArrived(arg any) {
 	j := arg.(*ctrlJob)
 	c, st, p := j.c, j.st, j.p
-	c.putJob(j)
+	c.jobs.Put(j)
 	c.slowArrived(st, p)
 }
 
@@ -844,7 +832,7 @@ func (c *CEIO) issueRead(st *flowState, p *pkt.Packet, cont uint8, idx uint64) b
 func (c *CEIO) startRead(st *flowState, p *pkt.Packet, cont uint8, idx uint64) {
 	c.m.Trace(trace.KindReadIssued, p.FlowID, p.Seq)
 	device := c.m.Cfg.NICMemLatency + c.m.NICMem.QueueDelay()
-	c.m.NICMem.Submit(p.Size, nil) // on-NIC DRAM read bandwidth
+	c.m.NICMem.Submit(p.Size) // on-NIC DRAM read bandwidth
 	if c.m.Faults.LoseRead() {
 		c.m.Eng.After(c.opt.ReadTimeout, func() {
 			if st.gone {
@@ -866,12 +854,12 @@ func (c *CEIO) startRead(st *flowState, p *pkt.Packet, cont uint8, idx uint64) {
 func ceioReadLanded(arg any) {
 	j := arg.(*ctrlJob)
 	c, st, p, cont, idx := j.c, j.st, j.p, j.cont, j.idx
-	c.putJob(j)
+	c.jobs.Put(j)
 	if st.gone {
 		c.abortRead(st, p)
 		return
 	}
-	c.m.Uncore.Submit(p.Size, nil) // host-side landing
+	c.m.Uncore.Submit(p.Size) // host-side landing
 	c.m.HostBufLanded(p)
 	st.readsInFlight--
 	st.onNIC--
@@ -891,7 +879,7 @@ func ceioReadLanded(arg any) {
 func ceioBypassMoved(arg any) {
 	j := arg.(*ctrlJob)
 	c, st, p := j.c, j.st, j.p
-	c.putJob(j)
+	c.jobs.Put(j)
 	c.m.Deliver(st.f, p)
 	c.drainBypass(st)
 }
@@ -923,14 +911,19 @@ func (c *CEIO) drainBypass(st *flowState) {
 			// Host pool exhausted: hold the queue and retry shortly
 			// (bypass drains are event-driven, with no poll loop to
 			// retry them).
-			if st.drainFn == nil {
-				st.drainFn = func() { c.drainBypass(st) }
-			}
-			c.m.Eng.After(c.m.Cfg.PollInterval*16, st.drainFn)
+			c.m.Eng.AfterArg(c.m.Cfg.PollInterval*16, ceioDrainRetry, c.getJob(st, nil))
 			return
 		}
 		st.wqPop()
 	}
+}
+
+// ceioDrainRetry resumes a bypass drain stalled on the host pool.
+func ceioDrainRetry(arg any) {
+	j := arg.(*ctrlJob)
+	c, st := j.c, j.st
+	c.jobs.Put(j)
+	c.drainBypass(st)
 }
 
 // Poll implements the CEIO driver's recv()/async_recv() path (§5): flush

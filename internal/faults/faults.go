@@ -7,7 +7,7 @@
 // comes under bursty pressure from co-tenants, and host cores stall.
 //
 // An Injector is built from a Plan and consulted by the simulation at
-// well-defined hook points (iosys.Machine.emit, pcie.Engine.Write/Read,
+// well-defined hook points (iosys.Machine.emit, pcie.Engine.WriteTo/ReadTo,
 // core.CEIO's steering/release/read paths, iosys.Core's poll loop). Two
 // properties make injected chaos debuggable:
 //

@@ -24,11 +24,10 @@ import (
 // datapath doorbell re-arms it. A disarmed core still ticks at its
 // back-off schedule and counts each tick as an empty poll, but skips the
 // datapath, whose answer is known to be empty. Such a tick reads and
-// writes only the leading fields below (48 bytes), so thousands of idle
+// writes only the leading fields below (40 bytes), so thousands of idle
 // per-flow cores stay cheap to step.
 type Core struct {
-	m      *Machine
-	loopFn func() // the loop's persistent scheduling callback
+	m *Machine
 	// running is set while the core has flows to drain (start/stop), so
 	// a running core always has at least one.
 	running bool
@@ -44,12 +43,9 @@ type Core struct {
 	flows  []*Flow // flows this core drains (at most 1 when Cores == 0)
 	cursor int     // round-robin position into flows
 
-	// loopFn (above) and serveFn are built once at first start so
-	// steady-state polling does not allocate. A core processes one batch
-	// at a time, so the in-flight batch rides in the fields below between
-	// the poll and its service completion; batch's backing array is the
-	// buffer every poll appends into.
-	serveFn   func()
+	// A core processes one batch at a time, so the in-flight batch rides
+	// in the fields below between the poll and its service completion;
+	// batch's backing array is the buffer every poll appends into.
 	batch     []*pkt.Packet
 	batchFlow *Flow
 	batchCost sim.Time
@@ -117,16 +113,18 @@ func (c *Core) start() {
 	if c.running {
 		return
 	}
-	if c.loopFn == nil {
-		c.loopFn = c.loop
-		c.serveFn = c.serveBatch
-	}
 	c.running = true
 	c.idleStreak = 0
-	c.m.Eng.After(0, c.loopFn)
+	c.m.Eng.AfterArg(0, coreLoop, c)
 }
 
 func (c *Core) stop() { c.running = false }
+
+// coreLoop and coreServe are the poll loop's scheduling trampolines: one
+// func(any) each for every core, so polling allocates nothing.
+func coreLoop(arg any) { arg.(*Core).loop() }
+
+func coreServe(arg any) { arg.(*Core).serveBatch() }
 
 func (c *Core) loop() {
 	if !c.running {
@@ -177,7 +175,7 @@ func (c *Core) loop() {
 		total += stall
 	}
 	c.batch, c.batchFlow, c.batchCost = batch, flow, total
-	c.m.Eng.After(total, c.serveFn)
+	c.m.Eng.AfterArg(total, coreServe, c)
 }
 
 // idle counts an empty poll and schedules the next one under exponential
@@ -192,7 +190,7 @@ func (c *Core) idle() {
 	if backoff > maxIdleBackoff {
 		backoff = maxIdleBackoff
 	}
-	c.m.Eng.After(c.m.Cfg.PollInterval*sim.Time(backoff), c.loopFn)
+	c.m.Eng.AfterArg(c.m.Cfg.PollInterval*sim.Time(backoff), coreLoop, c)
 }
 
 // serveBatch completes the in-flight batch after its modelled CPU time:

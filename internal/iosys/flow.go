@@ -119,12 +119,6 @@ type Flow struct {
 	inFlight      int64
 	windowBlocked bool
 
-	// pace / paceResume are the generator's persistent scheduling
-	// callbacks, built once on first schedule so per-packet pacing does
-	// not allocate.
-	pace       func()
-	paceResume func()
-
 	// Metrics.
 	Generated uint64
 	Drops     uint64

@@ -110,10 +110,10 @@ type Machine struct {
 	// no descriptors (the engine-side counterpart is the timing wheel's
 	// record pool).
 	PktPool *pkt.Pool
-	// freeRx / freeDMA are carrier free lists for the zero-alloc event
+	// rxJobs / dmaJobs recycle the carriers of the zero-alloc event
 	// plumbing of the rx path; see rxJob and dmaJob.
-	freeRx  *rxJob
-	freeDMA *dmaJob
+	rxJobs  sim.FreeList[rxJob]
+	dmaJobs sim.FreeList[dmaJob]
 
 	// HostPool bounds host I/O buffers when Config.HostBuffers > 0
 	// (nil otherwise). NoHostBufDrops counts packets lost to exhaustion.
@@ -508,19 +508,14 @@ func (m *Machine) scheduleNextPacket(f *Flow) {
 	if gap < 1 {
 		gap = 1
 	}
-	if f.pace == nil {
-		// The pacing and burst-resume callbacks are built once per flow
-		// and rescheduled by reference, so steady-state pacing never
-		// allocates a closure.
-		f.pace = func() { m.paceTick(f) }
-		f.paceResume = func() { m.scheduleNextPacket(f) }
-	}
-	m.Eng.After(gap, f.pace)
+	m.Eng.AfterArg(gap, paceTick, f)
 }
 
 // paceTick is the generator's per-packet tick: burst shaping, window
 // gating, then emission.
-func (m *Machine) paceTick(f *Flow) {
+func paceTick(arg any) {
+	f := arg.(*Flow)
+	m := f.m
 	if !f.Active() {
 		return
 	}
@@ -531,7 +526,7 @@ func (m *Machine) paceTick(f *Flow) {
 		cycle := f.BurstOn + f.BurstOff
 		pos := m.Eng.Now() % cycle
 		if pos >= f.BurstOn {
-			m.Eng.After(cycle-pos, f.paceResume)
+			m.Eng.AfterArg(cycle-pos, paceResume, f)
 			return
 		}
 	}
@@ -548,6 +543,12 @@ func (m *Machine) paceTick(f *Flow) {
 	m.scheduleNextPacket(f)
 }
 
+// paceResume restarts the generator when a burst's off phase ends.
+func paceResume(arg any) {
+	f := arg.(*Flow)
+	f.m.scheduleNextPacket(f)
+}
+
 // windowOpened resumes a generator parked on a closed window.
 func (m *Machine) windowOpened(f *Flow) {
 	if f.windowBlocked && f.Active() {
@@ -561,26 +562,15 @@ func (m *Machine) windowOpened(f *Flow) {
 // Pool-recycled so the rx path schedules with AtArg instead of
 // allocating a closure per stage.
 type rxJob struct {
-	m    *Machine
-	f    *Flow
-	p    *pkt.Packet
-	next *rxJob
+	m *Machine
+	f *Flow
+	p *pkt.Packet
 }
 
 func (m *Machine) getRxJob(f *Flow, p *pkt.Packet) *rxJob {
-	j := m.freeRx
-	if j == nil {
-		j = &rxJob{}
-	} else {
-		m.freeRx = j.next
-	}
-	j.m, j.f, j.p, j.next = m, f, p, nil
+	j := m.rxJobs.Get()
+	*j = rxJob{m: m, f: f, p: p}
 	return j
-}
-
-func (m *Machine) putRxJob(j *rxJob) {
-	*j = rxJob{next: m.freeRx}
-	m.freeRx = j
 }
 
 // emit injects one packet onto the wire toward the NIC.
@@ -623,13 +613,13 @@ func wireArrived(arg any) {
 	case faults.VerdictDrop:
 		m.FaultDrops++
 		m.Trace(trace.KindFault, p.FlowID, p.Seq)
-		m.putRxJob(j)
+		m.rxJobs.Put(j)
 		m.Drop(f, p)
 		return
 	case faults.VerdictCorrupt:
 		m.FaultCorrupts++
 		m.Trace(trace.KindFault, p.FlowID, p.Seq)
-		m.putRxJob(j)
+		m.rxJobs.Put(j)
 		m.Drop(f, p)
 		return
 	}
@@ -642,34 +632,17 @@ func wireArrived(arg any) {
 func nicIngress(arg any) {
 	j := arg.(*rxJob)
 	m, f, p := j.m, j.f, j.p
-	m.putRxJob(j)
+	m.rxJobs.Put(j)
 	m.DP.Ingress(f, p)
 }
 
 // dmaJob carries one packet's DMA-write context (IIO arrival, LLC
 // commit, Landed hook) without per-stage closures; pooled like rxJob.
 type dmaJob struct {
-	m    *Machine
-	f    *Flow
-	p    *pkt.Packet
-	w    *pcie.Write
-	next *dmaJob
-}
-
-func (m *Machine) getDMAJob(f *Flow, p *pkt.Packet) *dmaJob {
-	j := m.freeDMA
-	if j == nil {
-		j = &dmaJob{}
-	} else {
-		m.freeDMA = j.next
-	}
-	j.m, j.f, j.p, j.w, j.next = m, f, p, nil, nil
-	return j
-}
-
-func (m *Machine) putDMAJob(j *dmaJob) {
-	*j = dmaJob{next: m.freeDMA}
-	m.freeDMA = j
+	m *Machine
+	f *Flow
+	p *pkt.Packet
+	w *pcie.Write
 }
 
 // DMAToHost carries flow f's packet p over PCIe, commits it through the
@@ -678,7 +651,9 @@ func (m *Machine) putDMAJob(j *dmaJob) {
 // DRAM and delay the commit by the memory controller's backlog — the
 // host-congestion coupling HostCC's IIO signal detects.
 func (m *Machine) DMAToHost(f *Flow, p *pkt.Packet) {
-	m.DMA.WriteTo(p.Size, dmaArrived, m.getDMAJob(f, p))
+	j := m.dmaJobs.Get()
+	*j = dmaJob{m: m, f: f, p: p}
+	m.DMA.WriteTo(p.Size, dmaArrived, j)
 }
 
 // dmaArrived fires at the head of the IIO: the packet's lines commit
@@ -701,7 +676,7 @@ func dmaArrived(arg any, w *pcie.Write) {
 	// memory bandwidth (and thereby inflating CPU miss latency and
 	// slowing bulk moves) without stalling the DDIO commit itself.
 	m.writebackEvicted(evicted)
-	m.Uncore.Submit(p.Size, nil)
+	m.Uncore.Submit(p.Size)
 	m.Eng.AfterArg(m.Uncore.QueueDelay(), dmaCommitted, j)
 }
 
@@ -713,7 +688,7 @@ func dmaCommitted(arg any) {
 	p.Landed = true
 	m.HostBufLanded(p)
 	m.Trace(trace.KindLanded, p.FlowID, p.Seq)
-	m.putDMAJob(j)
+	m.dmaJobs.Put(j)
 	w.Done()
 	m.Doorbell(f)
 	m.DP.Landed(f, p)
@@ -830,7 +805,7 @@ func (m *Machine) ConsumeBypass(f *Flow, p *pkt.Packet) {
 func bypassMoved(arg any) {
 	j := arg.(*rxJob)
 	m, f, p := j.m, j.f, j.p
-	m.putRxJob(j)
+	m.rxJobs.Put(j)
 	hit := m.LLC.ProbeIn(p.Part, p.Buf)
 	if m.Tenants != nil {
 		m.Tenants.Account(f.TenantIndex(), hit)

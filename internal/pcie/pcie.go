@@ -59,13 +59,8 @@ func (l *Link) WireBytes(size int) int {
 	return size + tlps*l.cfg.TLPHeader
 }
 
-// Transfer clocks a transfer across the link; done fires on arrival.
-func (l *Link) Transfer(size int, done func()) sim.Time {
-	return l.srv.Submit(l.WireBytes(size), done)
-}
-
-// TransferArg is the allocation-free variant of Transfer: fn(arg) fires
-// on arrival.
+// TransferArg clocks a transfer across the link; fn(arg) fires on
+// arrival.
 func (l *Link) TransferArg(size int, fn func(any), arg any) sim.Time {
 	return l.srv.SubmitArg(l.WireBytes(size), fn, arg)
 }
@@ -79,7 +74,7 @@ func (l *Link) Utilization() float64 { return l.srv.Utilization() }
 // Engine models the NIC's DMA engine: a bounded pool of outstanding
 // write credits toward the host. Writes traverse the NIC->host link, stage
 // into the IIO buffer, and hold their credit until the host memory
-// subsystem absorbs them (the deliver callback's done function).
+// subsystem absorbs them (the deliver callback's Write.Done).
 type Engine struct {
 	eng    *sim.Engine
 	toHost *Link
@@ -88,13 +83,12 @@ type Engine struct {
 
 	writeCredits int
 	maxCredits   int
-	pendingW     []*Write
+	pendingW     fifo[*Write]
 
 	// iioWaiting parks writes rejected by a full IIO until it drains.
-	iioWaiting []*Write
+	iioWaiting fifo[*Write]
 
-	// freeW is the write-carrier free list; see allocWrite.
-	freeW *Write
+	writes sim.FreeList[Write]
 
 	// Read-tag pool: PCIe non-posted reads carry a bounded number of
 	// outstanding tags; excess read requests queue. This is the
@@ -102,13 +96,10 @@ type Engine struct {
 	// (§6.4 "Understanding Performance Penalties of Slow Path").
 	readCredits int
 	maxReads    int
-	// pendingR queues reads waiting for a tag in FIFO order; pendingHead
-	// is its consumed prefix, so pops never give up the backing array.
-	pendingR    []*readOp
-	pendingHead int
+	// pendingR queues reads waiting for a tag.
+	pendingR fifo[*readOp]
 
-	// freeR is the read-carrier free list; see allocRead.
-	freeR *readOp
+	reads sim.FreeList[readOp]
 
 	// Faults, when set, injects DMA stall episodes: new writes and reads
 	// are held until the stall window ends (PCIe credit exhaustion).
@@ -132,7 +123,6 @@ type readOp struct {
 	deviceLatency sim.Time
 	fn            func(any)
 	arg           any
-	next          *readOp
 }
 
 // Write is one in-flight DMA write: a pool-recycled carrier that rides
@@ -145,7 +135,6 @@ type Write struct {
 	size    int
 	deliver func(arg any, w *Write)
 	arg     any
-	next    *Write
 }
 
 // Done signals that the host absorbed the write: the IIO slot drains,
@@ -154,7 +143,7 @@ type Write struct {
 func (w *Write) Done() {
 	d := w.d
 	size := w.size
-	d.freeWrite(w)
+	d.writes.Put(w)
 	d.iio.Drain(int64(size))
 	d.releaseWriteCredit()
 	d.retryIIOWaiters()
@@ -188,24 +177,39 @@ func (d *Engine) OutstandingReads() int { return d.maxReads - d.readCredits }
 // OutstandingWrites reports write credits currently in use.
 func (d *Engine) OutstandingWrites() int { return d.maxCredits - d.writeCredits }
 
-// --- write carrier pool --------------------------------------------------
-
-func (d *Engine) allocWrite(size int, deliver func(any, *Write), arg any) *Write {
-	w := d.freeW
-	if w == nil {
-		w = &Write{}
-	} else {
-		d.freeW = w.next
-	}
-	*w = Write{d: d, size: size, deliver: deliver, arg: arg}
-	return w
+// fifo is a slice-backed queue whose pops advance a head index, so the
+// backing array is kept across pops. A push that finds the array full
+// slides the live tail to the front when at least half of it is consumed
+// and grows it otherwise, so the array stays within four times the peak
+// backlog, a standing backlog allocates nothing once warm, and an entry
+// is moved O(1) times on average.
+type fifo[T any] struct {
+	s    []T
+	head int
 }
 
-// freeWrite recycles a carrier, dropping its callback and argument so the
-// pool never retains dead captures.
-func (d *Engine) freeWrite(w *Write) {
-	*w = Write{next: d.freeW}
-	d.freeW = w
+func (q *fifo[T]) len() int { return len(q.s) - q.head }
+
+func (q *fifo[T]) peek() T { return q.s[q.head] }
+
+func (q *fifo[T]) push(x T) {
+	if len(q.s) == cap(q.s) && 2*q.head >= len(q.s) {
+		n := copy(q.s, q.s[q.head:])
+		clear(q.s[n:])
+		q.s, q.head = q.s[:n], 0
+	}
+	q.s = append(q.s, x)
+}
+
+func (q *fifo[T]) pop() T {
+	x := q.s[q.head]
+	var zero T
+	q.s[q.head] = zero
+	q.head++
+	if q.head == len(q.s) {
+		q.s, q.head = q.s[:0], 0
+	}
+	return x
 }
 
 // WriteTo issues a DMA write of size bytes toward the host. deliver(arg,
@@ -214,7 +218,8 @@ func (d *Engine) freeWrite(w *Write) {
 // Like the engine's AtArg, the long-lived deliver func plus explicit arg
 // make a steady-state write allocation-free.
 func (d *Engine) WriteTo(size int, deliver func(arg any, w *Write), arg any) {
-	w := d.allocWrite(size, deliver, arg)
+	w := d.writes.Get()
+	*w = Write{d: d, size: size, deliver: deliver, arg: arg}
 	if end := d.Faults.DMAStallEnd(d.eng.Now()); end > 0 {
 		d.FaultStalls++
 		d.eng.AtArg(end, retryWrite, w)
@@ -237,7 +242,7 @@ func retryWrite(arg any) {
 func (d *Engine) issueWrite(w *Write) {
 	if d.writeCredits == 0 {
 		d.CreditStalls++
-		d.pendingW = append(d.pendingW, w)
+		d.pendingW.push(w)
 		return
 	}
 	d.writeCredits--
@@ -250,23 +255,12 @@ func writeArrived(arg any) {
 	w.d.arriveAtIIO(w)
 }
 
-// Write is the closure-based convenience form of WriteTo: deliver fires
-// at the IIO head with a done func that forwards to Write.Done. Hot
-// paths should prefer WriteTo, which allocates nothing in steady state.
-func (d *Engine) Write(size int, deliver func(done func())) {
-	d.WriteTo(size, legacyDeliver, deliver)
-}
-
-func legacyDeliver(arg any, w *Write) {
-	arg.(func(done func()))(w.Done)
-}
-
 func (d *Engine) arriveAtIIO(w *Write) {
 	if !d.iio.TryEnqueue(int64(w.size)) {
 		// IIO full: the root complex exerts backpressure. Park the write;
 		// it is retried whenever the IIO drains.
 		d.IIOBackpressure++
-		d.iioWaiting = append(d.iioWaiting, w)
+		d.iioWaiting.push(w)
 		return
 	}
 	w.deliver(w.arg, w)
@@ -274,10 +268,8 @@ func (d *Engine) arriveAtIIO(w *Write) {
 
 func (d *Engine) releaseWriteCredit() {
 	d.writeCredits++
-	if len(d.pendingW) > 0 && d.writeCredits > 0 {
-		next := d.pendingW[0]
-		d.pendingW[0] = nil
-		d.pendingW = d.pendingW[1:]
+	if d.pendingW.len() > 0 && d.writeCredits > 0 {
+		next := d.pendingW.pop()
 		d.writeCredits--
 		d.Writes++
 		d.toHost.TransferArg(next.size, writeArrived, next)
@@ -285,33 +277,14 @@ func (d *Engine) releaseWriteCredit() {
 }
 
 func (d *Engine) retryIIOWaiters() {
-	for len(d.iioWaiting) > 0 {
-		w := d.iioWaiting[0]
+	for d.iioWaiting.len() > 0 {
+		w := d.iioWaiting.peek()
 		if !d.iio.TryEnqueue(int64(w.size)) {
 			return
 		}
-		d.iioWaiting[0] = nil
-		d.iioWaiting = d.iioWaiting[1:]
+		d.iioWaiting.pop()
 		w.deliver(w.arg, w)
 	}
-}
-
-// --- read carrier pool ---------------------------------------------------
-
-func (d *Engine) allocRead(size int, deviceLatency sim.Time, fn func(any), arg any) *readOp {
-	r := d.freeR
-	if r == nil {
-		r = &readOp{}
-	} else {
-		d.freeR = r.next
-	}
-	*r = readOp{d: d, size: size, deviceLatency: deviceLatency, fn: fn, arg: arg}
-	return r
-}
-
-func (d *Engine) freeRead(r *readOp) {
-	*r = readOp{next: d.freeR}
-	d.freeR = r
 }
 
 // ReadTo issues a DMA read of size bytes from device memory into the host
@@ -324,7 +297,8 @@ func (d *Engine) freeRead(r *readOp) {
 // long-lived fn plus explicit arg make a steady-state read
 // allocation-free.
 func (d *Engine) ReadTo(size int, deviceLatency sim.Time, fn func(any), arg any) {
-	r := d.allocRead(size, deviceLatency, fn, arg)
+	r := d.reads.Get()
+	*r = readOp{d: d, size: size, deviceLatency: deviceLatency, fn: fn, arg: arg}
 	if end := d.Faults.DMAStallEnd(d.eng.Now()); end > 0 {
 		d.FaultStalls++
 		d.eng.AtArg(end, retryRead, r)
@@ -347,28 +321,12 @@ func retryRead(arg any) {
 func (d *Engine) issueRead(r *readOp) {
 	if d.readCredits == 0 {
 		d.ReadStalls++
-		if d.pendingHead > 0 && len(d.pendingR) == cap(d.pendingR) {
-			// Slide the live tail to the front rather than growing past a
-			// consumed prefix: a queue that never fully drains stays
-			// bounded by its peak depth.
-			n := copy(d.pendingR, d.pendingR[d.pendingHead:])
-			clear(d.pendingR[n:])
-			d.pendingR, d.pendingHead = d.pendingR[:n], 0
-		}
-		d.pendingR = append(d.pendingR, r)
+		d.pendingR.push(r)
 		return
 	}
 	d.readCredits--
 	d.startRead(r)
 }
-
-// Read is the closure-based convenience form of ReadTo. Hot paths should
-// prefer ReadTo, which allocates nothing in steady state.
-func (d *Engine) Read(size int, deviceLatency sim.Time, done func()) {
-	d.ReadTo(size, deviceLatency, legacyReadDone, done)
-}
-
-func legacyReadDone(arg any) { arg.(func())() }
 
 func (d *Engine) startRead(r *readOp) {
 	d.Reads++
@@ -390,17 +348,11 @@ func readPayloadLanded(arg any) {
 	r := arg.(*readOp)
 	d := r.d
 	fn, farg := r.fn, r.arg
-	d.freeRead(r)
+	d.reads.Put(r)
 	fn(farg)
 	d.readCredits++
-	if d.pendingHead < len(d.pendingR) && d.readCredits > 0 {
-		next := d.pendingR[d.pendingHead]
-		d.pendingR[d.pendingHead] = nil
-		d.pendingHead++
-		if d.pendingHead == len(d.pendingR) {
-			d.pendingR, d.pendingHead = d.pendingR[:0], 0
-		}
+	if d.pendingR.len() > 0 && d.readCredits > 0 {
 		d.readCredits--
-		d.startRead(next)
+		d.startRead(d.pendingR.pop())
 	}
 }

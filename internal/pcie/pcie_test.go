@@ -1,6 +1,7 @@
 package pcie
 
 import (
+	"runtime"
 	"testing"
 
 	"ceio/internal/cache"
@@ -33,7 +34,7 @@ func TestLinkTransferTiming(t *testing.T) {
 	eng := sim.NewEngine(1)
 	l, _ := testLinks(eng)
 	var at sim.Time
-	l.Transfer(256, func() { at = eng.Now() })
+	l.TransferArg(256, func(any) { at = eng.Now() }, nil)
 	eng.Run()
 	// 280 wire bytes at 1 B/ns + 100ns propagation.
 	if at != 380 {
@@ -47,13 +48,13 @@ func TestDMAWriteDeliversThroughIIO(t *testing.T) {
 	iio := cache.NewIIO(4096)
 	d := NewEngine(eng, toHost, toNIC, iio, 4)
 	delivered := 0
-	d.Write(1024, func(done func()) {
+	d.WriteTo(1024, func(_ any, w *Write) {
 		delivered++
 		if iio.Occupancy() != 1024 {
 			t.Fatalf("IIO occupancy = %d during delivery", iio.Occupancy())
 		}
-		eng.After(50, done)
-	})
+		eng.After(50, w.Done)
+	}, nil)
 	eng.Run()
 	if delivered != 1 {
 		t.Fatal("write not delivered")
@@ -72,13 +73,12 @@ func TestDMACreditExhaustionQueues(t *testing.T) {
 	iio := cache.NewIIO(1 << 20)
 	d := NewEngine(eng, toHost, toNIC, iio, 2)
 	var order []int
-	slowDone := []func(){}
+	var slowDone []*Write
 	for i := 0; i < 4; i++ {
-		i := i
-		d.Write(100, func(done func()) {
-			order = append(order, i)
-			slowDone = append(slowDone, done) // hold credits until released manually
-		})
+		d.WriteTo(100, func(arg any, w *Write) {
+			order = append(order, arg.(int))
+			slowDone = append(slowDone, w) // hold credits until released manually
+		}, i)
 	}
 	eng.Run()
 	if len(order) != 2 {
@@ -88,13 +88,13 @@ func TestDMACreditExhaustionQueues(t *testing.T) {
 		t.Fatalf("credit stalls = %d, want 2", d.CreditStalls)
 	}
 	// Release one: the third write should proceed.
-	slowDone[0]()
+	slowDone[0].Done()
 	eng.Run()
 	if len(order) != 3 || order[2] != 2 {
 		t.Fatalf("after release, order = %v", order)
 	}
-	slowDone[1]()
-	slowDone[2]()
+	slowDone[1].Done()
+	slowDone[2].Done()
 	eng.Run()
 	if len(order) != 4 {
 		t.Fatalf("final order = %v", order)
@@ -106,13 +106,13 @@ func TestDMAIIOBackpressure(t *testing.T) {
 	toHost, toNIC := testLinks(eng)
 	iio := cache.NewIIO(1024) // fits a single write
 	d := NewEngine(eng, toHost, toNIC, iio, 8)
-	var doneFns []func()
+	var held []*Write
 	delivered := 0
 	for i := 0; i < 3; i++ {
-		d.Write(1024, func(done func()) {
+		d.WriteTo(1024, func(_ any, w *Write) {
 			delivered++
-			doneFns = append(doneFns, done)
-		})
+			held = append(held, w)
+		}, nil)
 	}
 	eng.Run()
 	if delivered != 1 {
@@ -121,13 +121,13 @@ func TestDMAIIOBackpressure(t *testing.T) {
 	if d.IIOBackpressure == 0 {
 		t.Fatal("expected IIO backpressure")
 	}
-	doneFns[0]()
+	held[0].Done()
 	eng.Run()
 	if delivered != 2 {
 		t.Fatalf("delivered = %d after drain, want 2", delivered)
 	}
-	doneFns[1]()
-	doneFns[2]()
+	held[1].Done()
+	held[2].Done()
 	eng.Run()
 	if delivered != 3 {
 		t.Fatalf("delivered = %d, want 3", delivered)
@@ -143,7 +143,7 @@ func TestDMARead(t *testing.T) {
 	iio := cache.NewIIO(1 << 20)
 	d := NewEngine(eng, toHost, toNIC, iio, 4)
 	var at sim.Time
-	d.Read(1024, 450, func() { at = eng.Now() })
+	d.ReadTo(1024, 450, func(any) { at = eng.Now() }, nil)
 	eng.Run()
 	// Request: 32+24=56 wire bytes + 100ns prop = 156. Device: +450 = 606.
 	// Response: 1024+96=1120 bytes + 100 prop = 1826 total.
@@ -162,11 +162,10 @@ func TestDMAWritesPreserveOrder(t *testing.T) {
 	d := NewEngine(eng, toHost, toNIC, iio, 2)
 	var order []int
 	for i := 0; i < 20; i++ {
-		i := i
-		d.Write(64, func(done func()) {
-			order = append(order, i)
-			eng.After(10, done)
-		})
+		d.WriteTo(64, func(arg any, w *Write) {
+			order = append(order, arg.(int))
+			eng.After(10, w.Done)
+		}, i)
 	}
 	eng.Run()
 	if len(order) != 20 {
@@ -193,14 +192,13 @@ func TestDMAReadsQueueFIFO(t *testing.T) {
 	issued := 0
 	var issue func()
 	issue = func() {
-		i := issued
 		issued++
-		d.Read(256, 100, func() {
-			order = append(order, i)
+		d.ReadTo(256, 100, func(arg any) {
+			order = append(order, arg.(int))
 			if issued < total {
 				issue()
 			}
-		})
+		}, issued-1)
 	}
 	for issued < burst {
 		issue()
@@ -217,7 +215,58 @@ func TestDMAReadsQueueFIFO(t *testing.T) {
 	if d.ReadStalls == 0 {
 		t.Fatal("no read queued behind the tag pool")
 	}
-	if c := cap(d.pendingR); c > 2*burst {
+	if c := cap(d.pendingR.s); c > 2*burst {
 		t.Fatalf("pending-read storage grew to %d for a backlog of at most %d", c, burst)
+	}
+}
+
+// A standing write backlog, parked behind the credit pool or behind a
+// full IIO, must reuse its queue's storage: every absorbed write issues
+// another, so the queue never drains, and once warm 100 000 writes
+// through it allocate nothing. testing.AllocsPerRun would truncate the
+// old one-realloc-per-backlog-length cost to 0, so this counts mallocs.
+func TestDMAWriteBacklogAllocationFree(t *testing.T) {
+	const backlog = 64
+	for _, tc := range []struct {
+		name    string
+		iio     int64
+		credits int
+		queue   func(*Engine) int
+	}{
+		{"credits", 1 << 30, 4, func(d *Engine) int { return d.pendingW.len() }},
+		{"iio", 4 * 64, 4 + backlog, func(d *Engine) int { return d.iioWaiting.len() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			eng := sim.NewEngine(1)
+			toHost, toNIC := testLinks(eng)
+			d := NewEngine(eng, toHost, toNIC, cache.NewIIO(tc.iio), tc.credits)
+			absorbed := 0
+			var deliver func(any, *Write)
+			absorb := func(arg any) {
+				arg.(*Write).Done()
+				absorbed++
+				d.WriteTo(64, deliver, nil)
+			}
+			deliver = func(_ any, w *Write) { eng.AfterArg(1000, absorb, w) }
+			for i := 0; i < 4+backlog; i++ {
+				d.WriteTo(64, deliver, nil)
+			}
+			run := func(n int) {
+				for end := absorbed + n; absorbed < end; {
+					eng.Step()
+				}
+			}
+			run(10_000)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			run(100_000)
+			runtime.ReadMemStats(&after)
+			if n := after.Mallocs - before.Mallocs; n != 0 {
+				t.Errorf("100000 writes behind a %d-deep backlog made %d heap allocations, want 0", backlog, n)
+			}
+			if q := tc.queue(d); q < backlog-4 {
+				t.Errorf("backlog is %d writes deep, want about %d", q, backlog)
+			}
+		})
 	}
 }

@@ -128,10 +128,9 @@ type flowState struct {
 // admission path schedules with AfterArg instead of allocating a closure
 // per packet.
 type job struct {
-	d    *RDCA
-	f    *iosys.Flow
-	p    *pkt.Packet
-	next *job
+	d *RDCA
+	f *iosys.Flow
+	p *pkt.Packet
 }
 
 // partWindow is one LLC partition's receiver-driven window state. On an
@@ -169,7 +168,7 @@ type RDCA struct {
 	inflight map[cache.BufID]int
 	pred     func(cache.BufID) bool // persistent ImminentIn predicate
 
-	freeJobs *job
+	jobs sim.FreeList[job]
 
 	// Statistics.
 	Demoted         uint64 // bypass lines dropped from the LLC at delivery
@@ -248,7 +247,7 @@ func (d *RDCA) FlowRemoved(f *iosys.Flow) {
 			if j.f == f {
 				st.pending--
 				d.m.Drop(j.f, j.p)
-				d.putJob(j)
+				d.jobs.Put(j)
 				continue
 			}
 			pw.pend[n] = j
@@ -259,22 +258,6 @@ func (d *RDCA) FlowRemoved(f *iosys.Flow) {
 			pw.pend, pw.pendHead = pw.pend[:0], 0
 		}
 	}
-}
-
-func (d *RDCA) getJob(f *iosys.Flow, p *pkt.Packet) *job {
-	j := d.freeJobs
-	if j == nil {
-		j = &job{}
-	} else {
-		d.freeJobs = j.next
-	}
-	j.d, j.f, j.p, j.next = d, f, p, nil
-	return j
-}
-
-func (d *RDCA) putJob(j *job) {
-	*j = job{next: d.freeJobs}
-	d.freeJobs = j
 }
 
 // Ingress posts the packet to the flow's rx ring and runs the window
@@ -303,7 +286,8 @@ func (d *RDCA) Ingress(f *iosys.Flow, p *pkt.Packet) {
 	if st.rx != nil {
 		st.rx.Post(p)
 	}
-	j := d.getJob(f, p)
+	j := d.jobs.Get()
+	*j = job{d: d, f: f, p: p}
 	if d.opt.ControlOverhead > 0 {
 		d.m.Eng.AfterArg(d.opt.ControlOverhead, decide, j)
 	} else {
@@ -342,7 +326,7 @@ func (d *RDCA) admit(j *job) {
 	pw.inFlight++
 	d.inflight[j.p.Buf] = j.f.Partition()
 	d.m.DMAToHost(j.f, j.p)
-	d.putJob(j)
+	d.jobs.Put(j)
 }
 
 // Landed streams a landed CPU-bypass packet onward through the memory

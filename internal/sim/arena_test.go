@@ -1,6 +1,18 @@
 package sim
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// One callback form keeps the record at 48 bytes: at, afn, a 16-byte
+// arg, next and gen. Every schedule touches the new record and the slot
+// tail's, and every pop the head's, so each byte is paid per event.
+func TestEventRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(eventRec{}); n > 48 {
+		t.Fatalf("unsafe.Sizeof(eventRec{}) = %d, want <= 48", n)
+	}
+}
 
 // TestArenaLocalityUnderChurn pins the contiguous-arena property the
 // sharded fleet relies on: slab count tracks the high-water mark of

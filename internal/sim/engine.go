@@ -83,14 +83,14 @@ const (
 
 const maxTime = Time(math.MaxInt64)
 
-// eventRec is one scheduled callback, arena-allocated and recycled. Either
-// fn or afn is set: afn receives arg, which lets hot paths schedule a
-// long-lived func(any) plus a pointer instead of allocating a fresh
-// closure per event. next is the arena id of the successor in whichever
-// index chain (slot list, overflow, or free list) holds the record.
+// eventRec is one scheduled callback, arena-allocated and recycled: afn
+// receives arg, which lets hot paths schedule a long-lived func(any) plus
+// a pointer instead of allocating a fresh closure per event (At and After
+// store their closure as arg to callFunc). next is the arena id of the
+// successor in whichever index chain (slot list, overflow, or free list)
+// holds the record.
 type eventRec struct {
 	at   Time
-	fn   func()
 	afn  func(any)
 	arg  any
 	next int32
@@ -241,7 +241,6 @@ func (e *Engine) allocID() int32 {
 // capture references immediately so the arena never retains dead closures.
 func (e *Engine) freeID(id int32) {
 	r := e.rec(id)
-	r.fn = nil
 	r.afn = nil
 	r.arg = nil
 	r.gen++
@@ -482,14 +481,13 @@ func (e *Engine) unlink(id int32) bool {
 
 // --- scheduling API ------------------------------------------------------
 
-func (e *Engine) schedule(t Time, fn func(), afn func(any), arg any) handle {
+func (e *Engine) schedule(t Time, afn func(any), arg any) handle {
 	if t < e.now {
 		t = e.now
 	}
 	id := e.allocID()
 	r := e.rec(id)
 	r.at = t
-	r.fn = fn
 	r.afn = afn
 	r.arg = arg
 	e.insertRec(id)
@@ -513,19 +511,23 @@ func (e *Engine) cancel(h handle) bool {
 
 // At schedules fn to run at absolute time t. Scheduling in the past is an
 // error in the model; it is clamped to Now so that simulations degrade
-// gracefully rather than travel backwards.
-func (e *Engine) At(t Time, fn func()) { e.schedule(t, fn, nil, nil) }
+// gracefully rather than travel backwards. fn rides as the argument of
+// callFunc: a func value is one pointer, so storing it in an any
+// allocates nothing beyond what the closure itself captured.
+func (e *Engine) At(t Time, fn func()) { e.schedule(t, callFunc, fn) }
 
 // After schedules fn to run d nanoseconds from now.
-func (e *Engine) After(d Time, fn func()) { e.schedule(e.now+d, fn, nil, nil) }
+func (e *Engine) After(d Time, fn func()) { e.schedule(e.now+d, callFunc, fn) }
 
-// AtArg schedules fn(arg) at absolute time t. Unlike At, it captures no
-// environment: hot paths keep one long-lived func(any) and pass the
+func callFunc(arg any) { arg.(func())() }
+
+// AtArg schedules fn(arg) at absolute time t. Unlike At, it needs no
+// closure: hot paths keep one long-lived func(any) and pass the
 // per-event state as arg, so scheduling allocates nothing.
-func (e *Engine) AtArg(t Time, fn func(any), arg any) { e.schedule(t, nil, fn, arg) }
+func (e *Engine) AtArg(t Time, fn func(any), arg any) { e.schedule(t, fn, arg) }
 
 // AfterArg schedules fn(arg) to run d nanoseconds from now; see AtArg.
-func (e *Engine) AfterArg(d Time, fn func(any), arg any) { e.schedule(e.now+d, nil, fn, arg) }
+func (e *Engine) AfterArg(d Time, fn func(any), arg any) { e.schedule(e.now+d, fn, arg) }
 
 // --- dispatch ------------------------------------------------------------
 
@@ -536,13 +538,9 @@ func (e *Engine) dispatch(id int32) {
 	r := e.rec(id)
 	e.now = r.at
 	e.Processed++
-	fn, afn, arg := r.fn, r.afn, r.arg
+	afn, arg := r.afn, r.arg
 	e.freeID(id)
-	if fn != nil {
-		fn()
-	} else {
-		afn(arg)
-	}
+	afn(arg)
 }
 
 // Step executes the next event, if any, and reports whether one ran. Step
@@ -604,7 +602,7 @@ func (e *Engine) Every(start, period Time, fn func()) (cancel func()) {
 		panic("sim: Every requires a positive period")
 	}
 	t := &ticker{e: e, period: period, fn: fn}
-	t.h = e.schedule(start, nil, tickerFire, t)
+	t.h = e.schedule(start, tickerFire, t)
 	return t.cancel
 }
 
@@ -625,7 +623,7 @@ func tickerFire(arg any) {
 	}
 	t.fn()
 	if !t.stopped {
-		t.h = t.e.schedule(t.e.now+t.period, nil, tickerFire, t)
+		t.h = t.e.schedule(t.e.now+t.period, tickerFire, t)
 	}
 }
 

@@ -34,7 +34,7 @@ func auditFreeList(t *testing.T, e *Engine) {
 	for id := e.freeHead; id != nilID; id = e.rec(id).next {
 		n++
 		r := e.rec(id)
-		if r.fn != nil || r.afn != nil || r.arg != nil {
+		if r.afn != nil || r.arg != nil {
 			t.Fatalf("free-list record %d retains a closure (at=%v)", n, r.at)
 		}
 	}
@@ -44,7 +44,7 @@ func auditFreeList(t *testing.T, e *Engine) {
 }
 
 // TestEngineDrainedHoldsNoEvents pins the memory behavior of the record
-// pool: freeing a record must nil its fn/afn/arg immediately, otherwise
+// pool: freeing a record must nil its afn/arg immediately, otherwise
 // a long run retains every fired closure (and the object graph it
 // captures) for the lifetime of the pool — the same invariant the old
 // heap enforced by zeroing vacated slots.
@@ -82,11 +82,13 @@ func TestEngineInterleavedPoolZeroing(t *testing.T) {
 
 // TestEngineSteadyStateZeroAlloc proves the tentpole guarantee: once the
 // record pool is warm, a schedule+dispatch cycle performs no heap
-// allocations — for After with a pre-built closure, for AfterArg, and
-// for a running Every ticker.
+// allocations — for After with a pre-built closure (stored as the
+// argument of the callFunc trampoline), for AfterArg, and for a running
+// Every ticker.
 func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	e := NewEngine(1)
-	fn := func() {}
+	ran := 0
+	fn := func() { ran++ } // captures, so it is a heap closure built once
 	e.After(1, fn)
 	e.Step() // warm the pool
 	if avg := testing.AllocsPerRun(1000, func() {
@@ -94,6 +96,9 @@ func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 		e.Step()
 	}); avg != 0 {
 		t.Fatalf("After+Step allocates %.2f objects per cycle, want 0", avg)
+	}
+	if ran != 1002 { // the warm-up, AllocsPerRun's own warm-up run, 1000 runs
+		t.Fatalf("persistent closure ran %d times, want 1002", ran)
 	}
 	afn := func(any) {}
 	if avg := testing.AllocsPerRun(1000, func() {
@@ -393,8 +398,9 @@ func TestServerSerialisation(t *testing.T) {
 	e := NewEngine(1)
 	s := NewServer(e, 1e9, 0) // 1 byte per ns
 	var done []Time
-	s.Submit(100, func() { done = append(done, e.Now()) })
-	s.Submit(50, func() { done = append(done, e.Now()) })
+	note := func(any) { done = append(done, e.Now()) }
+	s.SubmitArg(100, note, nil)
+	s.SubmitArg(50, note, nil)
 	e.Run()
 	if len(done) != 2 || done[0] != 100 || done[1] != 150 {
 		t.Fatalf("completions = %v, want [100 150]", done)
@@ -405,8 +411,9 @@ func TestServerLatencyPipelining(t *testing.T) {
 	e := NewEngine(1)
 	s := NewServer(e, 1e9, 500)
 	var done []Time
-	s.Submit(100, func() { done = append(done, e.Now()) })
-	s.Submit(100, func() { done = append(done, e.Now()) })
+	note := func(any) { done = append(done, e.Now()) }
+	s.SubmitArg(100, note, nil)
+	s.SubmitArg(100, note, nil)
 	e.Run()
 	// Second item begins serialising at t=100 and completes at 200+500:
 	// the latency stages overlap.
@@ -418,7 +425,7 @@ func TestServerLatencyPipelining(t *testing.T) {
 func TestServerQueueDelay(t *testing.T) {
 	e := NewEngine(1)
 	s := NewServer(e, 1e9, 0)
-	s.Submit(1000, nil)
+	s.Submit(1000)
 	if d := s.QueueDelay(); d != 1000 {
 		t.Fatalf("queue delay = %v, want 1000", d)
 	}
@@ -431,8 +438,8 @@ func TestServerQueueDelay(t *testing.T) {
 func TestServerStats(t *testing.T) {
 	e := NewEngine(1)
 	s := NewServer(e, 2e9, 0)
-	s.Submit(200, nil)
-	s.Submit(200, nil)
+	s.Submit(200)
+	s.Submit(200)
 	e.Run()
 	if s.ItemsServed != 2 || s.BytesServed != 400 {
 		t.Fatalf("items=%d bytes=%d", s.ItemsServed, s.BytesServed)

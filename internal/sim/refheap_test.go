@@ -170,9 +170,31 @@ func chainDelay(id uint64) Time {
 	return Time(id*2654435761%100000) + 1
 }
 
+// argEvent is the per-event payload of a wheel event scheduled in the
+// func(any)-plus-argument form.
+type argEvent struct {
+	d     *diffState
+	id    uint64
+	depth int
+}
+
+// argFire is the one long-lived func(any) behind every argEvent; its
+// chained child rides AtArg with a fresh payload.
+func argFire(arg any) {
+	ev := arg.(*argEvent)
+	d := ev.d
+	d.eLog = append(d.eLog, fireLog{d.e.Now(), ev.id})
+	if ev.depth > 0 {
+		d.e.AtArg(d.e.Now()+chainDelay(ev.id), argFire, &argEvent{d, ev.id*31 + 1, ev.depth - 1})
+	}
+}
+
 // scheduleBoth schedules a logging event at absolute time t on both
 // schedulers. depth > 0 makes the callback reschedule a chained child on
-// fire, exercising scheduling from inside dispatch.
+// fire, exercising scheduling from inside dispatch. On the wheel, odd ids
+// take the closure form (At/After) and even ids a shared func(any) with a
+// per-event payload (AtArg), and a chained child keeps its parent's form,
+// so the two forms interleave within the same slots.
 func (d *diffState) scheduleBoth(t Time, depth int) {
 	id := d.id
 	d.id++
@@ -193,7 +215,11 @@ func (d *diffState) scheduleBoth(t Time, depth int) {
 			}
 		}
 	}
-	d.eHandles = append(d.eHandles, d.e.schedule(t, eFn(id, depth), nil, nil))
+	if id%2 == 0 {
+		d.eHandles = append(d.eHandles, d.e.schedule(t, argFire, &argEvent{d, id, depth}))
+	} else {
+		d.eHandles = append(d.eHandles, d.e.schedule(t, callFunc, eFn(id, depth)))
+	}
 	d.rEvents = append(d.rEvents, d.r.at(t, rFn(id, depth)))
 }
 

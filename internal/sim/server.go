@@ -39,29 +39,19 @@ func (s *Server) serialisation(size int) Time {
 	return t
 }
 
-// Submit enqueues a transfer of size bytes. done (optional) runs when the
-// transfer fully completes (serialisation + fixed latency). Submit returns
-// the completion time.
-func (s *Server) Submit(size int, done func()) Time {
-	completion := s.clock(size)
-	if done != nil {
-		s.eng.At(completion, done)
-	}
-	return completion
-}
-
-// SubmitArg is the allocation-free variant of Submit: fn(arg) runs at
-// completion, so hot paths pass one long-lived func(any) plus per-item
-// state instead of capturing a fresh closure per transfer.
+// SubmitArg enqueues a transfer of size bytes; fn(arg) runs when it fully
+// completes (serialisation + fixed latency), and SubmitArg returns that
+// completion time.
 func (s *Server) SubmitArg(size int, fn func(any), arg any) Time {
-	completion := s.clock(size)
+	completion := s.Submit(size)
 	s.eng.AtArg(completion, fn, arg)
 	return completion
 }
 
-// clock books a transfer through the serialisation stage and returns its
-// completion time.
-func (s *Server) clock(size int) Time {
+// Submit books a transfer of size bytes through the serialisation stage
+// with no completion callback, for load that only consumes bandwidth, and
+// returns its completion time.
+func (s *Server) Submit(size int) Time {
 	now := s.eng.Now()
 	start := now
 	if s.busyUntil > start {

@@ -1,8 +1,8 @@
 package telemetry
 
 import (
+	"encoding/csv"
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
 	"strconv"
@@ -120,17 +120,17 @@ func formatSample(v float64) string {
 // sorted identity order and floats use the shortest exact encoding.
 func (s *Sampler) WriteCSV(w io.Writer) error {
 	series := s.Series()
-	header := make([]string, 0, len(series)+1)
-	header = append(header, "t_ns")
+	cw := csv.NewWriter(w)
+	row := make([]string, 0, len(series)+1)
+	row = append(row, "t_ns")
 	for _, sr := range series {
-		header = append(header, sr.ID)
+		row = append(row, sr.ID)
 	}
-	if _, err := fmt.Fprintln(w, joinCSV(header)); err != nil {
+	if err := cw.Write(row); err != nil {
 		return err
 	}
 	for i, t := range s.ticks {
-		row := make([]string, 0, len(series)+1)
-		row = append(row, strconv.FormatInt(int64(t), 10))
+		row = append(row[:0], strconv.FormatInt(int64(t), 10))
 		for _, sr := range series {
 			if i >= sr.Start && i-sr.Start < len(sr.Pts) {
 				row = append(row, formatSample(sr.Pts[i-sr.Start]))
@@ -138,46 +138,12 @@ func (s *Sampler) WriteCSV(w io.Writer) error {
 				row = append(row, "")
 			}
 		}
-		if _, err := fmt.Fprintln(w, joinCSV(row)); err != nil {
+		if err := cw.Write(row); err != nil {
 			return err
 		}
 	}
-	return nil
-}
-
-// joinCSV joins cells with commas, quoting any cell containing a comma
-// or quote (metric identities contain quotes around label values).
-func joinCSV(cells []string) string {
-	out := make([]byte, 0, 64)
-	for i, c := range cells {
-		if i > 0 {
-			out = append(out, ',')
-		}
-		if needsQuote(c) {
-			out = append(out, '"')
-			for _, b := range []byte(c) {
-				if b == '"' {
-					out = append(out, '"', '"')
-				} else {
-					out = append(out, b)
-				}
-			}
-			out = append(out, '"')
-		} else {
-			out = append(out, c...)
-		}
-	}
-	return string(out)
-}
-
-func needsQuote(s string) bool {
-	for i := 0; i < len(s); i++ {
-		switch s[i] {
-		case ',', '"', '\n', '\r':
-			return true
-		}
-	}
-	return false
+	cw.Flush()
+	return cw.Error()
 }
 
 // WriteJSONL writes one JSON object per tick:
