@@ -116,11 +116,10 @@ type flowState struct {
 
 	mode pkt.Path // current steering action for this flow
 
-	fastInFlight  int           // fast-path DMA writes not yet landed
-	waitQ         []*pkt.Packet // on-NIC packets awaiting SW-ring insertion
-	wqHead        int           // consumed prefix of waitQ (popped entries)
-	onNIC         int           // packets resident in on-NIC memory
-	slowUnpushed  int           // slow packets not yet inserted in the SW ring
+	fastInFlight  int                    // fast-path DMA writes not yet landed
+	waitQ         sim.Queue[*pkt.Packet] // on-NIC packets awaiting SW-ring insertion
+	onNIC         int                    // packets resident in on-NIC memory
+	slowUnpushed  int                    // slow packets not yet inserted in the SW ring
 	readsInFlight int
 
 	// pending is the reused scratch for the SW-ring indices issueReads
@@ -146,26 +145,6 @@ type flowState struct {
 	releasesApplied uint64
 
 	mpq *mpqState // PIAS priority tracking (MPQ scheduler only)
-}
-
-// wqLen returns the number of unconsumed waitQ packets.
-func (st *flowState) wqLen() int { return len(st.waitQ) - st.wqHead }
-
-// wqPeek returns the oldest unconsumed waitQ packet.
-func (st *flowState) wqPeek() *pkt.Packet { return st.waitQ[st.wqHead] }
-
-// wqPop consumes the oldest waitQ packet. Popping advances a head index
-// instead of re-slicing so the backing array is reused once drained —
-// the pop-front/append-back churn of the slow path never reallocates.
-func (st *flowState) wqPop() *pkt.Packet {
-	p := st.waitQ[st.wqHead]
-	st.waitQ[st.wqHead] = nil
-	st.wqHead++
-	if st.wqHead == len(st.waitQ) {
-		st.waitQ = st.waitQ[:0]
-		st.wqHead = 0
-	}
-	return p
 }
 
 // CEIO is the cache-efficient I/O datapath (Figure 5): a credit-based
@@ -371,7 +350,7 @@ func (c *CEIO) teardownElastic(st *flowState) {
 	st.steerEpoch++ // cancel outstanding steering retries/commits
 	c.ringViolationsClosed += st.sw.Violations
 	bufBytes := int64(c.m.Cfg.IOBufSize)
-	for _, p := range st.waitQ[st.wqHead:] {
+	for _, p := range st.waitQ.Items() {
 		st.onNIC--
 		c.m.NICMemUsed -= bufBytes
 		if st.f.Kind == iosys.CPUInvolved {
@@ -379,7 +358,7 @@ func (c *CEIO) teardownElastic(st *flowState) {
 		}
 		c.m.Drop(st.f, p)
 	}
-	st.waitQ, st.wqHead = nil, 0
+	st.waitQ = sim.Queue[*pkt.Packet]{}
 	for {
 		p, slow, ready, ok := st.sw.PopAny()
 		if !ok {
@@ -743,11 +722,11 @@ func (c *CEIO) slowArrived(st *flowState, p *pkt.Packet) {
 	if st.f.Kind == iosys.CPUBypass {
 		// Event-driven drain on the NIC cores (§4.1 Q2): keep ReadAhead
 		// DMA reads outstanding without any host CPU involvement.
-		st.waitQ = append(st.waitQ, p)
+		st.waitQ.Push(p)
 		c.drainBypass(st)
 		return
 	}
-	st.waitQ = append(st.waitQ, p)
+	st.waitQ.Push(p)
 	c.m.Doorbell(st.f)
 	if st.fastInFlight == 0 {
 		c.flushWaitQ(st)
@@ -763,11 +742,11 @@ func (c *CEIO) flushWaitQ(st *flowState) {
 	if st.f.Kind == iosys.CPUBypass {
 		return
 	}
-	for st.wqLen() > 0 && st.fastInFlight == 0 && st.sw.Len() < st.sw.Cap()/2 {
-		if _, ok := st.sw.PushSlow(st.wqPeek()); !ok {
+	for st.waitQ.Len() > 0 && st.fastInFlight == 0 && st.sw.Len() < st.sw.Cap()/2 {
+		if _, ok := st.sw.PushSlow(st.waitQ.Peek()); !ok {
 			break
 		}
-		st.wqPop()
+		st.waitQ.Pop()
 		st.slowUnpushed--
 	}
 	c.maybeResumeFast(st)
@@ -906,15 +885,15 @@ func (c *CEIO) drainBypass(st *flowState) {
 	if !c.opt.AsyncDrain {
 		limit = 1
 	}
-	for st.readsInFlight < limit && st.wqLen() > 0 {
-		if !c.issueRead(st, st.wqPeek(), contBypass, 0) {
+	for st.readsInFlight < limit && st.waitQ.Len() > 0 {
+		if !c.issueRead(st, st.waitQ.Peek(), contBypass, 0) {
 			// Host pool exhausted: hold the queue and retry shortly
 			// (bypass drains are event-driven, with no poll loop to
 			// retry them).
 			c.m.Eng.AfterArg(c.m.Cfg.PollInterval*16, ceioDrainRetry, c.getJob(st, nil))
 			return
 		}
-		st.wqPop()
+		st.waitQ.Pop()
 	}
 }
 
@@ -972,7 +951,7 @@ func (c *CEIO) Poll(f *iosys.Flow, out []*pkt.Packet, max int) []*pkt.Packet {
 // outside a landing (a switch to the slow path, a wait-queue append)
 // rings the flow's doorbell.
 func (st *flowState) quiescent() bool {
-	return st.mode == pkt.PathFast && st.wqLen() == 0 && st.sw.Len() == 0
+	return st.mode == pkt.PathFast && st.waitQ.Len() == 0 && st.sw.Len() == 0
 }
 
 // OnDelivered performs lazy credit release: when the application finishes
@@ -1079,13 +1058,13 @@ func (c *CEIO) maybeResumeFast(st *flowState) {
 		// packets (pushed at DMA completion) cannot overtake them. This
 		// is the phase-exclusivity rule of §4.2, applied at the ring
 		// boundary rather than waiting for the physical drain to finish.
-		if st.slowUnpushed != 0 || st.wqLen() != 0 {
+		if st.slowUnpushed != 0 || st.waitQ.Len() != 0 {
 			return
 		}
 	} else {
 		// CPU-bypass packets have no ordering ring: resume once every
 		// on-NIC packet has its drain read committed to the pipeline.
-		if st.onNIC != st.readsInFlight || st.wqLen() != 0 {
+		if st.onNIC != st.readsInFlight || st.waitQ.Len() != 0 {
 			return
 		}
 	}
@@ -1280,5 +1259,5 @@ func (c *CEIO) DebugFlow(id int) string {
 	}
 	st := f.DP.(*flowState)
 	return fmt.Sprintf("mode=%v onNIC=%d waitQ=%d reads=%d swLen=%d unreleased=%d",
-		st.mode, st.onNIC, st.wqLen(), st.readsInFlight, st.sw.Len(), st.unreleased)
+		st.mode, st.onNIC, st.waitQ.Len(), st.readsInFlight, st.sw.Len(), st.unreleased)
 }

@@ -46,7 +46,7 @@ func (f *File) addRange(start, n int64) int64 {
 	var covered int64
 	for j < len(f.extents) && f.extents[j].Start <= end {
 		e := f.extents[j]
-		covered += min64(e.End, end) - max64(e.Start, start)
+		covered += min(e.End, end) - max(e.Start, start)
 		if e.Start < newStart {
 			newStart = e.Start
 		}
@@ -151,17 +151,3 @@ func (s *Server) appendLog(e LogEntry) {
 
 // LogLen returns the number of retained log entries.
 func (s *Server) LogLen() int { return len(s.log) }
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -81,10 +81,3 @@ func runFlowScale(cfg Config, n int, slot, duration sim.Time) float64 {
 	m.Run(duration)
 	return m.Delivered.Gbps(m.Eng.Now())
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -134,11 +134,8 @@ type qmsg[P any] struct {
 // port is the egress state of one switch port.
 type port[P any] struct {
 	// voq[s] is the FIFO of frames from source port s awaiting this
-	// egress port, drained by the round-robin arbiter. head indexes the
-	// first live entry (amortized in-place compaction, like the RDCA
-	// pend queue).
-	voq  [][]qmsg[P]
-	head []int
+	// egress port, drained by the round-robin arbiter.
+	voq []sim.Queue[qmsg[P]]
 	// rr is the source index the arbiter starts its next scan after, so
 	// contending sources share the port in deterministic turns.
 	rr int
@@ -182,10 +179,7 @@ func New[P any](cfg Config) (*Switch[P], error) {
 	}
 	s := &Switch[P]{cfg: cfg, capFactor: 1}
 	for i := 0; i < cfg.Ports; i++ {
-		s.ports = append(s.ports, &port[P]{
-			voq:  make([][]qmsg[P], cfg.Ports),
-			head: make([]int, cfg.Ports),
-		})
+		s.ports = append(s.ports, &port[P]{voq: make([]sim.Queue[qmsg[P]], cfg.Ports)})
 	}
 	return s, nil
 }
@@ -297,7 +291,7 @@ func (s *Switch[P]) Inject(now sim.Time, m Msg[P]) bool {
 	}
 	s.bufUsed += m.Bytes
 	s.seq++
-	p.voq[m.Src] = append(p.voq[m.Src], qmsg[P]{msg: m, seq: s.seq})
+	p.voq[m.Src].Push(qmsg[P]{msg: m, seq: s.seq})
 	p.queuedMsgs++
 	s.kick(p, now)
 	return true
@@ -340,20 +334,11 @@ func (s *Switch[P]) nextRR(p *port[P]) (qmsg[P], bool) {
 	n := len(p.voq)
 	for i := 1; i <= n; i++ {
 		src := (p.rr + i) % n
-		q := p.voq[src]
-		h := p.head[src]
-		if h >= len(q) {
+		q := &p.voq[src]
+		if q.Len() == 0 {
 			continue
 		}
-		m := q[h]
-		h++
-		p.head[src] = h
-		// Amortized compaction: once the dead prefix dominates, slide the
-		// live tail down so the backing array cannot grow without bound.
-		if h >= 32 && h*2 >= len(q) {
-			p.voq[src] = append(q[:0], q[h:]...)
-			p.head[src] = 0
-		}
+		m := q.Pop()
 		p.rr = src
 		p.queuedMsgs--
 		return m, true

@@ -197,41 +197,14 @@ type outMsg struct {
 }
 
 // inMsg is one frame the switch delivered to a shard, waiting in the
-// shard's inbox for its delivery event.
+// shard's inbox for its delivery event. A barrier pushes into the inbox
+// in the switch's canonical (time, destination, injection) order and
+// schedules one delivery event per frame; each event pops the head, so
+// the head is always the shard's earliest pending delivery.
 type inMsg struct {
 	at  sim.Time
 	src int
 	m   netMsg
-}
-
-// inbox is a shard's FIFO of scheduled deliveries. A barrier pushes in
-// the switch's canonical (time, destination, injection) order and
-// schedules one delivery event per frame; each event pops the head, so
-// the head is always the shard's earliest pending delivery. Every
-// frame pushed at a barrier lands within one PropDelay of it, so by the
-// end of the next full epoch the inbox is empty and its buffer rewinds.
-type inbox struct {
-	q    []inMsg
-	head int
-}
-
-func (b *inbox) push(m inMsg) { b.q = append(b.q, m) }
-
-func (b *inbox) pop() inMsg {
-	m := b.q[b.head]
-	b.head++
-	if b.head == len(b.q) {
-		b.q, b.head = b.q[:0], 0
-	}
-	return m
-}
-
-// next returns the earliest pending delivery time.
-func (b *inbox) next() (sim.Time, bool) {
-	if b.head == len(b.q) {
-		return 0, false
-	}
-	return b.q[b.head].at, true
 }
 
 // Host is one rack member: a full simulated machine on its own shard
@@ -244,8 +217,8 @@ type Host struct {
 	M     *iosys.Machine
 	Inj   *faults.Injector // nil when the host runs fault-free
 
-	out []outMsg // shard outbox, drained at each barrier
-	in  inbox    // frames the switch delivered, awaiting their event
+	out []outMsg         // shard outbox, drained at each barrier
+	in  sim.Queue[inMsg] // frames the switch delivered, awaiting their event
 
 	// Shard-owned ground truth.
 	down      bool
@@ -371,7 +344,7 @@ type Fleet struct {
 
 	hosts   []*Host
 	ctlOut  []outMsg
-	ctlIn   inbox
+	ctlIn   sim.Queue[inMsg]
 	ctlPort int
 	// merge is the barrier's reused buffer for sequencing every outbox.
 	merge []outMsg
@@ -446,10 +419,10 @@ func New(cfg Config) (*Fleet, error) {
 	f.stepHost = func(i int) { f.hosts[i].M.Eng.RunUntil(f.epochEnd) }
 	f.deliverHost = func(arg any) {
 		h := arg.(*Host)
-		f.hostRecv(h, h.in.pop().m)
+		f.hostRecv(h, h.in.Pop().m)
 	}
 	f.deliverCtl = func(any) {
-		d := f.ctlIn.pop()
+		d := f.ctlIn.Pop()
 		f.ctlRecv(d.src, d.m)
 	}
 	for i := 0; i < cfg.Hosts; i++ {
@@ -564,8 +537,8 @@ func (f *Fleet) nextBarrier(g epochGrid) sim.Time {
 		next = min(next, f.auditNext)
 	}
 	for _, h := range f.hosts {
-		if at, ok := h.in.next(); ok {
-			next = min(next, at)
+		if h.in.Len() > 0 {
+			next = min(next, h.in.Peek().at)
 		}
 		if h.Inj != nil {
 			flap, _ := h.Inj.PortFlap()
@@ -664,11 +637,11 @@ func (f *Fleet) barrier(prev, t sim.Time) {
 	for _, d := range f.SW.Drain() {
 		in := inMsg{at: d.At, src: d.Msg.Src, m: d.Msg.Payload}
 		if d.Msg.Dst == f.ctlPort {
-			f.ctlIn.push(in)
+			f.ctlIn.Push(in)
 			f.Eng.AtArg(d.At, f.deliverCtl, nil)
 		} else {
 			h := f.hosts[d.Msg.Dst]
-			h.in.push(in)
+			h.in.Push(in)
 			h.M.Eng.AtArg(d.At, f.deliverHost, h)
 		}
 	}

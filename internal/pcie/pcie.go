@@ -83,10 +83,10 @@ type Engine struct {
 
 	writeCredits int
 	maxCredits   int
-	pendingW     fifo[*Write]
+	pendingW     sim.Queue[*Write]
 
 	// iioWaiting parks writes rejected by a full IIO until it drains.
-	iioWaiting fifo[*Write]
+	iioWaiting sim.Queue[*Write]
 
 	writes sim.FreeList[Write]
 
@@ -97,7 +97,7 @@ type Engine struct {
 	readCredits int
 	maxReads    int
 	// pendingR queues reads waiting for a tag.
-	pendingR fifo[*readOp]
+	pendingR sim.Queue[*readOp]
 
 	reads sim.FreeList[readOp]
 
@@ -177,41 +177,6 @@ func (d *Engine) OutstandingReads() int { return d.maxReads - d.readCredits }
 // OutstandingWrites reports write credits currently in use.
 func (d *Engine) OutstandingWrites() int { return d.maxCredits - d.writeCredits }
 
-// fifo is a slice-backed queue whose pops advance a head index, so the
-// backing array is kept across pops. A push that finds the array full
-// slides the live tail to the front when at least half of it is consumed
-// and grows it otherwise, so the array stays within four times the peak
-// backlog, a standing backlog allocates nothing once warm, and an entry
-// is moved O(1) times on average.
-type fifo[T any] struct {
-	s    []T
-	head int
-}
-
-func (q *fifo[T]) len() int { return len(q.s) - q.head }
-
-func (q *fifo[T]) peek() T { return q.s[q.head] }
-
-func (q *fifo[T]) push(x T) {
-	if len(q.s) == cap(q.s) && 2*q.head >= len(q.s) {
-		n := copy(q.s, q.s[q.head:])
-		clear(q.s[n:])
-		q.s, q.head = q.s[:n], 0
-	}
-	q.s = append(q.s, x)
-}
-
-func (q *fifo[T]) pop() T {
-	x := q.s[q.head]
-	var zero T
-	q.s[q.head] = zero
-	q.head++
-	if q.head == len(q.s) {
-		q.s, q.head = q.s[:0], 0
-	}
-	return x
-}
-
 // WriteTo issues a DMA write of size bytes toward the host. deliver(arg,
 // w) is invoked when the data reaches the head of the IIO buffer; the
 // host memory subsystem must call w.Done once it has absorbed the data.
@@ -242,7 +207,7 @@ func retryWrite(arg any) {
 func (d *Engine) issueWrite(w *Write) {
 	if d.writeCredits == 0 {
 		d.CreditStalls++
-		d.pendingW.push(w)
+		d.pendingW.Push(w)
 		return
 	}
 	d.writeCredits--
@@ -260,7 +225,7 @@ func (d *Engine) arriveAtIIO(w *Write) {
 		// IIO full: the root complex exerts backpressure. Park the write;
 		// it is retried whenever the IIO drains.
 		d.IIOBackpressure++
-		d.iioWaiting.push(w)
+		d.iioWaiting.Push(w)
 		return
 	}
 	w.deliver(w.arg, w)
@@ -268,8 +233,8 @@ func (d *Engine) arriveAtIIO(w *Write) {
 
 func (d *Engine) releaseWriteCredit() {
 	d.writeCredits++
-	if d.pendingW.len() > 0 && d.writeCredits > 0 {
-		next := d.pendingW.pop()
+	if d.pendingW.Len() > 0 && d.writeCredits > 0 {
+		next := d.pendingW.Pop()
 		d.writeCredits--
 		d.Writes++
 		d.toHost.TransferArg(next.size, writeArrived, next)
@@ -277,12 +242,12 @@ func (d *Engine) releaseWriteCredit() {
 }
 
 func (d *Engine) retryIIOWaiters() {
-	for d.iioWaiting.len() > 0 {
-		w := d.iioWaiting.peek()
+	for d.iioWaiting.Len() > 0 {
+		w := d.iioWaiting.Peek()
 		if !d.iio.TryEnqueue(int64(w.size)) {
 			return
 		}
-		d.iioWaiting.pop()
+		d.iioWaiting.Pop()
 		w.deliver(w.arg, w)
 	}
 }
@@ -321,7 +286,7 @@ func retryRead(arg any) {
 func (d *Engine) issueRead(r *readOp) {
 	if d.readCredits == 0 {
 		d.ReadStalls++
-		d.pendingR.push(r)
+		d.pendingR.Push(r)
 		return
 	}
 	d.readCredits--
@@ -351,8 +316,8 @@ func readPayloadLanded(arg any) {
 	d.reads.Put(r)
 	fn(farg)
 	d.readCredits++
-	if d.pendingR.len() > 0 && d.readCredits > 0 {
+	if d.pendingR.Len() > 0 && d.readCredits > 0 {
 		d.readCredits--
-		d.startRead(d.pendingR.pop())
+		d.startRead(d.pendingR.Pop())
 	}
 }

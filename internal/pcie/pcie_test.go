@@ -178,10 +178,9 @@ func TestDMAWritesPreserveOrder(t *testing.T) {
 	}
 }
 
-// Reads beyond the tag pool queue and start in FIFO order. Each
-// completion issues another read, so the queue never drains: its storage
-// must still stay bounded by the backlog rather than by the reads ever
-// queued.
+// Reads beyond the tag pool queue and start in FIFO order, while each
+// completion issues another read, so the queue never drains. The bound
+// on the queue's storage under such a backlog is sim.Queue's own test.
 func TestDMAReadsQueueFIFO(t *testing.T) {
 	eng := sim.NewEngine(1)
 	toHost, toNIC := testLinks(eng)
@@ -215,9 +214,6 @@ func TestDMAReadsQueueFIFO(t *testing.T) {
 	if d.ReadStalls == 0 {
 		t.Fatal("no read queued behind the tag pool")
 	}
-	if c := cap(d.pendingR.s); c > 2*burst {
-		t.Fatalf("pending-read storage grew to %d for a backlog of at most %d", c, burst)
-	}
 }
 
 // A standing write backlog, parked behind the credit pool or behind a
@@ -233,8 +229,8 @@ func TestDMAWriteBacklogAllocationFree(t *testing.T) {
 		credits int
 		queue   func(*Engine) int
 	}{
-		{"credits", 1 << 30, 4, func(d *Engine) int { return d.pendingW.len() }},
-		{"iio", 4 * 64, 4 + backlog, func(d *Engine) int { return d.iioWaiting.len() }},
+		{"credits", 1 << 30, 4, func(d *Engine) int { return d.pendingW.Len() }},
+		{"iio", 4 * 64, 4 + backlog, func(d *Engine) int { return d.iioWaiting.Len() }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			eng := sim.NewEngine(1)

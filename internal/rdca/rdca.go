@@ -143,16 +143,12 @@ type partWindow struct {
 	cap      int // Eq. 1 budget x ResidencyTarget
 	inFlight int // admitted buffers not yet delivered
 
-	// pend is the FIFO of arrivals awaiting window admission. Popping
-	// advances a head index so the backing array is reused once drained
-	// (the CEIO waitQ idiom); entries are pooled jobs.
-	pend     []*job
-	pendHead int
+	// pend is the FIFO of arrivals awaiting window admission; entries
+	// are pooled jobs.
+	pend sim.Queue[*job]
 
 	evictedTick uint64 // in-flight evictions since the last adjust tick
 }
-
-func (pw *partWindow) pendLen() int { return len(pw.pend) - pw.pendHead }
 
 // RDCA is the receiver-driven cache-resident datapath: an
 // iosys.Datapath contender next to the baselines and CEIO.
@@ -239,24 +235,17 @@ func (d *RDCA) FlowRemoved(f *iosys.Flow) {
 	if st.pending == 0 {
 		return
 	}
+	drop := func(j *job) bool {
+		if j.f != f {
+			return false
+		}
+		st.pending--
+		d.m.Drop(j.f, j.p)
+		d.jobs.Put(j)
+		return true
+	}
 	for pi := range d.wins {
-		pw := &d.wins[pi]
-		n := pw.pendHead
-		for i := pw.pendHead; i < len(pw.pend); i++ {
-			j := pw.pend[i]
-			if j.f == f {
-				st.pending--
-				d.m.Drop(j.f, j.p)
-				d.jobs.Put(j)
-				continue
-			}
-			pw.pend[n] = j
-			n++
-		}
-		pw.pend = pw.pend[:n]
-		if pw.pendHead == len(pw.pend) {
-			pw.pend, pw.pendHead = pw.pend[:0], 0
-		}
+		d.wins[pi].pend.DeleteFunc(drop)
 	}
 }
 
@@ -306,17 +295,7 @@ func decide(arg any) {
 		return
 	}
 	f.DP.(*flowState).pending++
-	// Compact the consumed prefix before it forces the backing array to
-	// grow: with a standing backlog the FIFO would otherwise extend
-	// forever even though pendLen() stays bounded.
-	if pw.pendHead > 0 && pw.pendHead*2 >= len(pw.pend) {
-		n := copy(pw.pend, pw.pend[pw.pendHead:])
-		for i := n; i < len(pw.pend); i++ {
-			pw.pend[i] = nil
-		}
-		pw.pend, pw.pendHead = pw.pend[:n], 0
-	}
-	pw.pend = append(pw.pend, j)
+	pw.pend.Push(j)
 }
 
 // admit puts the packet's buffer in flight: tag it, count it against
@@ -417,13 +396,8 @@ func (d *RDCA) adjust() {
 
 // admitPending drains the partition FIFO into free window slots.
 func (d *RDCA) admitPending(pw *partWindow) {
-	for pw.inFlight < pw.window && pw.pendHead < len(pw.pend) {
-		j := pw.pend[pw.pendHead]
-		pw.pend[pw.pendHead] = nil
-		pw.pendHead++
-		if pw.pendHead == len(pw.pend) {
-			pw.pend, pw.pendHead = pw.pend[:0], 0
-		}
+	for pw.inFlight < pw.window && pw.pend.Len() > 0 {
+		j := pw.pend.Pop()
 		j.f.DP.(*flowState).pending--
 		d.admit(j)
 	}
@@ -439,7 +413,7 @@ func (d *RDCA) WindowCap(pi int) int { return d.wins[pi].cap }
 func (d *RDCA) InFlight(pi int) int { return d.wins[pi].inFlight }
 
 // Pending returns partition pi's parked arrival count.
-func (d *RDCA) Pending(pi int) int { return d.wins[pi].pendLen() }
+func (d *RDCA) Pending(pi int) int { return d.wins[pi].pend.Len() }
 
 // InflightTagged returns the number of tagged in-flight rx buffers (the
 // imminence predicate's domain); tests audit it against the window sums.
@@ -463,11 +437,11 @@ func (d *RDCA) AuditWindows() error {
 		if pw.inFlight < 0 {
 			return errNegative("inFlight", pi, pw.inFlight)
 		}
-		if pw.pendLen() < 0 {
-			return errNegative("pending", pi, pw.pendLen())
+		if pw.pend.Len() < 0 {
+			return errNegative("pending", pi, pw.pend.Len())
 		}
-		for i := pw.pendHead; i < len(pw.pend); i++ {
-			if j := pw.pend[i]; j.f.DP.(*flowState).gone {
+		for _, j := range pw.pend.Items() {
+			if j.f.DP.(*flowState).gone {
 				return errStalePend(pi, j.f.ID)
 			}
 		}

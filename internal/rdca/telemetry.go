@@ -37,6 +37,6 @@ func (d *RDCA) RegisterMetrics(reg *telemetry.Registry) {
 		reg.Gauge("rdca.inflight_count", "Admitted-but-undelivered buffers charged against the partition's window.",
 			func() float64 { return float64(d.wins[pi].inFlight) }, lbl)
 		reg.Gauge("rdca.pending_count", "Arrivals parked awaiting window admission in the partition's FIFO.",
-			func() float64 { return float64(d.wins[pi].pendLen()) }, lbl)
+			func() float64 { return float64(d.wins[pi].pend.Len()) }, lbl)
 	}
 }
