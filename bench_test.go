@@ -254,6 +254,22 @@ func BenchmarkEngineEveryTickers(b *testing.B) {
 	}
 }
 
+// BenchmarkEngineBackoffTickers is flow-churn's tick shape: 2048 idle
+// cores polling at a 6.4 µs backoff period, so every tick files into
+// wheel level 1 and reaches level 0 through a cascade.
+func BenchmarkEngineBackoffTickers(b *testing.B) {
+	b.ReportAllocs()
+	eng := sim.NewEngine(1)
+	fn := func() {}
+	for i := 0; i < 2048; i++ {
+		eng.Every(sim.Time(i*3), 6400, fn)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		eng.Step()
+	}
+}
+
 func BenchmarkLLCInsertConsume(b *testing.B) {
 	b.ReportAllocs()
 	llc := cache.NewLLC(6 << 20)

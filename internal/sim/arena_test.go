@@ -5,12 +5,16 @@ import (
 	"unsafe"
 )
 
-// One callback form keeps the record at 48 bytes: at, afn, a 16-byte
-// arg, next and gen. Every schedule touches the new record and the slot
-// tail's, and every pop the head's, so each byte is paid per event.
+// Records split hot from cold. Every chain operation (schedule's tail
+// link, pop, cascade walk, free list) touches only the 8-byte link, eight
+// to a cache line; the 32-byte payload (at, afn, a 16-byte arg) is read
+// once per schedule and once per dispatch and never straddles a line.
 func TestEventRecordSize(t *testing.T) {
-	if n := unsafe.Sizeof(eventRec{}); n > 48 {
-		t.Fatalf("unsafe.Sizeof(eventRec{}) = %d, want <= 48", n)
+	if n := unsafe.Sizeof(eventRec{}); n != 32 {
+		t.Fatalf("unsafe.Sizeof(eventRec{}) = %d, want 32", n)
+	}
+	if n := unsafe.Sizeof(recLink{}); n != 8 {
+		t.Fatalf("unsafe.Sizeof(recLink{}) = %d, want 8", n)
 	}
 }
 
@@ -83,13 +87,19 @@ func TestArenaRecordsAreContiguous(t *testing.T) {
 		if int(id>>slabShift) >= len(e.arena) {
 			t.Fatalf("id %d points past the %d-slab arena", id, len(e.arena))
 		}
+		if int(id) >= len(e.links) {
+			t.Fatalf("id %d points past the %d links", id, len(e.links))
+		}
 	}
 	if got, want := e.ArenaSlabs(), 4; got != want {
 		// 3*slabSize live records plus the sentinel spill into a 4th slab.
 		t.Fatalf("arena holds %d slabs for %d live records, want %d", got, 3*slabSize, want)
 	}
+	if len(e.links) != len(e.arena)*slabSize {
+		t.Fatalf("%d links for %d slabs, want one per record", len(e.links), len(e.arena))
+	}
 	for id := range seen {
-		e.freeID(id)
+		e.freeID(id, e.rec(id))
 	}
 	if want := 4*slabSize - 1; e.PoolFree() != want {
 		t.Fatalf("pool free = %d after releasing all, want %d", e.PoolFree(), want)

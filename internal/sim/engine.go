@@ -7,12 +7,14 @@
 // The scheduler is a hierarchical timing wheel (Varghese & Lauck) rather
 // than a binary heap: four levels of 256 slots cover a 2^32 ns (~4.29 s)
 // horizon at exact-nanosecond resolution on level 0, with a far-future
-// overflow list beyond that. Event records live in a contiguous slab arena
-// owned by the engine and are linked by 32-bit indices rather than
-// pointers: slot lists, the free list, and the overflow list are all index
-// chains into the arena, so a wheel's worth of pending events occupies a
-// handful of cache-dense slabs instead of pointer-chased heap nodes, and
-// steady-state At/After/Step performs zero heap allocations. Level-0 slots
+// overflow list beyond that. Event records are addressed by 32-bit ids and
+// split hot from cold. The hot part is one dense id-indexed array of
+// 8-byte links (next id and generation): slot lists, the free list and the
+// overflow list are index chains through it, so every link walk and
+// cascade reads eight records per cache line. The cold part, the 32-byte
+// payload (timestamp, callback, argument), lives in fixed slabs with
+// stable addresses and is read once per schedule and once per dispatch.
+// Steady-state At/After/Step performs zero heap allocations. Level-0 slots
 // hold exact timestamps, so dispatching a slot list is batch
 // same-timestamp dispatch in FIFO append order: firing order is identical
 // to the old heap's (at, seq) order, which keeps every experiment
@@ -83,21 +85,28 @@ const (
 
 const maxTime = Time(math.MaxInt64)
 
-// eventRec is one scheduled callback, arena-allocated and recycled: afn
-// receives arg, which lets hot paths schedule a long-lived func(any) plus
-// a pointer instead of allocating a fresh closure per event (At and After
-// store their closure as arg to callFunc). next is the arena id of the
-// successor in whichever index chain (slot list, overflow, or free list)
-// holds the record.
+// eventRec is the cold payload of one scheduled callback, arena-allocated
+// and recycled: afn receives arg, which lets hot paths schedule a
+// long-lived func(any) plus a pointer instead of allocating a fresh
+// closure per event (At and After store their closure as arg to
+// callFunc). At 32 bytes a record never straddles a cache line.
 type eventRec struct {
-	at   Time
-	afn  func(any)
-	arg  any
+	at  Time
+	afn func(any)
+	arg any
+}
+
+// recLink is the hot part of a record, kept in the engine's dense links
+// array under the same id as its payload. next is the id of the successor
+// in whichever index chain (slot list, overflow, or free list) holds the
+// record.
+type recLink struct {
 	next int32
 	// gen is bumped every time the record is freed; a handle whose gen
 	// no longer matches refers to an already-fired (or already-cancelled)
-	// event and cancels as a no-op.
-	gen uint64
+	// event and cancels as a no-op. DESIGN.md explains why a wrapped
+	// generation cannot cancel a live event.
+	gen uint32
 }
 
 // slotList is a FIFO chain of arena ids. Append order is firing order
@@ -107,19 +116,26 @@ type slotList struct {
 	head, tail int32
 }
 
-// rec resolves an arena id to its record. Slabs are fixed-size arrays
-// behind stable pointers, so records never move and the two-level lookup
+// rec resolves an arena id to its payload. Slabs are fixed-size arrays
+// behind stable pointers, so payloads never move and the two-level lookup
 // compiles to a couple of loads.
 func (e *Engine) rec(id int32) *eventRec {
 	return &e.arena[id>>slabShift][id&slabMask]
 }
 
+// link resolves an arena id to its chain link. The links array regrows
+// when the arena gains a slab, so a *recLink must not be held across
+// allocID.
+func (e *Engine) link(id int32) *recLink {
+	return &e.links[id]
+}
+
 func (e *Engine) pushList(l *slotList, id int32) {
-	e.rec(id).next = nilID
+	e.link(id).next = nilID
 	if l.tail == nilID {
 		l.head = id
 	} else {
-		e.rec(l.tail).next = id
+		e.link(l.tail).next = id
 	}
 	l.tail = id
 }
@@ -127,12 +143,12 @@ func (e *Engine) pushList(l *slotList, id int32) {
 func (e *Engine) popList(l *slotList) int32 {
 	id := l.head
 	if id != nilID {
-		r := e.rec(id)
-		l.head = r.next
+		k := e.link(id)
+		l.head = k.next
 		if l.head == nilID {
 			l.tail = nilID
 		}
-		r.next = nilID
+		k.next = nilID
 	}
 	return id
 }
@@ -142,7 +158,7 @@ func (e *Engine) popList(l *slotList) int32 {
 // as a no-op.
 type handle struct {
 	id  int32
-	gen uint64
+	gen uint32
 }
 
 // Engine is a single-threaded discrete-event scheduler.
@@ -162,10 +178,11 @@ type Engine struct {
 	overflowLen int
 	pending     int
 
-	// arena holds every event record the engine has ever allocated, in
-	// contiguous slabs with stable addresses; freeHead chains recycled
-	// ids through their next fields.
+	// arena holds the payload of every event record the engine has ever
+	// allocated, in slabs with stable addresses; links holds their chain
+	// links, one entry per id. freeHead chains recycled ids through links.
 	arena    []*[slabSize]eventRec
+	links    []recLink
 	freeHead int32
 	poolFree int
 
@@ -212,39 +229,40 @@ func (e *Engine) ArenaSlabs() int { return len(e.arena) }
 
 // --- record arena ---------------------------------------------------------
 
-// allocID pops a recycled record id, growing the arena by one contiguous
-// slab when the free list is empty.
+// allocID pops a recycled record id, growing the arena by one payload
+// slab, and links by as many entries, when the free list is empty.
 func (e *Engine) allocID() int32 {
 	if e.freeHead == nilID {
 		base := int32(len(e.arena)) << slabShift
-		slab := new([slabSize]eventRec)
-		e.arena = append(e.arena, slab)
+		e.arena = append(e.arena, new([slabSize]eventRec))
+		e.links = append(e.links, make([]recLink, slabSize)...)
 		start := int32(0)
 		if base == 0 {
 			start = 1 // id 0 is the reserved nil sentinel
 		}
-		for i := start; i < slabSize-1; i++ {
-			slab[i].next = base + i + 1
+		for id := base + start; id < base+slabSize-1; id++ {
+			e.links[id].next = id + 1
 		}
 		e.freeHead = base + start
 		e.poolFree = int(slabSize - start)
 	}
 	id := e.freeHead
-	r := e.rec(id)
-	e.freeHead = r.next
+	k := e.link(id)
+	e.freeHead = k.next
 	e.poolFree--
-	r.next = nilID
+	k.next = nilID
 	return id
 }
 
-// freeID returns a record to the free list, dropping its callback and
-// capture references immediately so the arena never retains dead closures.
-func (e *Engine) freeID(id int32) {
-	r := e.rec(id)
+// freeID returns record id, whose payload is r, to the free list, dropping
+// its callback and capture references immediately so the arena never
+// retains dead closures. Callers pass the payload they already resolved.
+func (e *Engine) freeID(id int32, r *eventRec) {
 	r.afn = nil
 	r.arg = nil
-	r.gen++
-	r.next = e.freeHead
+	k := e.link(id)
+	k.gen++
+	k.next = e.freeHead
 	e.freeHead = id
 	e.poolFree++
 }
@@ -286,11 +304,11 @@ func (e *Engine) levelFor(t Time) int {
 	return (bits.Len64(d) - 1) / levelBits
 }
 
-// insertRec files a record at the level/slot implied by its timestamp.
-// Slots are indexed by the absolute slot coordinate (t >> levelBits*L) &
-// slotMask, so an insert and a later cascade agree on placement.
-func (e *Engine) insertRec(id int32) {
-	at := e.rec(id).at
+// insertRec files record id at the level/slot implied by its timestamp
+// at, which the caller has already read from the payload. Slots are
+// indexed by the absolute slot coordinate (t >> levelBits*L) & slotMask,
+// so an insert and a later cascade agree on placement.
+func (e *Engine) insertRec(id int32, at Time) {
 	L := e.levelFor(at)
 	if L == numLevels {
 		e.pushList(&e.overflow, id)
@@ -318,8 +336,8 @@ func (e *Engine) cascade(level, idx int) {
 	l.head, l.tail = nilID, nilID
 	e.clearOcc(level, idx)
 	for id != nilID {
-		next := e.rec(id).next
-		e.insertRec(id)
+		next := e.link(id).next
+		e.insertRec(id, e.rec(id).at)
 		id = next
 	}
 }
@@ -332,19 +350,18 @@ func (e *Engine) pullOverflow() {
 	prev := nilID
 	cur := e.overflow.head
 	for cur != nilID {
-		r := e.rec(cur)
-		next := r.next
-		if uint64(r.at)>>horizonBits == top {
+		next := e.link(cur).next
+		if at := e.rec(cur).at; uint64(at)>>horizonBits == top {
 			if prev == nilID {
 				e.overflow.head = next
 			} else {
-				e.rec(prev).next = next
+				e.link(prev).next = next
 			}
 			if next == nilID {
 				e.overflow.tail = prev
 			}
 			e.overflowLen--
-			e.insertRec(cur)
+			e.insertRec(cur, at)
 		} else {
 			prev = cur
 		}
@@ -410,7 +427,7 @@ func (e *Engine) popNext(bound Time) int32 {
 			return nilID
 		}
 		minT := e.rec(id).at
-		for id = e.rec(id).next; id != nilID; id = e.rec(id).next {
+		for id = e.link(id).next; id != nilID; id = e.link(id).next {
 			if at := e.rec(id).at; at < minT {
 				minT = at
 			}
@@ -445,26 +462,26 @@ func (e *Engine) advanceCursorTo(t Time) {
 	}
 }
 
-// unlink removes a live record from whichever chain holds it. The
-// placement invariant makes the lookup O(slot length).
-func (e *Engine) unlink(id int32) bool {
+// unlink removes live record id, due at at, from whichever chain holds it.
+// The placement invariant makes the lookup O(slot length).
+func (e *Engine) unlink(id int32, at Time) bool {
 	l := &e.overflow
-	level := e.levelFor(e.rec(id).at)
+	level := e.levelFor(at)
 	idx := -1
 	if level < numLevels {
-		idx = int(uint64(e.rec(id).at)>>(levelBits*level)) & slotMask
+		idx = int(uint64(at)>>(levelBits*level)) & slotMask
 		l = &e.slots[level][idx]
 	}
 	prev := nilID
-	for cur := l.head; cur != nilID; prev, cur = cur, e.rec(cur).next {
+	for cur := l.head; cur != nilID; prev, cur = cur, e.link(cur).next {
 		if cur != id {
 			continue
 		}
-		next := e.rec(cur).next
+		next := e.link(cur).next
 		if prev == nilID {
 			l.head = next
 		} else {
-			e.rec(prev).next = next
+			e.link(prev).next = next
 		}
 		if l.tail == cur {
 			l.tail = prev
@@ -490,22 +507,23 @@ func (e *Engine) schedule(t Time, afn func(any), arg any) handle {
 	r.at = t
 	r.afn = afn
 	r.arg = arg
-	e.insertRec(id)
+	e.insertRec(id, t)
 	e.pending++
-	return handle{id: id, gen: r.gen}
+	return handle{id: id, gen: e.link(id).gen}
 }
 
 // cancel drops a scheduled record if (and only if) the handle still
 // refers to it; a handle whose event already fired is a no-op.
 func (e *Engine) cancel(h handle) bool {
-	if h.id == nilID || e.rec(h.id).gen != h.gen {
+	if h.id == nilID || e.link(h.id).gen != h.gen {
 		return false
 	}
-	if !e.unlink(h.id) {
+	r := e.rec(h.id)
+	if !e.unlink(h.id, r.at) {
 		return false
 	}
 	e.pending--
-	e.freeID(h.id)
+	e.freeID(h.id, r)
 	return true
 }
 
@@ -539,7 +557,7 @@ func (e *Engine) dispatch(id int32) {
 	e.now = r.at
 	e.Processed++
 	afn, arg := r.afn, r.arg
-	e.freeID(id)
+	e.freeID(id, r)
 	afn(arg)
 }
 

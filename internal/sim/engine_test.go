@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -26,12 +27,13 @@ func TestEngineOrdering(t *testing.T) {
 	}
 }
 
-// auditFreeList walks the engine's record pool and fails if any recycled
-// record still references a callback or its captures.
+// auditFreeList walks the engine's record pool through the links array
+// and fails if any recycled record still references a callback or its
+// captures.
 func auditFreeList(t *testing.T, e *Engine) {
 	t.Helper()
 	n := 0
-	for id := e.freeHead; id != nilID; id = e.rec(id).next {
+	for id := e.freeHead; id != nilID; id = e.link(id).next {
 		n++
 		r := e.rec(id)
 		if r.afn != nil || r.arg != nil {
@@ -190,6 +192,39 @@ func TestEngineCancelSurvivesRecycling(t *testing.T) {
 	if !ran {
 		t.Fatal("stale ticker cancel unlinked an unrelated recycled event")
 	}
+}
+
+// TestEngineCancelAfterGenerationWrap pins the 32-bit generation's
+// wraparound: a record whose gen is MaxUint32 wraps to 0 when it fires,
+// and a handle taken before the wrap must still cancel as a no-op once
+// the id is reused by a new event.
+func TestEngineCancelAfterGenerationWrap(t *testing.T) {
+	e := NewEngine(1)
+	e.At(0, func() {})
+	e.Step() // the arena holds a slab and the free list is non-empty
+	id := e.freeHead
+	e.link(id).gen = math.MaxUint32
+	old := e.schedule(1, callFunc, func() {})
+	if old.id != id || old.gen != math.MaxUint32 {
+		t.Fatalf("schedule took id %d gen %d, want id %d gen MaxUint32", old.id, old.gen, id)
+	}
+	e.Step()
+	ran := false
+	reused := e.schedule(2, callFunc, func() { ran = true })
+	if reused.id != id || reused.gen != 0 {
+		t.Fatalf("reuse took id %d gen %d, want id %d gen 0", reused.id, reused.gen, id)
+	}
+	if e.cancel(old) {
+		t.Fatal("pre-wrap handle cancelled the event that reused its id")
+	}
+	if e.Pending() != 1 {
+		t.Fatalf("pending = %d after stale cancel, want 1", e.Pending())
+	}
+	e.Run()
+	if !ran {
+		t.Fatal("stale pre-wrap cancel unlinked the reused record")
+	}
+	auditFreeList(t, e)
 }
 
 // TestEngineFarFutureAndOverflow schedules across every wheel level and

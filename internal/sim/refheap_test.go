@@ -382,6 +382,52 @@ func TestEngineMatchesReferenceAcrossCascades(t *testing.T) {
 	}
 }
 
+// TestEngineMatchesReferenceWhileArenaGrows grows the arena from inside a
+// callback while a ticker's handle is live: one event schedules more than
+// two slabs' worth of records, so allocID regrows the links array under
+// the ticker's pending tick, and then cancels the ticker. A *recLink held
+// across that growth would write into the discarded array: the cancel
+// would miss its tick or the chains would lose records. Firing order must
+// match the reference heap.
+func TestEngineMatchesReferenceWhileArenaGrows(t *testing.T) {
+	d := newDiffState(t)
+	const burst = 2*slabSize + 7
+	// arm sets up one scheduler: a ticker logging id 0, and at t=1000 an
+	// event that schedules the burst (ids 1..burst, spread over the
+	// wheel's lower three levels with same-timestamp ties) and then
+	// cancels the ticker.
+	arm := func(log *[]fireLog, now func() Time, at func(Time, func()), every func(Time, Time, func()) func()) {
+		note := func(id uint64) func() {
+			return func() { *log = append(*log, fireLog{now(), id}) }
+		}
+		cancel := every(10, 300, note(0))
+		at(1000, func() {
+			for i := 0; i < burst; i++ {
+				at(now()+chainDelay(uint64(i%(burst/2))), note(uint64(i+1)))
+			}
+			cancel()
+		})
+	}
+	arm(&d.eLog, d.e.Now, d.e.At, d.e.Every)
+	arm(&d.rLog, func() Time { return d.r.now }, func(t Time, fn func()) { d.r.at(t, fn) }, d.r.every)
+	slabs := d.e.ArenaSlabs()
+	d.runUntilBoth(1000)
+	if got := d.e.ArenaSlabs(); got < slabs+2 {
+		t.Fatalf("burst grew the arena from %d to %d slabs, want at least 2 more", slabs, got)
+	}
+	if d.e.Pending() != burst || d.r.pending() != burst {
+		t.Fatalf("pending after the burst: wheel %d oracle %d, want %d (ticker cancelled)", d.e.Pending(), d.r.pending(), burst)
+	}
+	d.e.Run()
+	for d.r.step() {
+	}
+	d.compareLogs("arena growth")
+	if len(d.eLog) != 4+burst { // ticks at 10, 310, 610, 910, then the burst
+		t.Fatalf("fired %d events, want %d", len(d.eLog), 4+burst)
+	}
+	auditFreeList(t, d.e)
+}
+
 // FuzzEngineDifferential feeds arbitrary byte strings as operation
 // streams to both schedulers. Each pair of bytes selects an operation and
 // a magnitude; the firing logs must stay identical.
