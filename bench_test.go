@@ -273,13 +273,16 @@ func BenchmarkEngineBackoffTickers(b *testing.B) {
 func BenchmarkLLCInsertConsume(b *testing.B) {
 	b.ReportAllocs()
 	llc := cache.NewLLC(6 << 20)
+	var handles [16]cache.Handle
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		id := cache.BufID(i)
-		llc.InsertIO(id, 2048)
-		if i >= 16 {
-			llc.Consume(cache.BufID(i - 16))
+		id := cache.BufID(i + 1)
+		k := i % len(handles)
+		h, _ := llc.InsertIOSized(0, id, 2048, 2048)
+		if i >= len(handles) {
+			llc.ConsumeIn(0, handles[k], id-cache.BufID(len(handles)))
 		}
+		handles[k] = h
 	}
 }
 
@@ -299,11 +302,14 @@ func BenchmarkLLCStateWorkingSet(b *testing.B) {
 	)
 	llc := cache.NewLLC(6 << 20)
 	rng := rand.New(rand.NewSource(1))
+	var handles [inFlight]cache.Handle
 	packet := func(i int) {
-		llc.InsertIO(cache.BufID(i+1), 2048)
+		k := i % inFlight
+		h, _ := llc.InsertIOSized(0, cache.BufID(i+1), 2048, 2048)
 		if i >= inFlight {
-			llc.Consume(cache.BufID(i + 1 - inFlight))
+			llc.ConsumeIn(0, handles[k], cache.BufID(i+1-inFlight))
 		}
+		handles[k] = h
 		for t := 0; t < 8; t++ {
 			line := rng.Intn(stateLines)
 			llc.TouchState(0, cache.StateLineID(line%4, line/4), 64)

@@ -12,21 +12,26 @@ import (
 // reports nothing — inserts that fit evict no one.
 func TestImminentInDistanceIncludesFreeCapacity(t *testing.T) {
 	c := NewLLC(1000)
-	c.InsertIO(1, 300) // LRU tail after the next insert
-	c.InsertIO(2, 300) // MRU; 400 bytes free
-	if got := c.ImminentIn(0, 400, nil); got != 0 {
+	h1 := insert(c, 1, 300) // LRU tail after the next insert
+	insert(c, 2, 300)       // MRU; 400 bytes free
+	if got := c.ImminentIn(0, 400); got != 0 {
 		t.Fatalf("threshold 400 over 400 free bytes: imminent = %d, want 0", got)
 	}
-	if got := c.ImminentIn(0, 500, nil); got != 1 {
+	if got := c.ImminentIn(0, 500); got != 1 {
 		t.Fatalf("threshold 500: imminent = %d, want 1 (the tail buffer)", got)
 	}
-	if got := c.ImminentIn(0, 1200, nil); got != 2 {
+	if got := c.ImminentIn(0, 1200); got != 2 {
 		t.Fatalf("threshold 1200: imminent = %d, want 2", got)
 	}
-	// pred filters the count to tagged buffers only.
-	only2 := func(id BufID) bool { return id == 2 }
-	if got := c.ImminentIn(0, 1200, only2); got != 1 {
-		t.Fatalf("threshold 1200 with pred: imminent = %d, want 1", got)
+	// A state line adds eviction distance but is not counted.
+	c.ConsumeIn(0, h1, 1)
+	c.TouchState(0, StateLineID(0, 0), 300) // now the LRU tail is buffer 2
+	insert(c, 3, 300)
+	if got := c.ImminentIn(0, 1200); got != 2 {
+		t.Fatalf("threshold 1200 with a state line resident: imminent = %d, want 2", got)
+	}
+	if got := c.ImminentIn(0, 600); got != 1 {
+		t.Fatalf("threshold 600: imminent = %d, want 1 (buffer 2; buffer 3 is out of reach)", got)
 	}
 }
 
@@ -34,14 +39,14 @@ func TestImminentInDistanceIncludesFreeCapacity(t *testing.T) {
 // partitions report nothing.
 func TestImminentInEdgeCases(t *testing.T) {
 	c := NewLLC(1000)
-	if got := c.ImminentIn(0, 0, nil); got != 0 {
+	if got := c.ImminentIn(0, 0); got != 0 {
 		t.Fatalf("zero threshold: %d, want 0", got)
 	}
-	if got := c.ImminentIn(0, 500, nil); got != 0 {
+	if got := c.ImminentIn(0, 500); got != 0 {
 		t.Fatalf("empty partition: %d, want 0", got)
 	}
-	c.InsertIO(1, 100)
-	if got := c.ImminentIn(0, -1, nil); got != 0 {
+	insert(c, 1, 100)
+	if got := c.ImminentIn(0, -1); got != 0 {
 		t.Fatalf("negative threshold: %d, want 0", got)
 	}
 }
@@ -52,35 +57,44 @@ func TestImminentInEdgeCases(t *testing.T) {
 // insert-then-hit — the recycle itself never shows up as a miss, and
 // neither does the re-fill. Under any interleaving of fill / recycle /
 // consume where reads only target resident buffers and nothing is
-// capacity-evicted, the miss counter stays exactly zero.
+// capacity-evicted, the miss counter stays exactly zero. Each fill of
+// one of the 8 pooled slots is a new BufID, as each DMA write is.
 func TestRecycledBufferNoMissOnRefill(t *testing.T) {
 	type op struct {
 		Kind uint8 // %3: 0 = fill, 1 = recycle (Drop), 2 = consume
-		ID   uint8 // %8: buffer identity, reused across rounds
+		Slot uint8 // %8: pooled buffer slot, reused across rounds
+	}
+	type buf struct {
+		id BufID
+		h  Handle
 	}
 	f := func(ops []op) bool {
-		// 8 ids × 64B each fits a 1KB region: no capacity evictions, so
+		// 8 slots × 64B each fits a 1KB region: no capacity evictions, so
 		// every miss would have to come from Drop/re-fill accounting.
 		c := NewLLC(1024)
-		resident := map[BufID]bool{}
+		var slots [8]buf // id 0: the slot holds no buffer
+		next := BufID(0)
 		for _, o := range ops {
-			id := BufID(o.ID % 8)
+			s := &slots[o.Slot%8]
 			switch o.Kind % 3 {
 			case 0:
-				c.InsertIO(id, 64)
-				resident[id] = true
+				if s.id != 0 {
+					continue // a slot is refilled only once recycled
+				}
+				next++
+				*s = buf{next, insert(c, next, 64)}
 			case 1:
-				c.Drop(id)
-				delete(resident, id)
+				c.Drop(s.h, s.id)
+				*s = buf{}
 			case 2:
-				if !resident[id] {
+				if s.id == 0 {
 					continue // reads target in-flight (resident) buffers only
 				}
-				if !c.Consume(id) {
-					t.Logf("consume of resident buffer %d missed", id)
+				if !c.ConsumeIn(0, s.h, s.id) {
+					t.Logf("consume of resident buffer %d missed", s.id)
 					return false
 				}
-				delete(resident, id) // consume retires the line
+				*s = buf{} // consume retires the line
 			}
 			if err := c.checkInvariants(); err != nil {
 				t.Logf("invariant violated: %v", err)

@@ -12,8 +12,17 @@ package cache
 
 import "fmt"
 
-// BufID identifies one I/O buffer in flight through the hierarchy.
+// BufID identifies one I/O buffer in flight through the hierarchy. 0 is
+// no buffer: a freed arena node stores it.
 type BufID uint64
+
+// Handle names the arena node InsertIOSized gave a packet buffer; the
+// packet carries it (pkt.Packet.LLC) to every later access, so no ID
+// index is needed. Nodes are reused once their buffer leaves the cache,
+// so each access also checks the node's BufID against the buffer's: IDs
+// are never reused, so a mismatch means the buffer was evicted or
+// retired, and the access reads as a miss or a no-op. 0 is no node.
+type Handle int32
 
 // A dataplane state line (see internal/dataplane) shares the BufID space
 // with packet buffers, which count up from 1 per machine. Its ID is
@@ -78,6 +87,9 @@ type Evicted struct {
 	// Payload is the dirty bytes to write back (the packet payload for
 	// I/O buffers; cache-line sized for dataplane state lines).
 	Payload int64
+	// Part is the partition the buffer was cached in (for a buffer that
+	// bypassed the cache, the partition it was written to).
+	Part int32
 }
 
 // PartStats counts one partition's cache events.
@@ -135,16 +147,7 @@ type LLC struct {
 	nodes []node
 	free  int32
 
-	// index maps a resident packet buffer's BufID to its arena slot: an
-	// open-addressed, linear-probing table of arena indices (0 = empty
-	// slot) whose key is compared in the node. Its length is a power of
-	// two, 1<<(64-shift), and it doubles once hashed reaches half of it;
-	// deletion shifts later entries of the probe run back, so there are
-	// no tombstones.
-	index  []int32
-	shift  uint
-	hashed int
-
+	// A packet buffer is found through the Handle its packet carries;
 	// states maps a resident state line to its arena slot without a
 	// probe: states[module][line] is the line's arena index, 0 when it is
 	// not resident. Each table grows on demand to cover the highest line
@@ -181,37 +184,24 @@ func NewLLC(capacityBytes int64) *LLC {
 	if capacityBytes <= 0 {
 		panic("cache: LLC capacity must be positive")
 	}
+	// The arena grows on demand rather than being presized to the
+	// region's line count: a rack of hosts whose caches stay sparsely
+	// filled would otherwise pay megabytes each.
 	return &LLC{
 		capacity: capacityBytes,
 		nodes:    make([]node, 1),
-		index:    make([]int32, 1<<minIndexBits),
-		shift:    64 - minIndexBits,
 		parts:    []partition{{capacity: capacityBytes}},
 	}
 }
 
-// minIndexBits sizes a new LLC's index (1<<minIndexBits slots). Both the
-// arena and the index grow on demand from there rather than being
-// presized to the region's line count: a rack of hosts whose caches stay
-// sparsely filled would otherwise pay megabytes each.
-const minIndexBits = 4
-
-// slot returns id's home slot in the index: Fibonacci (multiplicative)
-// hashing, whose top bits spread sequential packet buffer IDs.
-func (c *LLC) slot(id BufID) int {
-	return int(uint64(id) * 0x9E3779B97F4A7C15 >> c.shift)
-}
-
-// lookup returns the index slot holding id and its arena index, or the
-// empty slot where id would be inserted and 0.
-func (c *LLC) lookup(id BufID) (slot int, n int32) {
-	mask := len(c.index) - 1
-	for i := c.slot(id); ; i = (i + 1) & mask {
-		n := c.index[i]
-		if n == 0 || c.nodes[n].id == id {
-			return i, n
-		}
+// resolve returns the arena index of the packet buffer id, inserted under
+// handle h, or 0 when it is no longer resident: the node has been freed
+// (its ID is 0) or reused for a later buffer. One load and a compare.
+func (c *LLC) resolve(h Handle, id BufID) int32 {
+	if c.nodes[h].id != id {
+		return 0
 	}
+	return int32(h)
 }
 
 // findState returns the state line id's arena index, 0 when it is not
@@ -224,28 +214,9 @@ func (c *LLC) findState(id BufID) int32 {
 	return 0
 }
 
-// locate returns id's arena index, 0 when id is not resident, and for a
-// packet buffer its index slot (the empty slot an insert would take when
-// it is not resident). A state line has no slot; its table entry is
-// found from the ID. The tag is tested here, not in lookup, so the
-// hashed probe stays small enough to inline on the packet path.
-func (c *LLC) locate(id BufID) (slot int, n int32) {
-	if IsStateLine(id) {
-		return -1, c.findState(id)
-	}
-	return c.lookup(id)
-}
-
-// find returns id's arena index, 0 when id is not resident.
-func (c *LLC) find(id BufID) int32 {
-	_, n := c.locate(id)
-	return n
-}
-
-// insertNode allocates an arena node for the non-resident id and records
-// it at the empty index slot locate returned, or in its module's table
-// for a state line (slot -1).
-func (c *LLC) insertNode(slot int, id BufID, size, payload int64, part int) int32 {
+// insertNode allocates an arena node for the non-resident buffer id,
+// links it at the MRU end of partition part and charges its size.
+func (c *LLC) insertNode(id BufID, size, payload int64, part int) int32 {
 	n := c.free
 	if n == 0 {
 		n = int32(len(c.nodes))
@@ -255,15 +226,10 @@ func (c *LLC) insertNode(slot int, id BufID, size, payload int64, part int) int3
 	}
 	c.nodes[n] = node{id: id, size: size, payload: payload, part: int32(part)}
 	c.count++
-	if slot < 0 {
-		c.setState(id, n)
-		return n
-	}
-	c.index[slot] = n
-	c.hashed++
-	if 2*c.hashed >= len(c.index) {
-		c.growIndex()
-	}
+	p := &c.parts[part]
+	c.pushFront(p, n)
+	p.occupancy += size
+	c.occupancy += size
 	return n
 }
 
@@ -283,48 +249,18 @@ func (c *LLC) setState(id BufID, n int32) {
 	t[line] = n
 }
 
-// growIndex doubles the index and reinserts every resident node.
-func (c *LLC) growIndex() {
-	old := c.index
-	c.index = make([]int32, 2*len(old))
-	c.shift--
-	mask := len(c.index) - 1
-	for _, n := range old {
-		if n == 0 {
-			continue
-		}
-		i := c.slot(c.nodes[n].id)
-		for c.index[i] != 0 {
-			i = (i + 1) & mask
-		}
-		c.index[i] = n
-	}
-}
-
-// removeNode deletes the resident node n from its table or the index and
-// returns its arena slot to the free list. The caller has already
-// unlinked it. slot is a packet buffer's index slot when the caller's
-// lookup already found it, -1 to look it up; a state line ignores it.
-func (c *LLC) removeNode(slot int, n int32) {
-	if id := c.nodes[n].id; IsStateLine(id) {
+// removeNode unlinks the resident node n from its partition, uncharges
+// its size, clears a state line's table entry and returns the slot to the
+// free list. The freed node's ID is 0, so a stale handle resolves to
+// nothing.
+func (c *LLC) removeNode(n int32) {
+	nd := &c.nodes[n]
+	p := &c.parts[nd.part]
+	c.unlink(p, n)
+	p.occupancy -= nd.size
+	c.occupancy -= nd.size
+	if id := nd.id; IsStateLine(id) {
 		c.states[StateModule(id)][id&stateLineMask] = 0
-	} else {
-		if slot < 0 {
-			slot, _ = c.lookup(id)
-		}
-		// Backward-shift deletion: walk the probe run after the hole and
-		// move back every entry whose home slot the hole lies on the way
-		// to, so lookups never need tombstones.
-		mask := len(c.index) - 1
-		for j := (slot + 1) & mask; c.index[j] != 0; j = (j + 1) & mask {
-			m := c.index[j]
-			if (j-c.slot(c.nodes[m].id))&mask >= (j-slot)&mask {
-				c.index[slot] = m
-				slot = j
-			}
-		}
-		c.index[slot] = 0
-		c.hashed--
 	}
 	c.count--
 	c.nodes[n] = node{next: c.free}
@@ -340,8 +276,15 @@ func (c *LLC) Capacity() int64 { return c.capacity }
 // Occupancy returns the bytes currently resident across all partitions.
 func (c *LLC) Occupancy() int64 { return c.occupancy }
 
-// Resident reports whether id is currently cached.
-func (c *LLC) Resident(id BufID) bool { return c.find(id) != 0 }
+// Resident reports whether buffer id is currently cached: a packet
+// buffer through the handle its insert returned, a state line by its ID
+// alone (h is ignored).
+func (c *LLC) Resident(h Handle, id BufID) bool {
+	if IsStateLine(id) {
+		return c.findState(id) != 0
+	}
+	return c.resolve(h, id) != 0
+}
 
 // Len returns the number of resident buffers.
 func (c *LLC) Len() int { return c.count }
@@ -416,13 +359,10 @@ func (c *LLC) evictOver(p *partition, keep int32, evicted []Evicted) []Evicted {
 	for p.occupancy > p.capacity && p.tail != 0 && p.tail != keep {
 		victim := p.tail
 		v := c.nodes[victim]
-		c.unlink(p, victim)
-		c.removeNode(-1, victim)
-		p.occupancy -= v.size
-		c.occupancy -= v.size
+		c.removeNode(victim)
 		p.stats.Evictions++
 		c.Evictions++
-		evicted = append(evicted, Evicted{ID: v.id, Payload: v.payload})
+		evicted = append(evicted, Evicted{ID: v.id, Payload: v.payload, Part: v.part})
 		if c.onEvict != nil {
 			c.onEvict(v.id)
 		}
@@ -459,44 +399,30 @@ func (c *LLC) unlink(p *partition, n int32) {
 	nd.prev, nd.next = 0, 0
 }
 
-// moveToFront refreshes the resident node n to MRU in its home partition
-// and returns that partition.
-func (c *LLC) moveToFront(n int32) *partition {
+// moveToFront refreshes the resident node n to MRU in its home partition.
+func (c *LLC) moveToFront(n int32) {
 	p := &c.parts[c.nodes[n].part]
 	if p.head != n {
 		c.unlink(p, n)
 		c.pushFront(p, n)
 	}
-	return p
 }
 
-// InsertIO models a DDIO write into partition 0 (the whole region when
-// unpartitioned); see InsertIOIn.
-func (c *LLC) InsertIO(id BufID, size int64) (evicted []Evicted) {
-	return c.InsertIOSized(0, id, size, size)
-}
-
-// InsertIOIn is InsertIOSized with the payload equal to the cache
-// footprint (buffers whose dirty data fills their lines).
-func (c *LLC) InsertIOIn(part int, id BufID, size int64) (evicted []Evicted) {
-	return c.InsertIOSized(part, id, size, size)
-}
-
-// InsertIOSized models a DDIO write of one I/O buffer into partition
-// part. size is the cache footprint the buffer occupies (the pooled
-// buffer granularity); payload is the dirty bytes a later eviction must
-// write back (the packet payload), carried inside the LRU node so no
-// side table is needed. If the partition is full, its
-// least-recently-used buffers are evicted to DRAM until the new buffer
-// fits ("subsequent packets overwrite earlier ones", §2.2). The evicted
-// buffers are returned with their payloads (the eviction handler also
-// fires). Inserting an already-resident buffer refreshes it to MRU
-// within its home partition.
+// InsertIOSized models a DDIO write of the packet buffer id into
+// partition part and returns the buffer's handle. id must be a fresh
+// packet buffer: not a state line, not 0, and not resident (BufIDs are
+// never reused). size is the cache footprint the buffer occupies (the
+// pooled buffer granularity); payload is the dirty bytes a later eviction
+// must write back (the packet payload), carried inside the LRU node so no
+// side table is needed. If the partition is full, its least-recently-used
+// buffers are evicted to DRAM until the new buffer fits ("subsequent
+// packets overwrite earlier ones", §2.2). The evicted buffers are
+// returned with their payloads (the eviction handler also fires).
 //
 // The returned slice is valid only until the next insert: it is backed by
 // a scratch buffer reused across calls, so callers must consume it before
 // re-entering the cache (every datapath caller does so synchronously).
-func (c *LLC) InsertIOSized(part int, id BufID, size, payload int64) (evicted []Evicted) {
+func (c *LLC) InsertIOSized(part int, id BufID, size, payload int64) (h Handle, evicted []Evicted) {
 	if size <= 0 {
 		panic(fmt.Sprintf("cache: insert of non-positive size %d", size))
 	}
@@ -504,47 +430,27 @@ func (c *LLC) InsertIOSized(part int, id BufID, size, payload int64) (evicted []
 	evicted = c.evictScratch[:0]
 	if size > p.capacity {
 		// A buffer that can never fit bypasses the cache entirely (this
-		// also covers a partition shrunk to zero ways). The miss is NOT
-		// counted here: the consumer's later Consume/Probe on the
-		// non-resident ID charges it exactly once, at read time.
+		// also covers a partition shrunk to zero ways) and gets no
+		// handle. The miss is NOT counted here: the consumer's later
+		// ConsumeIn/ProbeIn charges it exactly once, at read time.
 		if c.onEvict != nil {
 			c.onEvict(id)
 		}
-		evicted = append(evicted, Evicted{ID: id, Payload: payload})
+		evicted = append(evicted, Evicted{ID: id, Payload: payload, Part: int32(part)})
 		c.evictScratch = evicted
-		return evicted
+		return 0, evicted
 	}
-	var slot int // locate, inlined by hand on the packet path
-	var n int32
-	if IsStateLine(id) {
-		slot, n = -1, c.findState(id)
-	} else {
-		slot, n = c.lookup(id)
-	}
-	if n != 0 {
-		// Refresh within the buffer's home partition (a buffer belongs to
-		// one flow, and a flow's partition is fixed for its lifetime).
-		p = c.moveToFront(n)
-		nd := &c.nodes[n]
-		p.occupancy += size - nd.size
-		c.occupancy += size - nd.size
-		nd.size = size
-		nd.payload = payload
-	} else {
-		n = c.insertNode(slot, id, size, payload, part)
-		c.pushFront(p, n)
-		p.occupancy += size
-		c.occupancy += size
-		p.stats.Insertions++
-		c.Insertions++
-	}
+	n := c.insertNode(id, size, payload, part)
+	p.stats.Insertions++
+	c.Insertions++
 	evicted = c.evictOver(p, n, evicted)
 	c.evictScratch = evicted
-	return evicted
+	return Handle(n), evicted
 }
 
-// ImminentIn counts resident buffers in partition part whose eviction
-// distance is within thresholdBytes and that satisfy pred. A buffer's
+// ImminentIn counts resident packet buffers in partition part whose
+// eviction distance is within thresholdBytes; state lines sharing the
+// partition add distance but are not counted. A buffer's
 // eviction distance is the bytes of DDIO inserts into the partition that
 // would push it out: the partition's free capacity (inserts that fit
 // evict nothing) plus the resident size of every line closer to the LRU
@@ -554,10 +460,8 @@ func (c *LLC) InsertIOSized(part int, id BufID, size, payload int64) (evicted []
 // partition with more than thresholdBytes free reports 0 without
 // touching the list at all. RDCA's window controller (internal/rdca)
 // polls this as its eviction-imminence signal — shrink the in-flight
-// window before the oldest rx buffers age out — with pred selecting its
-// own tagged rx BufIDs so dataplane state lines sharing the partition
-// are not counted.
-func (c *LLC) ImminentIn(part int, thresholdBytes int64, pred func(BufID) bool) int {
+// window before the oldest rx buffers age out.
+func (c *LLC) ImminentIn(part int, thresholdBytes int64) int {
 	if thresholdBytes <= 0 {
 		return 0
 	}
@@ -565,22 +469,12 @@ func (c *LLC) ImminentIn(part int, thresholdBytes int64, pred func(BufID) bool) 
 	dist := p.capacity - p.occupancy
 	count := 0
 	for n := p.tail; n != 0 && dist < thresholdBytes; n = c.nodes[n].prev {
-		id, size := c.nodes[n].id, c.nodes[n].size
-		if pred == nil || pred(id) {
+		if !IsStateLine(c.nodes[n].id) {
 			count++
 		}
-		dist += size
+		dist += c.nodes[n].size
 	}
 	return count
-}
-
-// PayloadOf returns the payload bytes recorded for a resident buffer,
-// 0 when id is not resident.
-func (c *LLC) PayloadOf(id BufID) int64 {
-	if n := c.find(id); n != 0 {
-		return c.nodes[n].payload
-	}
-	return 0
 }
 
 // TouchState models a CPU access to one cache line of dataplane module
@@ -593,8 +487,8 @@ func (c *LLC) PayloadOf(id BufID) int64 {
 // filled plus the victims. A line wider than the partition (a zero-way
 // carve) bypasses the cache: miss, not filled, nothing inserted. So
 // after the call the line is resident exactly when hit or filled, and a
-// caller tracking residency needs no second lookup. Unlike
-// InsertIOIn/ConsumeIn, TouchState does NOT bump the LLC's
+// caller tracking residency needs no second lookup. id must be a
+// StateLineID. Unlike InsertIOSized/ConsumeIn, TouchState does NOT bump the LLC's
 // Insertions/Hits/Misses counters: those count the I/O path (DDIO
 // writes and packet reads), and the paper's miss-ratio series must keep
 // meaning that. Callers (the dataplane engine) keep their own
@@ -608,13 +502,7 @@ func (c *LLC) TouchState(part int, id BufID, size int64) (hit, filled bool, evic
 	if size <= 0 {
 		panic(fmt.Sprintf("cache: state touch of non-positive size %d", size))
 	}
-	var slot int // locate, inlined by hand on the state path
-	var n int32
-	if IsStateLine(id) {
-		slot, n = -1, c.findState(id)
-	} else {
-		slot, n = c.lookup(id)
-	}
+	n := c.findState(id)
 	if n != 0 {
 		c.moveToFront(n)
 		return true, false, nil
@@ -623,84 +511,41 @@ func (c *LLC) TouchState(part int, id BufID, size int64) (hit, filled bool, evic
 	if size > p.capacity {
 		return false, false, nil
 	}
-	n = c.insertNode(slot, id, size, size, part)
-	c.pushFront(p, n)
-	p.occupancy += size
-	c.occupancy += size
+	n = c.insertNode(id, size, size, part)
+	c.setState(id, n)
 	evicted = c.evictOver(p, n, c.evictScratch[:0])
 	c.evictScratch = evicted
 	return false, true, evicted
 }
 
-// Consume is ConsumeIn against partition 0 (miss attribution when the
-// buffer was never resident).
-func (c *LLC) Consume(id BufID) bool { return c.ConsumeIn(0, id) }
-
 // ConsumeIn models the CPU (or memory controller) reading and retiring
-// one I/O buffer. It returns true on an LLC hit: the buffer was still
-// resident and is freed. It returns false on a miss: the buffer was
-// evicted to DRAM before the consumer reached it, so the caller must
-// charge a DRAM access. A hit is charged to the buffer's home partition;
-// a miss to part, the reader's own partition.
-func (c *LLC) ConsumeIn(part int, id BufID) bool {
-	var slot int // locate, inlined by hand on the packet path
-	var n int32
-	if IsStateLine(id) {
-		slot, n = -1, c.findState(id)
-	} else {
-		slot, n = c.lookup(id)
-	}
+// the packet buffer id through its handle h. It returns true on an LLC
+// hit: the buffer was still resident and is freed. It returns false on a
+// miss: the buffer was evicted to DRAM before the consumer reached it, so
+// the caller must charge a DRAM access. A hit is charged to the buffer's
+// home partition; a miss to part, the reader's own partition.
+func (c *LLC) ConsumeIn(part int, h Handle, id BufID) bool {
+	n := c.resolve(h, id)
 	if n == 0 {
 		c.parts[part].stats.Misses++
 		c.Misses++
 		return false
 	}
-	p := c.retire(slot, n)
+	p := &c.parts[c.nodes[n].part]
+	c.removeNode(n)
 	p.stats.Hits++
 	c.Hits++
 	return true
 }
 
-// retire removes the resident node n, found at slot by locate, from the
-// cache without counting an eviction and returns its home partition.
-func (c *LLC) retire(slot int, n int32) *partition {
-	nd := &c.nodes[n]
-	p := &c.parts[nd.part]
-	p.occupancy -= nd.size
-	c.occupancy -= nd.size
-	c.unlink(p, n)
-	c.removeNode(slot, n)
-	return p
-}
-
-// Peek is PeekIn against partition 0.
-func (c *LLC) Peek(id BufID) bool { return c.PeekIn(0, id) }
-
-// PeekIn is ConsumeIn without retiring: it classifies hit/miss and
-// updates counters but leaves a resident buffer in place (used by
-// workloads that touch a buffer multiple times).
-func (c *LLC) PeekIn(part int, id BufID) bool {
-	if n := c.find(id); n != 0 {
-		// Refresh recency on touch.
-		c.moveToFront(n).stats.Hits++
-		c.Hits++
-		return true
-	}
-	c.parts[part].stats.Misses++
-	c.Misses++
-	return false
-}
-
-// Probe is ProbeIn against partition 0.
-func (c *LLC) Probe(id BufID) bool { return c.ProbeIn(0, id) }
-
-// ProbeIn classifies a read as hit or miss without retiring the buffer or
-// refreshing its recency. It models the use-once streaming read of a
-// CPU-bypass consumer over a write-back cache: the line stays resident
-// (dirty) until capacity pressure evicts it, which is how bypass traffic
+// ProbeIn classifies a read of the packet buffer id, through its handle
+// h, as hit or miss without retiring the buffer or refreshing its
+// recency. It models the use-once streaming read of a CPU-bypass
+// consumer over a write-back cache: the line stays resident (dirty)
+// until capacity pressure evicts it, which is how bypass traffic
 // "continuously flushes the LLC" in the paper's coexistence analysis.
-func (c *LLC) ProbeIn(part int, id BufID) bool {
-	if n := c.find(id); n != 0 {
+func (c *LLC) ProbeIn(part int, h Handle, id BufID) bool {
+	if n := c.resolve(h, id); n != 0 {
 		c.parts[c.nodes[n].part].stats.Hits++
 		c.Hits++
 		return true
@@ -710,12 +555,16 @@ func (c *LLC) ProbeIn(part int, id BufID) bool {
 	return false
 }
 
-// Drop removes a buffer without classifying it as hit or miss (used when a
-// packet is dropped before any consumer touches it).
-func (c *LLC) Drop(id BufID) {
-	if slot, n := c.locate(id); n != 0 {
-		c.retire(slot, n)
+// Drop removes the packet buffer id, through its handle h, without
+// classifying it as hit or miss (a packet dropped before any consumer
+// touched it, or a delivered line demoted) and reports whether it was
+// still resident.
+func (c *LLC) Drop(h Handle, id BufID) bool {
+	n := c.resolve(h, id)
+	if n != 0 {
+		c.removeNode(n)
 	}
+	return n != 0
 }
 
 // EnableQueueStats arms per-queue consume attribution for n rx queues.
@@ -794,8 +643,8 @@ func (c *LLC) checkInvariants() error {
 			if int(nd.part) != pi {
 				return fmt.Errorf("buffer %d in partition %d's list but tagged %d", nd.id, pi, nd.part)
 			}
-			if got := c.find(nd.id); got != n {
-				return fmt.Errorf("buffer %d at arena slot %d but the index finds slot %d", nd.id, n, got)
+			if !c.Resident(Handle(n), nd.id) {
+				return fmt.Errorf("buffer %#x at arena slot %d is not found through its handle or table", uint64(nd.id), n)
 			}
 			sum += nd.size
 			pcount++
@@ -827,12 +676,6 @@ func (c *LLC) checkInvariants() error {
 	if capSum != c.capacity {
 		return fmt.Errorf("capacity %d != partition sum %d", c.capacity, capSum)
 	}
-	indexed := 0
-	for _, n := range c.index {
-		if n != 0 {
-			indexed++
-		}
-	}
 	tabled := 0
 	for m, t := range c.states {
 		for line, n := range t {
@@ -848,12 +691,8 @@ func (c *LLC) checkInvariants() error {
 			tabled++
 		}
 	}
-	if count != c.count || indexed != c.hashed || tabled+indexed != c.count {
-		return fmt.Errorf("lists hold %d buffers, index %d (hashed count %d), state tables %d, count %d",
-			count, indexed, c.hashed, tabled, c.count)
-	}
-	if 2*c.hashed >= len(c.index) {
-		return fmt.Errorf("index at %d/%d slots, over half load", c.hashed, len(c.index))
+	if count != c.count || tabled > count {
+		return fmt.Errorf("lists hold %d buffers, state tables %d, count %d", count, tabled, c.count)
 	}
 	free := 0
 	for n := c.free; n != 0; n = c.nodes[n].next {

@@ -7,10 +7,17 @@ import (
 	"ceio/internal/sim"
 )
 
+// insert DMA-writes the fresh packet buffer id into partition 0, its
+// payload filling its footprint, and returns its handle.
+func insert(c *LLC, id BufID, size int64) Handle {
+	h, _ := c.InsertIOSized(0, id, size, size)
+	return h
+}
+
 func TestLLCHitOnResident(t *testing.T) {
 	c := NewLLC(1000)
-	c.InsertIO(1, 500)
-	if !c.Consume(1) {
+	h := insert(c, 1, 500)
+	if !c.ConsumeIn(0, h, 1) {
 		t.Fatal("expected hit")
 	}
 	if c.Occupancy() != 0 || c.Len() != 0 {
@@ -25,18 +32,18 @@ func TestLLCMissOnEvicted(t *testing.T) {
 	c := NewLLC(1000)
 	var evicted []BufID
 	c.SetEvictHandler(func(id BufID) { evicted = append(evicted, id) })
-	c.InsertIO(1, 600)
-	c.InsertIO(2, 600) // evicts 1 (LRU)
-	if c.Resident(1) {
+	h1 := insert(c, 1, 600)
+	h2 := insert(c, 2, 600) // evicts 1 (LRU)
+	if c.Resident(h1, 1) {
 		t.Fatal("buffer 1 should have been evicted")
 	}
 	if len(evicted) != 1 || evicted[0] != 1 {
 		t.Fatalf("evicted = %v", evicted)
 	}
-	if c.Consume(1) {
+	if c.ConsumeIn(0, h1, 1) {
 		t.Fatal("expected miss on evicted buffer")
 	}
-	if !c.Consume(2) {
+	if !c.ConsumeIn(0, h2, 2) {
 		t.Fatal("expected hit on resident buffer")
 	}
 	if c.MissRate() != 0.5 {
@@ -44,45 +51,65 @@ func TestLLCMissOnEvicted(t *testing.T) {
 	}
 }
 
-func TestLLCLRUOrder(t *testing.T) {
-	c := NewLLC(300)
-	c.InsertIO(1, 100)
-	c.InsertIO(2, 100)
-	c.InsertIO(3, 100)
-	// Touch 1 so 2 becomes LRU.
-	if !c.Peek(1) {
-		t.Fatal("peek of resident should hit")
+// TestLLCStaleHandle pins the generation check on packet handles: once a
+// buffer is evicted, its arena node is reused for the next insert, so
+// the first buffer's handle names the new owner's node. Reads through
+// the stale handle must miss and its drop must be a no-op that leaves
+// the new owner resident.
+func TestLLCStaleHandle(t *testing.T) {
+	c := NewLLC(1000)
+	h1 := insert(c, 1, 600)
+	h2 := insert(c, 2, 600) // evicts 1 and frees its node
+	h3 := insert(c, 3, 400) // takes 1's node
+	if h3 != h1 {
+		t.Fatalf("buffer 3 got node %d, want buffer 1's freed node %d", h3, h1)
 	}
-	ev := c.InsertIO(4, 100)
-	if len(ev) != 1 || ev[0].ID != 2 {
-		t.Fatalf("evicted %v, want [2]", ev)
+	if c.ProbeIn(0, h1, 1) || c.ConsumeIn(0, h1, 1) {
+		t.Fatal("read through a stale handle hit the node's new owner")
 	}
-	if ev[0].Payload != 100 {
-		t.Fatalf("evicted payload %d, want the size recorded at insert", ev[0].Payload)
+	if c.Misses != 2 || c.Hits != 0 {
+		t.Fatalf("stale reads counted hits=%d misses=%d, want 0/2", c.Hits, c.Misses)
+	}
+	if c.Drop(h1, 1) {
+		t.Fatal("drop through a stale handle reported a resident buffer")
+	}
+	if !c.Resident(h3, 3) || !c.Resident(h2, 2) || c.Len() != 2 || c.Occupancy() != 1000 {
+		t.Fatalf("stale accesses disturbed the resident set: len %d occupancy %d", c.Len(), c.Occupancy())
+	}
+	if !c.ConsumeIn(0, h3, 3) {
+		t.Fatal("the node's new owner misses")
+	}
+	if err := c.checkInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
-func TestLLCReinsertRefreshes(t *testing.T) {
+func TestLLCLRUOrder(t *testing.T) {
 	c := NewLLC(300)
-	c.InsertIO(1, 100)
-	c.InsertIO(2, 100)
-	c.InsertIO(1, 100) // refresh: 2 is now LRU
-	ev := c.InsertIO(3, 200)
+	line := StateLineID(0, 1)
+	c.TouchState(0, line, 100)
+	insert(c, 2, 100)
+	insert(c, 3, 100)
+	// Touch the line again so buffer 2 becomes LRU.
+	if hit, _, _ := c.TouchState(0, line, 100); !hit {
+		t.Fatal("touch of a resident line should hit")
+	}
+	_, ev := c.InsertIOSized(0, 4, 100, 60)
 	if len(ev) != 1 || ev[0].ID != 2 {
 		t.Fatalf("evicted %v, want [2]", ev)
 	}
-	if c.Insertions != 3 { // reinsert does not double count
-		t.Fatalf("insertions = %d", c.Insertions)
+	if ev[0].Payload != 100 || ev[0].Part != 0 {
+		t.Fatalf("evicted payload %d partition %d, want the size and partition recorded at insert", ev[0].Payload, ev[0].Part)
 	}
 }
 
 func TestLLCOversizeBypasses(t *testing.T) {
 	c := NewLLC(100)
-	ev := c.InsertIO(1, 200)
-	if len(ev) != 1 || ev[0].ID != 1 {
-		t.Fatalf("oversize insert should bypass, got %v", ev)
+	h, ev := c.InsertIOSized(0, 1, 200, 200)
+	if len(ev) != 1 || ev[0].ID != 1 || h != 0 {
+		t.Fatalf("oversize insert should bypass with no handle, got %v and handle %d", ev, h)
 	}
-	if c.Resident(1) || c.Occupancy() != 0 {
+	if c.Resident(h, 1) || c.Occupancy() != 0 {
 		t.Fatal("oversize buffer must not be resident")
 	}
 }
@@ -90,16 +117,16 @@ func TestLLCOversizeBypasses(t *testing.T) {
 // TestLLCOversizeMissCountedOnce pins the hit/miss accounting of the
 // bypass path: a buffer larger than the DDIO region never becomes
 // resident, and the miss is charged exactly once — when the consumer
-// reads it — not a second time at insert. (Regression: InsertIO used to
-// also increment Misses, double-counting every oversized buffer and
+// reads it — not a second time at insert. (Regression: the insert used
+// to also increment Misses, double-counting every oversized buffer and
 // inflating MissRate.)
 func TestLLCOversizeMissCountedOnce(t *testing.T) {
 	c := NewLLC(100)
-	c.InsertIO(1, 200)
+	h := insert(c, 1, 200)
 	if c.Misses != 0 {
 		t.Fatalf("insert of oversized buffer charged %d misses, want 0 (miss belongs to the consumer)", c.Misses)
 	}
-	if c.Consume(1) {
+	if c.ConsumeIn(0, h, 1) {
 		t.Fatal("consume of non-resident oversized buffer must miss")
 	}
 	if c.Hits != 0 || c.Misses != 1 {
@@ -109,10 +136,10 @@ func TestLLCOversizeMissCountedOnce(t *testing.T) {
 		t.Fatalf("miss rate = %v, want 1.0", got)
 	}
 
-	// Streaming (Probe) consumer, as used by CPU-bypass flows.
+	// Streaming (ProbeIn) consumer, as used by CPU-bypass flows.
 	c.ResetStats()
-	c.InsertIO(2, 150)
-	if c.Probe(2) {
+	h = insert(c, 2, 150)
+	if c.ProbeIn(0, h, 2) {
 		t.Fatal("probe of non-resident oversized buffer must miss")
 	}
 	if c.Hits != 0 || c.Misses != 1 {
@@ -120,8 +147,8 @@ func TestLLCOversizeMissCountedOnce(t *testing.T) {
 	}
 
 	// A resident buffer still counts one hit, so the rate stays balanced.
-	c.InsertIO(3, 50)
-	if !c.Consume(3) {
+	h = insert(c, 3, 50)
+	if !c.ConsumeIn(0, h, 3) {
 		t.Fatal("expected hit on resident buffer")
 	}
 	if c.Hits != 1 || c.Misses != 1 {
@@ -134,31 +161,24 @@ func TestLLCOversizeMissCountedOnce(t *testing.T) {
 
 func TestLLCDrop(t *testing.T) {
 	c := NewLLC(100)
-	c.InsertIO(1, 50)
-	c.Drop(1)
-	if c.Resident(1) || c.Occupancy() != 0 {
+	h := insert(c, 1, 50)
+	if !c.Drop(h, 1) {
+		t.Fatal("drop of a resident buffer reported it absent")
+	}
+	if c.Resident(h, 1) || c.Occupancy() != 0 {
 		t.Fatal("drop should remove without stats")
 	}
-	if c.Hits != 0 && c.Misses != 0 {
+	if c.Hits != 0 || c.Misses != 0 {
 		t.Fatal("drop must not count as hit or miss")
 	}
-	c.Drop(99) // dropping absent buffer is a no-op
-}
-
-func TestLLCPeekMiss(t *testing.T) {
-	c := NewLLC(100)
-	if c.Peek(7) {
-		t.Fatal("peek of absent buffer should miss")
-	}
-	if c.Misses != 1 {
-		t.Fatalf("misses = %d", c.Misses)
+	if c.Drop(h, 1) || c.Drop(0, 99) {
+		t.Fatal("dropping an absent buffer must be a no-op")
 	}
 }
 
 func TestLLCResetStats(t *testing.T) {
 	c := NewLLC(100)
-	c.InsertIO(1, 50)
-	c.Consume(1)
+	c.ConsumeIn(0, insert(c, 1, 50), 1)
 	c.ResetStats()
 	if c.Hits != 0 || c.Insertions != 0 {
 		t.Fatal("stats not reset")
@@ -166,20 +186,23 @@ func TestLLCResetStats(t *testing.T) {
 }
 
 // Property: under any mixed insert/consume workload the occupancy bound
-// and list/map consistency hold.
+// and list/handle consistency hold. A consume names any buffer inserted
+// so far, so reads through stale handles are part of the mix.
 func TestLLCInvariantsProperty(t *testing.T) {
 	type op struct {
 		Insert bool
-		ID     uint8
+		Pick   uint8
 		Size   uint8
 	}
 	f := func(ops []op) bool {
 		c := NewLLC(1024)
+		var handles []Handle // handles[id-1] is buffer id's
 		for _, o := range ops {
 			if o.Insert {
-				c.InsertIO(BufID(o.ID), int64(o.Size)+1)
-			} else {
-				c.Consume(BufID(o.ID))
+				handles = append(handles, insert(c, BufID(len(handles)+1), int64(o.Size)+1))
+			} else if len(handles) > 0 {
+				k := int(o.Pick) % len(handles)
+				c.ConsumeIn(0, handles[k], BufID(k+1))
 			}
 			if err := c.checkInvariants(); err != nil {
 				t.Logf("invariant violated: %v", err)
@@ -197,9 +220,9 @@ func TestLLCInvariantsProperty(t *testing.T) {
 }
 
 // TestLLCSteadyStateZeroAlloc pins the arena's recycling: once the node
-// arena, the index and four modules' state tables have grown to the
-// resident set's high-water mark, DDIO insert/consume churn and
-// state-line touches that hit, refill and evict allocate nothing.
+// arena and four modules' state tables have grown to the resident set's
+// high-water mark, DDIO insert/consume churn and state-line touches that
+// hit, refill and evict allocate nothing.
 func TestLLCSteadyStateZeroAlloc(t *testing.T) {
 	const (
 		stateLines = 64 << 10 // 4 MB of 64 B state lines
@@ -207,12 +230,15 @@ func TestLLCSteadyStateZeroAlloc(t *testing.T) {
 	)
 	c := NewLLC(6 << 20)
 	next, x := BufID(0), uint64(1)
+	var handles [inFlight]Handle
 	packet := func() {
 		next++
-		c.InsertIO(next, 2048)
+		k := next % inFlight
+		h := insert(c, next, 2048)
 		if next > inFlight {
-			c.Consume(next - inFlight)
+			c.ConsumeIn(0, handles[k], next-inFlight)
 		}
+		handles[k] = h
 		for t := 0; t < 8; t++ {
 			x = x*6364136223846793005 + 1442695040888963407
 			line := int(x >> 33 % stateLines)
@@ -240,22 +266,24 @@ func TestLLCSteadyStateZeroAlloc(t *testing.T) {
 // The core DDIO phenomenon: in-flight volume beyond the DDIO region
 // produces a miss rate that grows with the overshoot.
 func TestLLCPressureDrivesMissRate(t *testing.T) {
+	type buf struct {
+		id BufID
+		h  Handle
+	}
 	run := func(inFlight int) float64 {
 		c := NewLLC(64 * 1024) // 32 buffers of 2KB
 		next := BufID(1)
-		outstanding := []BufID{}
+		outstanding := []buf{}
 		// Pipeline: insert inFlight buffers, then consume in FIFO order
 		// while inserting one new buffer per consume.
 		for i := 0; i < inFlight; i++ {
-			c.InsertIO(next, 2048)
-			outstanding = append(outstanding, next)
+			outstanding = append(outstanding, buf{next, insert(c, next, 2048)})
 			next++
 		}
 		for i := 0; i < 10000; i++ {
-			c.Consume(outstanding[0])
+			c.ConsumeIn(0, outstanding[0].h, outstanding[0].id)
 			outstanding = outstanding[1:]
-			c.InsertIO(next, 2048)
-			outstanding = append(outstanding, next)
+			outstanding = append(outstanding, buf{next, insert(c, next, 2048)})
 			next++
 		}
 		return c.MissRate()

@@ -2,6 +2,7 @@ package cache
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -16,25 +17,25 @@ func TestPartitionBasics(t *testing.T) {
 	if c.Partitions() != 2 || c.PartCapacity(0) != 100 || c.PartCapacity(1) != 200 {
 		t.Fatalf("partition geometry wrong: n=%d caps=%d/%d", c.Partitions(), c.PartCapacity(0), c.PartCapacity(1))
 	}
-	c.InsertIOIn(0, 1, 60)
-	c.InsertIOIn(1, 2, 150)
+	h1, _ := c.InsertIOSized(0, 1, 60, 60)
+	h2, _ := c.InsertIOSized(1, 2, 150, 150)
 	// Overflows partition 0 only: buffer 1 is its LRU victim, buffer 2 in
 	// partition 1 must survive.
-	ev := c.InsertIOIn(0, 3, 60)
-	if len(ev) != 1 || ev[0].ID != 1 {
+	h3, ev := c.InsertIOSized(0, 3, 60, 60)
+	if len(ev) != 1 || ev[0].ID != 1 || ev[0].Part != 0 {
 		t.Fatalf("expected partition-local eviction of buffer 1, got %v", ev)
 	}
-	if !c.Resident(2) || !c.Resident(3) {
+	if !c.Resident(h2, 2) || !c.Resident(h3, 3) {
 		t.Fatal("cross-partition eviction: survivor set wrong")
 	}
 	if c.PartOccupancy(0) != 60 || c.PartOccupancy(1) != 150 || c.Occupancy() != 210 {
 		t.Fatalf("occupancies wrong: %d/%d total %d", c.PartOccupancy(0), c.PartOccupancy(1), c.Occupancy())
 	}
 	// Hit charged to the buffer's home partition; miss to the reader's.
-	if !c.ConsumeIn(0, 3) {
+	if !c.ConsumeIn(0, h3, 3) {
 		t.Fatal("expected hit on resident buffer 3")
 	}
-	if c.ConsumeIn(0, 1) {
+	if c.ConsumeIn(0, h1, 1) {
 		t.Fatal("expected miss on evicted buffer 1")
 	}
 	st0, st1 := c.PartStats(0), c.PartStats(1)
@@ -58,7 +59,7 @@ func TestPartitionRejections(t *testing.T) {
 	if err := c.Partition([]int64{150, -50}); err == nil {
 		t.Fatal("negative capacity accepted")
 	}
-	c.InsertIO(1, 10)
+	insert(c, 1, 10)
 	if err := c.Partition([]int64{50, 50}); err == nil {
 		t.Fatal("partitioning a non-empty cache accepted")
 	}
@@ -72,7 +73,7 @@ func TestMoveCapacityEvicts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for id := BufID(1); id <= 4; id++ {
-		c.InsertIOIn(0, id, 50) // fills partition 0 exactly
+		c.InsertIOSized(0, id, 50, 50) // fills partition 0 exactly
 	}
 	ev := c.MoveCapacity(0, 1, 100)
 	if len(ev) != 2 || ev[0].ID != 1 || ev[1].ID != 2 {
@@ -90,8 +91,8 @@ func TestMoveCapacityEvicts(t *testing.T) {
 		t.Fatalf("shrink-to-zero left occupancy %d (evicted %v)", c.PartOccupancy(0), ev)
 	}
 	// A zero-capacity partition bypasses inserts instead of panicking.
-	ev = c.InsertIOIn(0, 9, 50)
-	if len(ev) != 1 || ev[0].ID != 9 || c.Resident(9) {
+	h, ev := c.InsertIOSized(0, 9, 50, 50)
+	if len(ev) != 1 || ev[0].ID != 9 || c.Resident(h, 9) {
 		t.Fatalf("insert into zero-way partition should bypass, got %v", ev)
 	}
 	if err := c.checkInvariants(); err != nil {
@@ -125,44 +126,55 @@ func TestPartitionOccupancySumProperty(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 
-		next := BufID(0)
+		// handles[id-1] is buffer id's; live lists the resident IDs.
+		var handles []Handle
 		live := []BufID{}
+		forget := func(evicted []Evicted) {
+			for _, ev := range evicted {
+				if i := slices.Index(live, ev.ID); i >= 0 {
+					live = slices.Delete(live, i, i+1)
+				}
+			}
+		}
 		for op := 0; op < 4000; op++ {
 			part := rng.Intn(nParts)
 			switch rng.Intn(10) {
 			case 0, 1, 2, 3: // insert
-				next++
+				id := BufID(len(handles) + 1)
 				size := int64(64 * (1 + rng.Intn(40)))
-				for _, ev := range c.InsertIOIn(part, next, size) {
-					for i, id := range live {
-						if id == ev.ID {
-							live = append(live[:i], live[i+1:]...)
-							break
-						}
-					}
+				h, evicted := c.InsertIOSized(part, id, size, size)
+				handles = append(handles, h)
+				forget(evicted)
+				if c.Resident(h, id) {
+					live = append(live, id)
 				}
-				if c.Resident(next) {
-					live = append(live, next)
-				}
-			case 4, 5: // consume (random live or random stale id)
+			case 4, 5: // consume (random live or random, possibly stale, id)
 				if len(live) > 0 && rng.Intn(2) == 0 {
 					i := rng.Intn(len(live))
-					c.ConsumeIn(part, live[i])
-					live = append(live[:i], live[i+1:]...)
-				} else {
-					c.ConsumeIn(part, BufID(rng.Int63n(int64(next)+1)))
+					id := live[i]
+					c.ConsumeIn(part, handles[id-1], id)
+					live = slices.Delete(live, i, i+1)
+				} else if len(handles) > 0 {
+					k := rng.Intn(len(handles))
+					if !c.ConsumeIn(part, handles[k], BufID(k+1)) {
+						break
+					}
+					live = slices.DeleteFunc(live, func(id BufID) bool { return id == BufID(k+1) })
 				}
-			case 6: // peek/probe
-				if len(live) > 0 {
-					c.PeekIn(part, live[rng.Intn(len(live))])
+			case 6: // probe, or a state-line touch refreshing recency
+				if len(live) > 0 && rng.Intn(2) == 0 {
+					id := live[rng.Intn(len(live))]
+					c.ProbeIn(part, handles[id-1], id)
 				} else {
-					c.ProbeIn(part, next+1)
+					_, _, evicted := c.TouchState(part, StateLineID(0, rng.Intn(64)), 64)
+					forget(evicted)
 				}
 			case 7: // drop
 				if len(live) > 0 {
 					i := rng.Intn(len(live))
-					c.Drop(live[i])
-					live = append(live[:i], live[i+1:]...)
+					id := live[i]
+					c.Drop(handles[id-1], id)
+					live = slices.Delete(live, i, i+1)
 				}
 			case 8, 9: // repartition: move capacity between random partitions
 				from := rng.Intn(nParts)
@@ -174,14 +186,7 @@ func TestPartitionOccupancySumProperty(t *testing.T) {
 				if bytes > c.PartCapacity(from) {
 					bytes = c.PartCapacity(from)
 				}
-				for _, ev := range c.MoveCapacity(from, to, bytes) {
-					for i, id := range live {
-						if id == ev.ID {
-							live = append(live[:i], live[i+1:]...)
-							break
-						}
-					}
-				}
+				forget(c.MoveCapacity(from, to, bytes))
 			}
 
 			if err := c.checkInvariants(); err != nil {
@@ -202,26 +207,35 @@ func TestPartitionOccupancySumProperty(t *testing.T) {
 	}
 }
 
-// TestSinglePartitionMatchesLegacy replays a randomized legacy-API
-// workload against an explicit 1-partition cache and requires identical
-// behavior — the guarantee that partitioning the code path did not
-// perturb unpartitioned machines.
+// TestSinglePartitionMatchesLegacy replays a randomized workload against
+// the default cache and an explicit 1-partition cache and requires
+// identical behavior — the guarantee that partitioning the code path did
+// not perturb unpartitioned machines. Reads name random earlier buffers,
+// live or not.
 func TestSinglePartitionMatchesLegacy(t *testing.T) {
 	run := func(c *LLC) (sig []int64) {
 		rng := rand.New(rand.NewSource(42))
+		var handles []Handle // handles[id-1] is buffer id's
 		for op := 0; op < 3000; op++ {
-			id := BufID(rng.Int63n(200))
+			k := -1
+			if len(handles) > 0 {
+				k = len(handles) - 1 - rng.Intn(min(len(handles), 200))
+			}
 			switch rng.Intn(4) {
 			case 0, 1:
-				for _, ev := range c.InsertIO(id, int64(64*(1+rng.Intn(40)))) {
+				h, evicted := c.InsertIOSized(0, BufID(len(handles)+1), int64(64*(1+rng.Intn(40))), 64)
+				handles = append(handles, h)
+				for _, ev := range evicted {
 					sig = append(sig, int64(ev.ID))
 				}
 			case 2:
-				if c.Consume(id) {
+				if k >= 0 && c.ConsumeIn(0, handles[k], BufID(k+1)) {
 					sig = append(sig, -1)
 				}
 			case 3:
-				c.Probe(id)
+				if k >= 0 {
+					c.ProbeIn(0, handles[k], BufID(k+1))
+				}
 			}
 		}
 		sig = append(sig, c.Occupancy(), int64(c.Hits), int64(c.Misses), int64(c.Evictions), int64(c.Insertions))

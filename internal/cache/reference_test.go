@@ -9,7 +9,8 @@ import (
 
 // refLLC is the reference model the arena-backed LLC is checked against:
 // the resident set as a Go map of heap nodes on pointer-linked LRU lists,
-// with no recycling, so its bookkeeping is simple enough to trust. It
+// keyed by BufID, with no recycling and no handles, so its bookkeeping is
+// simple enough to trust. It
 // implements the same replacement policy — per-partition LRU, the
 // over-capacity keep-the-only-line rule, and the bypass of a buffer
 // wider than its partition — and the same counters.
@@ -87,7 +88,7 @@ func (r *refLLC) evictOver(p *refPart, keep *refNode) (evicted []Evicted) {
 		r.remove(victim)
 		p.stats.Evictions++
 		r.stats.Evictions++
-		evicted = append(evicted, Evicted{ID: victim.id, Payload: victim.payload})
+		evicted = append(evicted, Evicted{ID: victim.id, Payload: victim.payload, Part: int32(victim.part)})
 	}
 	return evicted
 }
@@ -104,25 +105,15 @@ func (r *refLLC) MoveCapacity(from, to int, bytes int64) []Evicted {
 func (r *refLLC) InsertIOSized(part int, id BufID, size, payload int64) []Evicted {
 	p := &r.parts[part]
 	if size > p.capacity {
-		return []Evicted{{ID: id, Payload: payload}}
+		return []Evicted{{ID: id, Payload: payload, Part: int32(part)}}
 	}
-	n, ok := r.entries[id]
-	if ok {
-		p = &r.parts[n.part]
-		p.occupancy += size - n.size
-		r.occupancy += size - n.size
-		n.size, n.payload = size, payload
-		p.unlink(n)
-		p.pushFront(n)
-	} else {
-		n = &refNode{id: id, size: size, payload: payload, part: part}
-		r.entries[id] = n
-		p.pushFront(n)
-		p.occupancy += size
-		r.occupancy += size
-		p.stats.Insertions++
-		r.stats.Insertions++
-	}
+	n := &refNode{id: id, size: size, payload: payload, part: part}
+	r.entries[id] = n
+	p.pushFront(n)
+	p.occupancy += size
+	r.occupancy += size
+	p.stats.Insertions++
+	r.stats.Insertions++
 	return r.evictOver(p, n)
 }
 
@@ -163,19 +154,6 @@ func (r *refLLC) ConsumeIn(part int, id BufID) bool {
 	return true
 }
 
-func (r *refLLC) PeekIn(part int, id BufID) bool {
-	n, ok := r.entries[id]
-	if !ok {
-		return r.miss(part)
-	}
-	p := &r.parts[n.part]
-	p.unlink(n)
-	p.pushFront(n)
-	p.stats.Hits++
-	r.stats.Hits++
-	return true
-}
-
 func (r *refLLC) ProbeIn(part int, id BufID) bool {
 	n, ok := r.entries[id]
 	if !ok {
@@ -186,13 +164,15 @@ func (r *refLLC) ProbeIn(part int, id BufID) bool {
 	return true
 }
 
-func (r *refLLC) Drop(id BufID) {
-	if n, ok := r.entries[id]; ok {
+func (r *refLLC) Drop(id BufID) bool {
+	n, ok := r.entries[id]
+	if ok {
 		r.remove(n)
 	}
+	return ok
 }
 
-func (r *refLLC) ImminentIn(part int, thresholdBytes int64, pred func(BufID) bool) int {
+func (r *refLLC) ImminentIn(part int, thresholdBytes int64) int {
 	if thresholdBytes <= 0 {
 		return 0
 	}
@@ -200,7 +180,7 @@ func (r *refLLC) ImminentIn(part int, thresholdBytes int64, pred func(BufID) boo
 	dist := p.capacity - p.occupancy
 	count := 0
 	for n := p.tail; n != nil && dist < thresholdBytes; n = n.prev {
-		if pred == nil || pred(n.id) {
+		if !IsStateLine(n.id) {
 			count++
 		}
 		dist += n.size
@@ -208,34 +188,28 @@ func (r *refLLC) ImminentIn(part int, thresholdBytes int64, pred func(BufID) boo
 	return count
 }
 
-func (r *refLLC) PayloadOf(id BufID) int64 {
-	if n, ok := r.entries[id]; ok {
-		return n.payload
-	}
-	return 0
-}
-
-// lru returns partition part's resident IDs, MRU first.
-func (r *refLLC) lru(part int) []BufID {
-	var ids []BufID
+// lru returns partition part's resident buffers, MRU first.
+func (r *refLLC) lru(part int) []Evicted {
+	var bufs []Evicted
 	for n := r.parts[part].head; n != nil; n = n.next {
-		ids = append(ids, n.id)
+		bufs = append(bufs, Evicted{ID: n.id, Payload: n.payload, Part: int32(n.part)})
 	}
-	return ids
+	return bufs
 }
 
-// lru returns partition part's resident IDs, MRU first.
-func (c *LLC) lru(part int) []BufID {
-	var ids []BufID
+// lru returns partition part's resident buffers, MRU first.
+func (c *LLC) lru(part int) []Evicted {
+	var bufs []Evicted
 	for n := c.parts[part].head; n != 0; n = c.nodes[n].next {
-		ids = append(ids, c.nodes[n].id)
+		nd := &c.nodes[n]
+		bufs = append(bufs, Evicted{ID: nd.id, Payload: nd.payload, Part: nd.part})
 	}
-	return ids
+	return bufs
 }
 
 // diffState compares an LLC with the reference after every operation:
 // counters, total and per-partition occupancy, capacity and stats, and
-// each partition's full LRU order.
+// each partition's full LRU order with every buffer's payload.
 func diffState(c *LLC, r *refLLC) error {
 	if err := c.checkInvariants(); err != nil {
 		return err
@@ -265,12 +239,15 @@ func diffState(c *LLC, r *refLLC) error {
 // eviction list (contents and order), a counter, a partition's
 // occupancy or a partition's LRU order. data[0] picks 1–4 partitions
 // and the next bytes their capacities; then every 4 bytes are one
-// operation: kind and partition, then a buffer ID drawn from 2048
-// values, then a size or argument byte. Half the IDs are dataplane state
-// lines of four modules whose lines spread over 4k values, so the
-// direct tables grow again and again mid-stream; the rest take
-// the hashed index, module 3's carrying the state tag with bits outside
-// the state fields.
+// operation: kind and partition, two argument bytes, then a size or
+// argument byte. Inserts write fresh packet buffers, as DMA writes do;
+// some carry the state tag with bits outside the state fields, so they
+// must still be taken for packet buffers. Reads and drops name any
+// buffer inserted so far through the handle its insert returned, so
+// they go through stale handles of evicted buffers whose nodes now hold
+// later ones. Touches name state lines of four modules whose lines
+// spread over 4k values, so the direct tables grow again and again
+// mid-stream.
 func runLLCDiff(t *testing.T, data []byte) {
 	t.Helper()
 	if len(data) == 0 {
@@ -300,51 +277,63 @@ func runLLCDiff(t *testing.T, data []byte) {
 		t.Fatal(err)
 	}
 	r := newRefLLC(caps)
-	even := func(id BufID) bool { return id%2 == 0 }
+	type buf struct {
+		id BufID
+		h  Handle
+	}
+	var bufs []buf // every packet buffer inserted, oldest first
 
 	for i := 0; i+3 < len(data); i += 4 {
 		op, x, y, z := data[i], data[i+1], data[i+2], data[i+3]
 		part := int(op/10) % nParts
-		id := BufID(x) | BufID(y&3)<<40
-		switch {
-		case y&4 != 0:
-			id = StateLineID(int(y&3), int(x)*16)
-		case y&3 == 3:
-			id |= stateTag
+		// b is the packet buffer a read or drop names: one of the last
+		// 256 inserted.
+		var b buf
+		if len(bufs) > 0 {
+			b = bufs[len(bufs)-1-int(x)%len(bufs)]
 		}
+		line := StateLineID(int(y&3), int(x)*16+int(y>>4))
 		size := 64 * int64(1+z%32)
 		fail := func(format string, args ...any) {
 			t.Helper()
-			t.Fatalf("op %d (kind %d part %d id %#x z %d): %s", i/4, op%10, part, uint64(id), z, fmt.Sprintf(format, args...))
+			t.Fatalf("op %d (kind %d part %d x %d y %d z %d): %s", i/4, op%10, part, x, y, z, fmt.Sprintf(format, args...))
 		}
 		switch op % 10 {
 		case 0, 1:
+			b.id = BufID(len(bufs) + 1)
+			if y&3 == 3 {
+				b.id |= stateTag | 3<<40
+			}
 			payload := 1 + int64(y)*size/256
-			want := r.InsertIOSized(part, id, size, payload)
-			if got := c.InsertIOSized(part, id, size, payload); !slices.Equal(got, want) {
+			want := r.InsertIOSized(part, b.id, size, payload)
+			var got []Evicted
+			b.h, got = c.InsertIOSized(part, b.id, size, payload)
+			if !slices.Equal(got, want) {
 				fail("InsertIOSized evicted %v, reference %v", got, want)
 			}
+			bufs = append(bufs, b)
 		case 2, 3:
-			wh, wf, wev := r.TouchState(part, id, 64)
-			gh, gf, gev := c.TouchState(part, id, 64)
+			wh, wf, wev := r.TouchState(part, line, 64)
+			gh, gf, gev := c.TouchState(part, line, 64)
 			if gh != wh || gf != wf || !slices.Equal(gev, wev) {
 				fail("TouchState = %v, %v, %v; reference %v, %v, %v", gh, gf, gev, wh, wf, wev)
 			}
+			_, want := r.entries[line]
+			if got := c.Resident(0, line); got != want {
+				fail("Resident(line %#x) = %v, reference %v", uint64(line), got, want)
+			}
 		case 4:
-			if got, want := c.ConsumeIn(part, id), r.ConsumeIn(part, id); got != want {
+			if got, want := c.ConsumeIn(part, b.h, b.id), r.ConsumeIn(part, b.id); got != want {
 				fail("ConsumeIn = %v, reference %v", got, want)
 			}
-		case 5:
-			if got, want := c.PeekIn(part, id), r.PeekIn(part, id); got != want {
-				fail("PeekIn = %v, reference %v", got, want)
-			}
-		case 6:
-			if got, want := c.ProbeIn(part, id), r.ProbeIn(part, id); got != want {
+		case 5, 6:
+			if got, want := c.ProbeIn(part, b.h, b.id), r.ProbeIn(part, b.id); got != want {
 				fail("ProbeIn = %v, reference %v", got, want)
 			}
 		case 7:
-			c.Drop(id)
-			r.Drop(id)
+			if got, want := c.Drop(b.h, b.id), r.Drop(b.id); got != want {
+				fail("Drop = %v, reference %v", got, want)
+			}
 		case 8:
 			to := (part + 1 + int(z)) % nParts
 			if to == part {
@@ -356,21 +345,16 @@ func runLLCDiff(t *testing.T, data []byte) {
 				fail("MoveCapacity(%d→%d, %d) evicted %v, reference %v", part, to, bytes, got, want)
 			}
 		case 9:
-			var pred func(BufID) bool
-			if y&1 != 0 {
-				pred = even
-			}
 			threshold := int64(z)*64 - 512
-			if got, want := c.ImminentIn(part, threshold, pred), r.ImminentIn(part, threshold, pred); got != want {
+			if got, want := c.ImminentIn(part, threshold), r.ImminentIn(part, threshold); got != want {
 				fail("ImminentIn(%d) = %d, reference %d", threshold, got, want)
 			}
 		}
-		if got, want := c.PayloadOf(id), r.PayloadOf(id); got != want {
-			fail("PayloadOf = %d, reference %d", got, want)
-		}
-		_, want := r.entries[id]
-		if got := c.Resident(id); got != want {
-			fail("Resident = %v, reference %v", got, want)
+		if b.id != 0 {
+			_, want := r.entries[b.id]
+			if got := c.Resident(b.h, b.id); got != want {
+				fail("Resident(%#x) = %v, reference %v", uint64(b.id), got, want)
+			}
 		}
 		if err := diffState(c, r); err != nil {
 			fail("%v", err)

@@ -166,7 +166,7 @@ func TestResidentGaugeCountsResidentLines(t *testing.T) {
 		for _, mod := range chain {
 			var lines int64
 			for l := 0; l < mod.lines; l++ {
-				if llc.Resident(cache.StateLineID(mod.idx, l)) {
+				if llc.Resident(0, cache.StateLineID(mod.idx, l)) {
 					lines++
 				}
 			}
@@ -235,7 +235,11 @@ func FuzzPipeline(f *testing.F) {
 
 		// Track resident I/O buffers the way iosys does, via the eviction
 		// sink, so state + I/O bytes can be reconciled with occupancy.
-		ioResident := map[cache.BufID]int64{}
+		type ioBuf struct {
+			h    cache.Handle
+			size int64
+		}
+		ioResident := map[cache.BufID]ioBuf{}
 		var e *Engine
 		sink := func(evs []cache.Evicted) {
 			for _, ev := range evs {
@@ -286,11 +290,11 @@ func FuzzPipeline(f *testing.F) {
 				t.Fatalf("per-module busy %v, TotalBusy %v", busy, e.TotalBusy)
 			}
 			var io int64
-			for id, size := range ioResident {
-				if !llc.Resident(id) {
+			for id, b := range ioResident {
+				if !llc.Resident(b.h, id) {
 					t.Fatalf("tracked I/O buffer %d not in LLC", id)
 				}
-				io += size
+				io += b.size
 			}
 			if e.ResidentBytes()+io != llc.Occupancy() {
 				t.Fatalf("state %d + io %d != occupancy %d", e.ResidentBytes(), io, llc.Occupancy())
@@ -324,10 +328,9 @@ func FuzzPipeline(f *testing.F) {
 				seq++
 			case 2: // competing I/O buffer DMA, as dmaArrived does
 				size := int64(arg)%2048 + 64
-				evs := llc.InsertIOSized(part, nextIO, size, size)
-				resident := llc.Resident(nextIO)
-				if resident {
-					ioResident[nextIO] = size
+				h, evs := llc.InsertIOSized(part, nextIO, size, size)
+				if llc.Resident(h, nextIO) {
+					ioResident[nextIO] = ioBuf{h, size}
 				}
 				sink(evs)
 				nextIO++

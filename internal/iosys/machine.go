@@ -151,11 +151,12 @@ type Machine struct {
 
 	// OnIOEvict, if set, observes every I/O buffer the LLC evicts to DRAM
 	// (DDIO insert overflow or tenant way reassignment; dataplane state
-	// lines are excluded). RDCA's window controller registers here to
-	// learn that in-flight rx buffers were pushed out before consumption
-	// — the strongest shrink signal it has. Nil on every other datapath,
-	// so their eviction path is untouched.
-	OnIOEvict func(id cache.BufID)
+	// lines are excluded), with the partition it was cached in. RDCA's
+	// window controller registers here to learn that in-flight rx
+	// buffers were pushed out before consumption — the strongest shrink
+	// signal it has. Nil on every other datapath, so their eviction path
+	// is untouched.
+	OnIOEvict func(id cache.BufID, part int)
 
 	// Tracer, if set, records per-packet datapath events.
 	Tracer *trace.Tracer
@@ -671,7 +672,8 @@ func dmaArrived(arg any, w *pcie.Write) {
 	if lines := int64((p.Size + 63) &^ 63); lines > occ {
 		occ = lines
 	}
-	evicted := m.LLC.InsertIOSized(p.Part, p.Buf, occ, int64(p.Size))
+	var evicted []cache.Evicted
+	p.LLC, evicted = m.LLC.InsertIOSized(p.Part, p.Buf, occ, int64(p.Size))
 	// Evicted dirty lines write back to DRAM asynchronously, charging
 	// memory bandwidth (and thereby inflating CPU miss latency and
 	// slowing bulk moves) without stalling the DDIO commit itself.
@@ -719,7 +721,7 @@ func (m *Machine) writebackEvicted(evicted []cache.Evicted) {
 			continue
 		}
 		if m.OnIOEvict != nil {
-			m.OnIOEvict(e.ID)
+			m.OnIOEvict(e.ID, int(e.Part))
 		}
 		size := int(e.Payload)
 		if size == 0 {
@@ -765,7 +767,7 @@ func (m *Machine) Deliver(f *Flow, p *pkt.Packet) {
 func (m *Machine) Drop(f *Flow, p *pkt.Packet) {
 	f.Drops++
 	m.TotalDrops++
-	m.LLC.Drop(p.Buf)
+	m.LLC.Drop(p.LLC, p.Buf)
 	f.inFlight -= int64(p.Size + m.Cfg.EthOverhead)
 	m.releaseHostBuf(p)
 	m.Trace(trace.KindDropped, p.FlowID, p.Seq)
@@ -779,11 +781,6 @@ func (m *Machine) DropNoHostBuf(f *Flow, p *pkt.Packet) {
 	m.NoHostBufDrops++
 	m.Drop(f, p)
 }
-
-// BufSize returns the payload size recorded for a resident buffer (0
-// once it is consumed, dropped, or evicted; the record lives in the
-// LLC's LRU node).
-func (m *Machine) BufSize(id cache.BufID) int { return int(m.LLC.PayloadOf(id)) }
 
 // ConsumeBypass models the memory-controller side of a CPU-bypass packet
 // that landed in the LLC (path ② of Figure 3): the DFS/RDMA consumer
@@ -806,7 +803,7 @@ func bypassMoved(arg any) {
 	j := arg.(*rxJob)
 	m, f, p := j.m, j.f, j.p
 	m.rxJobs.Put(j)
-	hit := m.LLC.ProbeIn(p.Part, p.Buf)
+	hit := m.LLC.ProbeIn(p.Part, p.LLC, p.Buf)
 	if m.Tenants != nil {
 		m.Tenants.Account(f.TenantIndex(), hit)
 	}
@@ -827,7 +824,7 @@ func (m *Machine) PacketCPUCost(f *Flow, p *pkt.Packet) sim.Time {
 		// Slow-path data was just DMA-read into host memory and is warm.
 		c += m.Cfg.LLCHitLatency
 	} else {
-		hit := m.LLC.ConsumeIn(p.Part, p.Buf)
+		hit := m.LLC.ConsumeIn(p.Part, p.LLC, p.Buf)
 		m.LLC.AccountQueue(f.QueueIndex(), hit)
 		if m.Tenants != nil {
 			m.Tenants.Account(f.TenantIndex(), hit)

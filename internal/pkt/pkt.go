@@ -1,6 +1,8 @@
 // Package pkt defines the packet descriptor shared by the NIC, ring, and
 // host layers. A Packet is a descriptor, not payload: the simulation tracks
-// data placement through cache.BufID identities rather than bytes.
+// data placement through cache.BufID identities rather than bytes. A
+// landed packet also carries its LLC node's handle (Packet.LLC); its Buf,
+// never reused within a machine, is the generation check on that handle.
 //
 // Paper-side counterpart (per the DESIGN.md substitution table): the rx
 // descriptors the NIC DMA-writes alongside payloads into host rings
@@ -41,6 +43,11 @@ type Packet struct {
 
 	Arrival sim.Time // NIC rx timestamp (start of the I/O latency measurement)
 	Path    Path     // which path delivered it
+
+	// LLC is the handle of Buf's LLC node, set when the DMA write lands.
+	// Every later cache access goes through it; Buf is the generation
+	// check that tells a live node from one reused by a later buffer.
+	LLC cache.Handle
 
 	// Part is the LLC partition this packet's buffer DMAs into: the
 	// owning tenant's partition on a tenanted machine, 0 (the whole DDIO

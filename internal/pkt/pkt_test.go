@@ -1,6 +1,9 @@
 package pkt
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
 
 func TestPathString(t *testing.T) {
 	if PathFast.String() != "fast" || PathSlow.String() != "slow" {
@@ -15,5 +18,14 @@ func TestZeroValuePacket(t *testing.T) {
 	}
 	if p.Landed || p.Marked || p.MsgEnd || p.HostBuf != nil {
 		t.Fatal("zero packet flags should be clear")
+	}
+}
+
+// TestPacketDescriptorSize pins the descriptor at 80 bytes: the LLC
+// handle rides in the padding after Path, and a field that grows the
+// descriptor moves it to a larger allocation size class.
+func TestPacketDescriptorSize(t *testing.T) {
+	if got := unsafe.Sizeof(Packet{}); got != 80 {
+		t.Fatalf("pkt.Packet is %d bytes, want 80", got)
 	}
 }

@@ -19,11 +19,18 @@
 //     buffer, so a parked backlog beyond the rx ring bound is dropped
 //     and the sender's CCA backs off.
 //   - An eviction-imminence signal: the window controller polls
-//     cache.LLC.ImminentIn for tagged in-flight rx buffers within an
+//     cache.LLC.ImminentIn for in-flight rx buffers within an
 //     LRU-distance threshold of the eviction tail, and shrinks the
 //     window *before* residency is lost. Actual evictions of in-flight
 //     buffers (surfaced through the machine's eviction sink via
 //     Machine.OnIOEvict) trigger a stronger multiplicative shrink.
+//
+// Neither signal needs a record of which buffers are in flight: every
+// packet buffer resident in an RDCA machine's LLC was admitted (only
+// admission DMAs) and is undelivered (a CPU-involved read retires its
+// line, a bypass line is demoted at delivery, a drop retires it), so
+// the in-flight rx set is exactly the resident lines that are not
+// dataplane state lines.
 //   - Aggressive buffer recycling: CPU-involved reads already retire
 //     their line at consume; for CPU-bypass flows the delivered line is
 //     explicitly demoted (CLDEMOTE-style) at delivery instead of
@@ -37,6 +44,7 @@ package rdca
 
 import (
 	"fmt"
+	"math"
 
 	"ceio/internal/cache"
 	"ceio/internal/iosys"
@@ -158,12 +166,6 @@ type RDCA struct {
 
 	wins []partWindow
 
-	// inflight tags the admitted-but-unconsumed rx buffers with their
-	// partition: the imminence predicate and the eviction hook consult
-	// it so dataplane state lines sharing a partition are never counted.
-	inflight map[cache.BufID]int
-	pred     func(cache.BufID) bool // persistent ImminentIn predicate
-
 	jobs sim.FreeList[job]
 
 	// Statistics.
@@ -199,8 +201,6 @@ func (d *RDCA) Attach(m *iosys.Machine) {
 			pw.window = pw.cap
 		}
 	}
-	d.inflight = make(map[cache.BufID]int, 1024)
-	d.pred = func(id cache.BufID) bool { _, ok := d.inflight[id]; return ok }
 	m.OnIOEvict = d.onIOEvict
 	m.Eng.Every(d.opt.AdjustPeriod, d.opt.AdjustPeriod, d.adjust)
 }
@@ -298,12 +298,11 @@ func decide(arg any) {
 	pw.pend.Push(j)
 }
 
-// admit puts the packet's buffer in flight: tag it, count it against
-// the window, and DMA it into the DDIO region.
+// admit puts the packet's buffer in flight: count it against the
+// window and DMA it into the DDIO region.
 func (d *RDCA) admit(j *job) {
 	pw := &d.wins[j.f.Partition()]
 	pw.inFlight++
-	d.inflight[j.p.Buf] = j.f.Partition()
 	d.m.DMAToHost(j.f, j.p)
 	d.jobs.Put(j)
 }
@@ -331,12 +330,8 @@ func (d *RDCA) Poll(f *iosys.Flow, out []*pkt.Packet, max int) []*pkt.Packet {
 func (d *RDCA) OnDelivered(f *iosys.Flow, p *pkt.Packet) {
 	pw := &d.wins[f.Partition()]
 	pw.inFlight--
-	if _, ok := d.inflight[p.Buf]; ok {
-		delete(d.inflight, p.Buf)
-		if f.Kind == iosys.CPUBypass && d.m.LLC.Resident(p.Buf) {
-			d.m.LLC.Drop(p.Buf)
-			d.Demoted++
-		}
+	if f.Kind == iosys.CPUBypass && d.m.LLC.Drop(p.LLC, p.Buf) {
+		d.Demoted++
 	}
 	d.admitPending(pw)
 }
@@ -344,12 +339,8 @@ func (d *RDCA) OnDelivered(f *iosys.Flow, p *pkt.Packet) {
 // onIOEvict is the machine's eviction-sink observer: an in-flight rx
 // buffer pushed out of the LLC before consumption means the window
 // outran residency — the strongest shrink signal the controller has.
-func (d *RDCA) onIOEvict(id cache.BufID) {
-	part, ok := d.inflight[id]
-	if !ok {
-		return
-	}
-	delete(d.inflight, id)
+// Every packet buffer the LLC holds on this machine is in flight.
+func (d *RDCA) onIOEvict(_ cache.BufID, part int) {
 	d.EvictedInflight++
 	d.wins[part].evictedTick++
 }
@@ -372,7 +363,7 @@ func (d *RDCA) adjust() {
 					pw.window = d.opt.MinWindow
 				}
 				d.EvictShrinks++
-			case d.m.LLC.ImminentIn(pi, int64(d.opt.ImminenceBufs*d.m.Cfg.IOBufSize), d.pred) > 0:
+			case d.m.LLC.ImminentIn(pi, int64(d.opt.ImminenceBufs*d.m.Cfg.IOBufSize)) > 0:
 				// In-flight buffers near the eviction tail: back off
 				// gently before residency is actually lost.
 				pw.window -= pw.window / 8
@@ -415,23 +406,12 @@ func (d *RDCA) InFlight(pi int) int { return d.wins[pi].inFlight }
 // Pending returns partition pi's parked arrival count.
 func (d *RDCA) Pending(pi int) int { return d.wins[pi].pend.Len() }
 
-// InflightTagged returns the number of tagged in-flight rx buffers (the
-// imminence predicate's domain); tests audit it against the window sums.
-func (d *RDCA) InflightTagged() int { return len(d.inflight) }
-
-// Tagged reports whether id is a tagged in-flight rx buffer — the same
-// membership the imminence predicate answers.
-func (d *RDCA) Tagged(id cache.BufID) bool {
-	_, ok := d.inflight[id]
-	return ok
-}
-
 // AuditWindows checks the conservation invariants the property tests
 // and chaos auditor rely on: per-partition inFlight and pending counts
-// are non-negative, tagged buffers never exceed the admitted
-// population, and every parked job belongs to a live flow.
+// are non-negative, the partition's resident packet buffers never
+// exceed its admitted population, and every parked job belongs to a
+// live flow.
 func (d *RDCA) AuditWindows() error {
-	total := 0
 	for pi := range d.wins {
 		pw := &d.wins[pi]
 		if pw.inFlight < 0 {
@@ -445,10 +425,9 @@ func (d *RDCA) AuditWindows() error {
 				return errStalePend(pi, j.f.ID)
 			}
 		}
-		total += pw.inFlight
-	}
-	if len(d.inflight) > total {
-		return fmt.Errorf("rdca: %d tagged in-flight buffers exceed %d admitted", len(d.inflight), total)
+		if n := d.m.LLC.ImminentIn(pi, math.MaxInt64); n > pw.inFlight {
+			return fmt.Errorf("rdca: partition %d holds %d resident packet buffers, %d admitted", pi, n, pw.inFlight)
+		}
 	}
 	return nil
 }

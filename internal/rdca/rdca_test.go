@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"ceio/internal/iosys"
+	"ceio/internal/pkt"
 	"ceio/internal/rdca"
 	"ceio/internal/sim"
 	"ceio/internal/tenant"
@@ -24,7 +25,7 @@ func dfsSpec(id int) iosys.FlowSpec {
 // conservation property for the window controller: with a dynamically
 // repartitioned tenant carve shifting LLC ways underneath the windows,
 // every audit sweep must find non-negative per-partition inFlight and
-// pending counts, tagged in-flight buffers bounded by the admitted
+// pending counts, resident packet buffers bounded by the admitted
 // population, windows inside their (moving) caps, and LLC partition
 // occupancies still summing to the machine total.
 func TestWindowConservationUnderRepartitioning(t *testing.T) {
@@ -123,7 +124,7 @@ func TestFlowRemovedDrainsParkedPackets(t *testing.T) {
 // TestControllerReactsToCachePressure squeezes the DDIO region below
 // what even the MinWindow floor of in-flight buffers occupies
 // (8 × 2 KB in an 8 KB partition), so residency is unholdable: the
-// eviction sink must see tagged buffers pushed out, the imminence
+// eviction sink must see in-flight buffers pushed out, the imminence
 // probe must see survivors crowding the LRU tail, and both shrink
 // paths plus the saturation-grow probe must fire. This is the proof
 // the controller's signals are wired, not decorative.
@@ -168,5 +169,69 @@ func TestFixedWindowPinsController(t *testing.T) {
 	m.Run(5 * sim.Millisecond)
 	if got := dp.Window(0); got != 32 {
 		t.Fatalf("fixed window drifted to %d, want 32", got)
+	}
+}
+
+// deliveryCheck wraps RDCA to check, after each delivery, that the
+// packet's buffer has left the LLC.
+type deliveryCheck struct {
+	*rdca.RDCA
+	t *testing.T
+	m *iosys.Machine
+}
+
+func (c *deliveryCheck) Attach(m *iosys.Machine) {
+	c.m = m
+	c.RDCA.Attach(m)
+}
+
+func (c *deliveryCheck) OnDelivered(f *iosys.Flow, p *pkt.Packet) {
+	c.RDCA.OnDelivered(f, p)
+	if c.m.LLC.Resident(p.LLC, p.Buf) {
+		c.t.Fatalf("flow %d packet %d still resident after delivery", f.ID, p.Seq)
+	}
+}
+
+// TestResidentPacketBuffersAreInFlight pins what lets RDCA keep no record
+// of its in-flight buffers: every packet buffer resident in the LLC is
+// admitted and undelivered, so the imminence probe and the eviction sink
+// may take every resident packet buffer for an in-flight one. Only
+// admission DMAs, so a resident buffer was admitted; no delivered buffer
+// stays resident; and no partition holds more resident packet buffers
+// than it has admitted (AuditWindows). The run mixes pipeline state
+// lines, CPU-involved and bypass flows in an LLC small enough that both
+// controller signals fire.
+func TestResidentPacketBuffersAreInFlight(t *testing.T) {
+	cfg := iosys.DefaultConfig()
+	cfg.LLCBytes = 128 << 10
+	opts := rdca.DefaultOptions()
+	opts.ResidencyTarget = 1.5 // a window cap past the region: evictions happen
+	dp := &deliveryCheck{RDCA: rdca.New(opts), t: t}
+	m := iosys.NewMachine(cfg, dp)
+	for id := 1; id <= 4; id++ {
+		kv := kvSpec(id)
+		if id <= 2 {
+			kv.Pipeline = []string{"nat64", "firewall", "upf"}
+		} else {
+			kv.Cost.PerPacket = 5 * sim.Microsecond // buffers age in the ring
+		}
+		m.AddFlow(kv)
+	}
+	dfs := dfsSpec(5)
+	dfs.BurstOn = 100 * sim.Microsecond
+	dfs.BurstOff = 100 * sim.Microsecond
+	m.AddFlow(dfs)
+	for m.Eng.Now() < 3*sim.Millisecond {
+		m.Run(m.Eng.Now() + 10*sim.Microsecond)
+		if err := dp.AuditWindows(); err != nil {
+			t.Fatalf("at %v: %v", m.Eng.Now(), err)
+		}
+	}
+	if dp.EvictedInflight == 0 || dp.ImminentShrinks == 0 || dp.Demoted == 0 {
+		t.Fatalf("signals not exercised: evicted %d, imminent shrinks %d, demoted %d",
+			dp.EvictedInflight, dp.ImminentShrinks, dp.Demoted)
+	}
+	if m.Pipes.ResidentBytes() == 0 {
+		t.Fatal("no state line resident: the probe never had a line to skip")
 	}
 }

@@ -37,18 +37,20 @@ func FuzzRepartition(f *testing.F) {
 		ctrl := NewController(r)
 
 		parts := llc.Partitions()
-		next := cache.BufID(0)
+		var handles []cache.Handle // handles[id-1] is buffer id's
 		for i, b := range data[1:] {
 			tenantIdx := int(b>>4) % len(r.Tenants())
 			switch b % 5 {
 			case 0, 1: // insert into some partition
-				next++
-				llc.InsertIOIn(int(b>>4)%parts, next, int64(64*(1+int(b%32))))
+				size := int64(64 * (1 + int(b%32)))
+				h, _ := llc.InsertIOSized(int(b>>4)%parts, cache.BufID(len(handles)+1), size, size)
+				handles = append(handles, h)
 			case 2: // account a hit or miss against a tenant
 				r.Account(tenantIdx, b&0x08 != 0)
 			case 3: // consume through a partition
-				if next > 0 {
-					llc.ConsumeIn(int(b>>4)%parts, cache.BufID(int(b)*(i+1))%next+1)
+				if n := len(handles); n > 0 {
+					k := int(b) * (i + 1) % n
+					llc.ConsumeIn(int(b>>4)%parts, handles[k], cache.BufID(k+1))
 				}
 			case 4: // scan: the repartitioner moves ways
 				ctrl.ScanOnce()

@@ -149,7 +149,7 @@ func TestControllerGrowsCapacityHungryTenant(t *testing.T) {
 		id := cache.BufID(1000 * (tn.Index + 1))
 		for llc.PartOccupancy(tn.Part) < llc.PartCapacity(tn.Part) {
 			id++
-			llc.InsertIOIn(tn.Part, id, 64<<10)
+			llc.InsertIOSized(tn.Part, id, 64<<10, 64<<10)
 		}
 	}
 	// One scan window: kv's 5-way working set means (5 - ways)/5 of its
@@ -213,7 +213,7 @@ func TestControllerSaturationLatch(t *testing.T) {
 		id := base
 		for llc.PartOccupancy(part) < llc.PartCapacity(part) {
 			id++
-			llc.InsertIOIn(part, id, 64<<10)
+			llc.InsertIOSized(part, id, 64<<10, 64<<10)
 		}
 	}
 	thrash := func() {
@@ -314,7 +314,7 @@ func TestMoveWayEvictSink(t *testing.T) {
 	// Fill kv's partition completely, then take a way from it.
 	wb := r.WayBytes()
 	for i := int64(0); i < 5; i++ {
-		llc.InsertIOIn(kv.Part, cache.BufID(i+1), wb)
+		llc.InsertIOSized(kv.Part, cache.BufID(i+1), wb, wb)
 	}
 	if !r.moveWay(kv.Index, 1) {
 		t.Fatal("moveWay refused a legal move")
