@@ -36,8 +36,27 @@ func (l *Legacy) FlowAdded(f *iosys.Flow) {
 	}
 }
 
-// FlowRemoved implements iosys.Datapath.
-func (l *Legacy) FlowRemoved(f *iosys.Flow) {}
+// FlowRemoved drops the landed packets the flow's rx ring still holds,
+// since no core polls a removed flow; packets whose DMA is in flight are
+// dropped as they land.
+func (l *Legacy) FlowRemoved(f *iosys.Flow) {
+	if rx, ok := f.DP.(*ring.HWRing); ok {
+		dropLanded(l.m, f, rx, func() {})
+	}
+}
+
+// dropLanded empties a removed flow's rx ring, dropping each landed
+// packet after calling release for it. The ring's unlanded packets are
+// still held by their DMA writes (or, on RDCA, by admission), which
+// drop them in turn.
+func dropLanded(m *iosys.Machine, f *iosys.Flow, rx *ring.HWRing, release func()) {
+	for p := rx.Pop(); p != nil; p = rx.Pop() {
+		if p.Landed {
+			release()
+			m.Drop(f, p)
+		}
+	}
+}
 
 // Ingress posts the packet to the flow's rx ring (dropping when the ring
 // is full) and DMAs it to the host.
@@ -61,8 +80,12 @@ func (l *Legacy) Ingress(f *iosys.Flow, p *pkt.Packet) {
 
 // Landed hands a landed CPU-bypass packet to its memory-controller
 // consumer; CPU-involved packets wait in the rx ring for the core's poll.
+// A packet of a removed flow is dropped.
 func (l *Legacy) Landed(f *iosys.Flow, p *pkt.Packet) {
-	if f.Kind == iosys.CPUBypass {
+	switch {
+	case f.Removed():
+		l.m.Drop(f, p)
+	case f.Kind == iosys.CPUBypass:
 		l.m.ConsumeBypass(f, p)
 	}
 }

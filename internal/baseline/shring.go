@@ -62,8 +62,14 @@ func (s *ShRing) FlowAdded(f *iosys.Flow) {
 	}
 }
 
-// FlowRemoved releases nothing eagerly; in-flight entries drain normally.
-func (s *ShRing) FlowRemoved(f *iosys.Flow) {}
+// FlowRemoved drops the landed packets in the flow's FIFO and frees
+// their shared entries; packets whose DMA is in flight are dropped, and
+// their entries freed, as they land.
+func (s *ShRing) FlowRemoved(f *iosys.Flow) {
+	if rx, ok := f.DP.(*ring.HWRing); ok {
+		dropLanded(s.m, f, rx, s.release)
+	}
+}
 
 func (s *ShRing) take() bool {
 	if s.used >= s.cfg.Entries {
@@ -105,8 +111,13 @@ func (s *ShRing) Ingress(f *iosys.Flow, p *pkt.Packet) {
 
 // Landed hands a landed CPU-bypass packet to its memory-controller
 // consumer; CPU-involved packets wait in their FIFO for the core's poll.
+// A packet of a removed flow is dropped and its shared entry freed.
 func (s *ShRing) Landed(f *iosys.Flow, p *pkt.Packet) {
-	if f.Kind == iosys.CPUBypass {
+	switch {
+	case f.Removed():
+		s.release()
+		s.m.Drop(f, p)
+	case f.Kind == iosys.CPUBypass:
 		s.m.ConsumeBypass(f, p)
 	}
 }

@@ -423,13 +423,7 @@ func (c *CEIO) getJob(st *flowState, p *pkt.Packet) *ctrlJob {
 // buffer. The control overhead models the flow controller logic on the
 // NIC cores.
 func (c *CEIO) Ingress(f *iosys.Flow, p *pkt.Packet) {
-	st := f.DP.(*flowState)
-	if st.gone {
-		// Torn down while the packet was on the wire.
-		c.m.Drop(f, p)
-		return
-	}
-	c.m.Eng.AfterArg(c.opt.ControlOverhead, ctrlDecide, c.getJob(st, p))
+	c.m.Eng.AfterArg(c.opt.ControlOverhead, ctrlDecide, c.getJob(f.DP.(*flowState), p))
 }
 
 // ctrlDecide runs after the controller's processing window: steer the

@@ -4,10 +4,12 @@ import (
 	"fmt"
 	"testing"
 
+	"ceio/internal/baseline"
 	"ceio/internal/core"
 	"ceio/internal/invariants"
 	"ceio/internal/iosys"
 	"ceio/internal/pkt"
+	"ceio/internal/rdca"
 	"ceio/internal/sim"
 	"ceio/internal/workload"
 )
@@ -68,30 +70,55 @@ func TestReAddedFlowIDGetsNoStalePackets(t *testing.T) {
 }
 
 // TestRemovedFlowPacketsAccounted removes a flow while its packets are in
-// flight and requires every packet it generated to end up delivered or
-// dropped once the machine has drained: a packet that is neither never
-// returns to the packet pool and is missing from Flow.Drops and
-// TotalDrops. The cut instants sweep one packet interval at both CPU
-// layouts, so some land with a packet of the removed flow on the wire,
-// bound for a torn-down flow at the NIC's entrance.
+// flight, on every datapath, and requires every packet it generated to
+// end up delivered or dropped once the machine has drained: a packet
+// that is neither never returns to the packet pool and is missing from
+// Flow.Drops and TotalDrops. The cut instants sweep one packet interval
+// at both CPU layouts, so some land with a packet of the removed flow on
+// the wire, in the NIC controller, in DMA flight, or landed and not yet
+// polled. Then every other flow is removed too, and once the machine has
+// drained no packet descriptor, ShRing shared entry or RDCA window slot
+// may still be held.
 func TestRemovedFlowPacketsAccounted(t *testing.T) {
-	for _, cores := range []int{0, 4} {
-		for k := 0; k < 300; k += 15 {
-			cfg := iosys.DefaultConfig()
-			cfg.Cores = cores
-			m := iosys.NewMachine(cfg, core.New(core.DefaultOptions()))
-			for id := 1; id <= 8; id++ {
-				m.AddFlow(workload.ERPCKV(id, 256, workload.DPDK))
+	methods := []workload.Method{workload.MethodBaseline, workload.MethodHostCC,
+		workload.MethodShRing, workload.MethodCEIO, workload.MethodRDCA}
+	for _, method := range methods {
+		t.Run(string(method), func(t *testing.T) {
+			t.Parallel()
+			for _, cores := range []int{0, 4} {
+				for k := 0; k < 300; k += 15 {
+					cfg := iosys.DefaultConfig()
+					cfg.Cores = cores
+					m := iosys.NewMachine(cfg, workload.NewDatapath(method))
+					for id := 1; id <= 8; id++ {
+						m.AddFlow(workload.ERPCKV(id, 256, workload.DPDK))
+					}
+					cut := 500*sim.Microsecond + sim.Time(k)
+					m.Run(cut)
+					f := m.Flows[3]
+					m.RemoveFlow(3)
+					m.Run(cut + 2*sim.Millisecond)
+					if got := f.Delivered.Packets + f.Drops; got != f.Generated {
+						t.Errorf("%s cores=%d/+%dns: removed flow generated %d packets, delivered %d + dropped %d",
+							method, cores, k, f.Generated, f.Delivered.Packets, f.Drops)
+					}
+					for id := 1; id <= 8; id++ {
+						m.RemoveFlow(id)
+					}
+					m.Run(cut + 4*sim.Millisecond)
+					held := m.PktPool.InUse()
+					switch dp := m.DP.(type) {
+					case *baseline.ShRing:
+						held += dp.Used()
+					case *rdca.RDCA:
+						held += dp.InFlight(0) + dp.Pending(0)
+					}
+					if held != 0 {
+						t.Errorf("%s cores=%d/+%dns: %d packets, shared entries or window slots still held after every flow was removed",
+							method, cores, k, held)
+					}
+				}
 			}
-			cut := 500*sim.Microsecond + sim.Time(k)
-			m.Run(cut)
-			f := m.Flows[3]
-			m.RemoveFlow(3)
-			m.Run(cut + 2*sim.Millisecond)
-			if got := f.Delivered.Packets + f.Drops; got != f.Generated {
-				t.Errorf("cores=%d/+%dns: removed flow generated %d packets, delivered %d + dropped %d",
-					cores, k, f.Generated, f.Delivered.Packets, f.Drops)
-			}
-		}
+		})
 	}
 }

@@ -137,6 +137,10 @@ func (f *Flow) String() string {
 // Active reports whether the flow's generator is currently emitting.
 func (f *Flow) Active() bool { return f.active && !f.stopped }
 
+// Removed reports whether the flow was torn down (Machine.RemoveFlow).
+// Its packets still in flight are dropped as they reach the NIC or land.
+func (f *Flow) Removed() bool { return f.stopped }
+
 // TenantIndex returns the owning tenant's registry index, -1 if the flow
 // is untagged (or the machine untenanted).
 func (f *Flow) TenantIndex() int { return int(f.tenantIdx) }

@@ -29,6 +29,9 @@ type Datapath interface {
 	// Attach wires the datapath to its machine; called once by NewMachine.
 	Attach(m *Machine)
 	// FlowAdded/FlowRemoved track connection establishment and teardown.
+	// No core polls a removed flow, so FlowRemoved drops (Machine.Drop)
+	// every packet of the flow the datapath holds that nothing else will
+	// finish, and Landed drops the packets that land after it.
 	FlowAdded(f *Flow)
 	FlowRemoved(f *Flow)
 	// Ingress receives a packet at the NIC entrance, after wire
@@ -629,11 +632,16 @@ func wireArrived(arg any) {
 }
 
 // nicIngress hands the packet to the datapath after the NIC pipeline
-// delay and recycles the carrier.
+// delay and recycles the carrier. A packet whose flow was torn down while
+// it was on the wire is dropped here.
 func nicIngress(arg any) {
 	j := arg.(*rxJob)
 	m, f, p := j.m, j.f, j.p
 	m.rxJobs.Put(j)
+	if f.Removed() {
+		m.Drop(f, p)
+		return
+	}
 	m.DP.Ingress(f, p)
 }
 

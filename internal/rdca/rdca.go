@@ -128,7 +128,6 @@ func (o Options) withDefaults() Options {
 type flowState struct {
 	rx      *ring.HWRing // CPU-involved receive ring; nil for bypass flows
 	pending int          // this flow's packets parked in the partition FIFO
-	gone    bool         // torn down; parked packets were drained at removal
 }
 
 // job carries one packet's (datapath, flow, packet) context through the
@@ -225,27 +224,35 @@ func (d *RDCA) FlowAdded(f *iosys.Flow) {
 	f.DP = st
 }
 
-// FlowRemoved drains the flow's parked arrivals: a torn-down flow (host
-// crash mid-window, fleet migration) will never be admitted, so its
-// pending packets are dropped — the "drained buffers" of the fault
-// model — while already-admitted packets complete normally.
+// FlowRemoved drains the flow: a torn-down flow (host crash
+// mid-window, fleet migration) will never be admitted or polled, so its
+// parked arrivals and the landed packets in its rx ring are dropped —
+// the "drained buffers" of the fault model — and the landed ones give
+// their window slots back. Packets in the window check or in DMA flight
+// are dropped when they get there; bypass packets already streaming to
+// their consumer complete normally.
 func (d *RDCA) FlowRemoved(f *iosys.Flow) {
 	st := f.DP.(*flowState)
-	st.gone = true
-	if st.pending == 0 {
-		return
+	pw := &d.wins[f.Partition()]
+	if st.pending > 0 {
+		pw.pend.DeleteFunc(func(j *job) bool {
+			if j.f != f {
+				return false
+			}
+			st.pending--
+			d.m.Drop(j.f, j.p)
+			d.jobs.Put(j)
+			return true
+		})
 	}
-	drop := func(j *job) bool {
-		if j.f != f {
-			return false
+	if st.rx != nil {
+		for p := st.rx.Pop(); p != nil; p = st.rx.Pop() {
+			if p.Landed {
+				pw.inFlight--
+				d.m.Drop(f, p)
+			}
 		}
-		st.pending--
-		d.m.Drop(j.f, j.p)
-		d.jobs.Put(j)
-		return true
-	}
-	for pi := range d.wins {
-		d.wins[pi].pend.DeleteFunc(drop)
+		d.admitPending(pw)
 	}
 }
 
@@ -289,6 +296,12 @@ func (d *RDCA) Ingress(f *iosys.Flow, p *pkt.Packet) {
 func decide(arg any) {
 	j := arg.(*job)
 	d, f := j.d, j.f
+	if f.Removed() {
+		// Torn down during the window check.
+		d.m.Drop(f, j.p)
+		d.jobs.Put(j)
+		return
+	}
 	pw := &d.wins[f.Partition()]
 	if pw.inFlight < pw.window {
 		d.admit(j)
@@ -309,9 +322,15 @@ func (d *RDCA) admit(j *job) {
 
 // Landed streams a landed CPU-bypass packet onward through the memory
 // controller; CPU-involved packets wait in the rx ring for their core's
-// poll.
+// poll. A packet of a removed flow is dropped and frees its window slot.
 func (d *RDCA) Landed(f *iosys.Flow, p *pkt.Packet) {
-	if f.Kind == iosys.CPUBypass {
+	switch {
+	case f.Removed():
+		pw := &d.wins[f.Partition()]
+		pw.inFlight--
+		d.m.Drop(f, p)
+		d.admitPending(pw)
+	case f.Kind == iosys.CPUBypass:
 		d.m.ConsumeBypass(f, p)
 	}
 }
@@ -421,7 +440,7 @@ func (d *RDCA) AuditWindows() error {
 			return errNegative("pending", pi, pw.pend.Len())
 		}
 		for _, j := range pw.pend.Items() {
-			if j.f.DP.(*flowState).gone {
+			if j.f.Removed() {
 				return errStalePend(pi, j.f.ID)
 			}
 		}
