@@ -41,20 +41,7 @@ func (l *Legacy) FlowAdded(f *iosys.Flow) {
 // dropped as they land.
 func (l *Legacy) FlowRemoved(f *iosys.Flow) {
 	if rx, ok := f.DP.(*ring.HWRing); ok {
-		dropLanded(l.m, f, rx, func() {})
-	}
-}
-
-// dropLanded empties a removed flow's rx ring, dropping each landed
-// packet after calling release for it. The ring's unlanded packets are
-// still held by their DMA writes (or, on RDCA, by admission), which
-// drop them in turn.
-func dropLanded(m *iosys.Machine, f *iosys.Flow, rx *ring.HWRing, release func()) {
-	for p := rx.Pop(); p != nil; p = rx.Pop() {
-		if p.Landed {
-			release()
-			m.Drop(f, p)
-		}
+		rx.Drain(func(p *pkt.Packet) { l.m.Drop(f, p) })
 	}
 }
 

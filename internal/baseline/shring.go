@@ -67,7 +67,10 @@ func (s *ShRing) FlowAdded(f *iosys.Flow) {
 // their entries freed, as they land.
 func (s *ShRing) FlowRemoved(f *iosys.Flow) {
 	if rx, ok := f.DP.(*ring.HWRing); ok {
-		dropLanded(s.m, f, rx, s.release)
+		rx.Drain(func(p *pkt.Packet) {
+			s.release()
+			s.m.Drop(f, p)
+		})
 	}
 }
 

@@ -147,7 +147,7 @@ type LLC struct {
 	nodes []node
 	free  int32
 
-	// A packet buffer is found through the Handle its packet carries;
+	// A packet buffer is found through the Handle its packet carries.
 	// states maps a resident state line to its arena slot without a
 	// probe: states[module][line] is the line's arena index, 0 when it is
 	// not resident. Each table grows on demand to cover the highest line

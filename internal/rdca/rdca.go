@@ -24,6 +24,10 @@
 //     window *before* residency is lost. Actual evictions of in-flight
 //     buffers (surfaced through the machine's eviction sink via
 //     Machine.OnIOEvict) trigger a stronger multiplicative shrink.
+//   - Aggressive buffer recycling: CPU-involved reads already retire
+//     their line at consume; for CPU-bypass flows the delivered line is
+//     explicitly demoted (CLDEMOTE-style) at delivery instead of
+//     lingering dirty until capacity pressure evicts it.
 //
 // Neither signal needs a record of which buffers are in flight: every
 // packet buffer resident in an RDCA machine's LLC was admitted (only
@@ -31,10 +35,6 @@
 // line, a bypass line is demoted at delivery, a drop retires it), so
 // the in-flight rx set is exactly the resident lines that are not
 // dataplane state lines.
-//   - Aggressive buffer recycling: CPU-involved reads already retire
-//     their line at consume; for CPU-bypass flows the delivered line is
-//     explicitly demoted (CLDEMOTE-style) at delivery instead of
-//     lingering dirty until capacity pressure evicts it.
 //
 // The receiver-side window check costs a few nanoseconds per packet
 // where CEIO's on-NIC credit controller pays ~150ns, so RDCA wins
@@ -246,12 +246,10 @@ func (d *RDCA) FlowRemoved(f *iosys.Flow) {
 		})
 	}
 	if st.rx != nil {
-		for p := st.rx.Pop(); p != nil; p = st.rx.Pop() {
-			if p.Landed {
-				pw.inFlight--
-				d.m.Drop(f, p)
-			}
-		}
+		st.rx.Drain(func(p *pkt.Packet) {
+			pw.inFlight--
+			d.m.Drop(f, p)
+		})
 		d.admitPending(pw)
 	}
 }

@@ -94,6 +94,17 @@ func (r *HWRing) PopLanded(out []*pkt.Packet, n int) []*pkt.Packet {
 	return out
 }
 
+// Drain empties the ring of a torn-down flow, passing each landed packet
+// to fn. An unlanded packet is only unlinked: the DMA write still
+// carrying it owns it.
+func (r *HWRing) Drain(fn func(*pkt.Packet)) {
+	for p := r.Pop(); p != nil; p = r.Pop() {
+		if p.Landed {
+			fn(p)
+		}
+	}
+}
+
 // Head and Tail expose the raw pointers (the flow controller tracks the
 // head pointer of the legacy ring to account credit consumption, §4.1).
 func (r *HWRing) Head() uint64 { return r.head }

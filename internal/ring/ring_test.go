@@ -1,6 +1,7 @@
 package ring
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -88,6 +89,22 @@ func TestHWRingPeekAndBatch(t *testing.T) {
 	r.Peek().Landed = true
 	if out = r.PopLanded(out[:0], 10); len(out) != 2 || out[0].Seq != 3 {
 		t.Fatalf("batch after the head landed = %v", out)
+	}
+}
+
+// TestHWRingDrain empties the ring past an unlanded entry, handing over
+// only the landed packets.
+func TestHWRingDrain(t *testing.T) {
+	r := NewHWRing(8)
+	for i := uint64(0); i < 4; i++ {
+		p := mkPkt(i)
+		p.Landed = i != 1 // entry 1's DMA is still in flight
+		r.Post(p)
+	}
+	var got []uint64
+	r.Drain(func(p *pkt.Packet) { got = append(got, p.Seq) })
+	if !slices.Equal(got, []uint64{0, 2, 3}) || r.Len() != 0 {
+		t.Fatalf("drained %v, ring len %d; want [0 2 3] and an empty ring", got, r.Len())
 	}
 }
 
