@@ -108,14 +108,33 @@ func BenchmarkMachineSteadyState(b *testing.B) {
 // 0) at its idle extreme: a CEIO machine with 1040 established echo
 // flows, 1024 of them paused. The 16 active flows together offer a
 // sixteenth of the link, so most events are idle cores' back-off poll
-// ticks, and the doorbell gate answers most of those. One op is 10 us of
-// simulated time; polls/op and gated/op come from the machine-wide poll
-// counters. The CI -benchmem gate asserts 0 allocs/op.
+// ticks, and the doorbell gate answers most of those. In the fast
+// sub-benchmark the paused flows wait on the fast path; in the slow one
+// the machine runs the "CEIO slow path" ablation, so they wait on the
+// slow path with nothing queued. One op is 10 us of simulated time;
+// polls/op and gated/op come from the machine-wide poll counters. The CI
+// -benchmem gate asserts 0 allocs/op for both.
 func BenchmarkIdleCores(b *testing.B) {
+	for _, sub := range idleCoresCases {
+		b.Run(sub.name, func(b *testing.B) { benchIdleCores(b, sub.arch) })
+	}
+}
+
+// idleCoresCases are the sub-benchmarks of BenchmarkIdleCores: the path
+// the paused flows wait on, and the architecture that puts them there.
+var idleCoresCases = []struct {
+	name string
+	arch ceio.Architecture
+}{
+	{"fast", ceio.ArchCEIO},
+	{"slow", ceio.Architecture(workload.MethodCEIOSlowPath)},
+}
+
+func benchIdleCores(b *testing.B, arch ceio.Architecture) {
 	const active, paused = 16, 1024
 	b.ReportAllocs()
 	cfg := ceio.DefaultConfig()
-	s := ceio.NewSimulator(cfg, ceio.ArchCEIO)
+	s := ceio.NewSimulator(cfg, arch)
 	for id := 1; id <= active+paused; id++ {
 		f := ceio.EchoFlow(id, 512)
 		f.InitialRate = cfg.LinkBandwidth / (16 * active)

@@ -156,6 +156,9 @@ func TestBenchLedgerRowsExist(t *testing.T) {
 	for _, me := range steadyStateArchs {
 		subs["BenchmarkMachineSteadyState"] = append(subs["BenchmarkMachineSteadyState"], string(me))
 	}
+	for _, c := range idleCoresCases {
+		subs["BenchmarkIdleCores"] = append(subs["BenchmarkIdleCores"], c.name)
+	}
 	for _, row := range append(ledger.Macro, ledger.Micro...) {
 		fn, sub, isSub := strings.Cut(row.Name, "/")
 		if !strings.Contains(src, "func "+fn+"(b *testing.B)") {

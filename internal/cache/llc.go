@@ -163,9 +163,6 @@ type LLC struct {
 	// queues (one slot per simulated core); nil on single-core machines.
 	queueStats []QueueStats
 
-	// onEvict, if set, is invoked for each buffer evicted to DRAM.
-	onEvict func(BufID)
-
 	// evictScratch backs the eviction list InsertIOIn returns; the slice
 	// is reused on the next insert, which is safe because every caller
 	// consumes it before touching the cache again.
@@ -267,9 +264,6 @@ func (c *LLC) removeNode(n int32) {
 	c.free = n
 }
 
-// SetEvictHandler registers a callback invoked for every eviction.
-func (c *LLC) SetEvictHandler(fn func(BufID)) { c.onEvict = fn }
-
 // Capacity returns the DDIO-region size in bytes.
 func (c *LLC) Capacity() int64 { return c.capacity }
 
@@ -333,8 +327,8 @@ func (c *LLC) Partition(capacities []int64) error {
 // MoveCapacity atomically transfers bytes of capacity from one partition
 // to another (a waymask update in the CAT substitution). Lines the
 // shrinking partition can no longer hold are evicted LRU-first — losing a
-// way flushes its resident lines — and returned; the eviction handler
-// also fires for each. Total capacity is conserved.
+// way flushes its resident lines — and returned. Total capacity is
+// conserved.
 func (c *LLC) MoveCapacity(from, to int, bytes int64) (evicted []Evicted) {
 	if from == to {
 		panic(fmt.Sprintf("cache: MoveCapacity from partition %d to itself", from))
@@ -363,9 +357,6 @@ func (c *LLC) evictOver(p *partition, keep int32, evicted []Evicted) []Evicted {
 		p.stats.Evictions++
 		c.Evictions++
 		evicted = append(evicted, Evicted{ID: v.id, Payload: v.payload, Part: v.part})
-		if c.onEvict != nil {
-			c.onEvict(v.id)
-		}
 	}
 	return evicted
 }
@@ -417,7 +408,7 @@ func (c *LLC) moveToFront(n int32) {
 // side table is needed. If the partition is full, its least-recently-used
 // buffers are evicted to DRAM until the new buffer fits ("subsequent
 // packets overwrite earlier ones", §2.2). The evicted buffers are
-// returned with their payloads (the eviction handler also fires).
+// returned with their payloads.
 //
 // The returned slice is valid only until the next insert: it is backed by
 // a scratch buffer reused across calls, so callers must consume it before
@@ -433,9 +424,6 @@ func (c *LLC) InsertIOSized(part int, id BufID, size, payload int64) (h Handle, 
 		// also covers a partition shrunk to zero ways) and gets no
 		// handle. The miss is NOT counted here: the consumer's later
 		// ConsumeIn/ProbeIn charges it exactly once, at read time.
-		if c.onEvict != nil {
-			c.onEvict(id)
-		}
 		evicted = append(evicted, Evicted{ID: id, Payload: payload, Part: int32(part)})
 		c.evictScratch = evicted
 		return 0, evicted

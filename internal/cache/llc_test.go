@@ -30,14 +30,12 @@ func TestLLCHitOnResident(t *testing.T) {
 
 func TestLLCMissOnEvicted(t *testing.T) {
 	c := NewLLC(1000)
-	var evicted []BufID
-	c.SetEvictHandler(func(id BufID) { evicted = append(evicted, id) })
 	h1 := insert(c, 1, 600)
-	h2 := insert(c, 2, 600) // evicts 1 (LRU)
+	h2, evicted := c.InsertIOSized(0, 2, 600, 600) // evicts 1 (LRU)
 	if c.Resident(h1, 1) {
 		t.Fatal("buffer 1 should have been evicted")
 	}
-	if len(evicted) != 1 || evicted[0] != 1 {
+	if len(evicted) != 1 || evicted[0].ID != 1 {
 		t.Fatalf("evicted = %v", evicted)
 	}
 	if c.ConsumeIn(0, h1, 1) {

@@ -277,6 +277,7 @@ func (c *CEIO) Attach(m *iosys.Machine) {
 		total = m.Cfg.TotalCredits()
 	}
 	c.ctrl = NewCreditController(total)
+	c.ctrl.doorbell = m.Doorbell
 	if m.Cfg.Cores > 0 && c.opt.MPQ == nil {
 		// Multi-queue machine: carve C_total into per-core shares (equal
 		// until the active-flow scan learns the per-core populations).
@@ -308,6 +309,7 @@ func (c *CEIO) FaultsEnabled() {
 // fast-path steering rule to the RMT engine.
 func (c *CEIO) FlowAdded(f *iosys.Flow) {
 	st := &flowState{f: f, sw: ring.NewSWRing(c.opt.SWRingEntries), cred: c.ctrl.AddFlows(f.ID)[0], slot: -1}
+	st.cred.flow = f
 	st.sw.FaultTolerant = c.faultMode
 	if c.opt.ForceSlowPath {
 		c.ctrl.Recycle(st.cred)
@@ -902,8 +904,8 @@ func ceioDrainRetry(arg any) {
 // Poll implements the CEIO driver's recv()/async_recv() path (§5): flush
 // arrivals into the software ring, overlap slow-path DMA reads with
 // application processing, and append ready packets in order to out. A
-// flow that is not quiescent keeps its core armed: its next poll may
-// flush, read or resume without any landing.
+// flow that is neither quiescent nor paused keeps its core armed: its
+// next poll may flush, read or resume without any landing.
 func (c *CEIO) Poll(f *iosys.Flow, out []*pkt.Packet, max int) []*pkt.Packet {
 	st, ok := f.DP.(*flowState)
 	if !ok || st == nil {
@@ -933,7 +935,7 @@ func (c *CEIO) Poll(f *iosys.Flow, out []*pkt.Packet, max int) []*pkt.Packet {
 		}
 		out = append(out, p)
 	}
-	if !st.quiescent() {
+	if !st.quiescent() && !c.paused(st) {
 		c.m.Doorbell(f)
 	}
 	return out
@@ -946,6 +948,20 @@ func (c *CEIO) Poll(f *iosys.Flow, out []*pkt.Packet, max int) []*pkt.Packet {
 // rings the flow's doorbell.
 func (st *flowState) quiescent() bool {
 	return st.mode == pkt.PathFast && st.waitQ.Len() == 0 && st.sw.Len() == 0
+}
+
+// paused reports whether polling st can do nothing until an arrival or a
+// credit refill: the flow waits on the slow path with an empty wait queue
+// and SW ring, and cannot resume the fast path because it holds no
+// credits (or the slow path is forced). Poll then has no side effect:
+// flushWaitQ moves nothing, maybeResumeFast returns at its credit check,
+// the read scan finds no entry and nothing pops. A wait-queue append
+// rings the doorbell, and so does the controller when the account's
+// balance rises from zero (CreditController.credit). The MPQ strawman
+// keeps no per-flow balance, so its flows never pause.
+func (c *CEIO) paused(st *flowState) bool {
+	return c.opt.MPQ == nil && st.mode == pkt.PathSlow && st.waitQ.Len() == 0 && st.sw.Len() == 0 &&
+		(st.cred.Available == 0 || c.opt.ForceSlowPath)
 }
 
 // OnDelivered performs lazy credit release: when the application finishes
@@ -1186,6 +1202,21 @@ func (c *CEIO) AuditCredits() error {
 	return c.ctrl.CheckConservation()
 }
 
+// AuditDoorbells verifies Poll's doorbell contract: every live flow whose
+// core is disarmed is quiescent or paused, so the polls the core skips
+// could not have acted. Any other flow on a disarmed core missed a
+// doorbell and sleeps through work its next poll would do.
+func (c *CEIO) AuditDoorbells() error {
+	for _, st := range c.flows {
+		if core := st.f.Core(); core == nil || core.Armed() || st.quiescent() || c.paused(st) {
+			continue
+		}
+		return fmt.Errorf("core: flow %d sits on a disarmed core but is neither quiescent nor paused: %s",
+			st.f.ID, c.DebugFlow(st.f.ID))
+	}
+	return nil
+}
+
 // ReleaseGap returns host-reported credit releases the controller has not
 // yet received or reclaimed, summed over live flows. It is nonzero only
 // in the window between a lost release message and the next
@@ -1252,6 +1283,6 @@ func (c *CEIO) DebugFlow(id int) string {
 		return "<none>"
 	}
 	st := f.DP.(*flowState)
-	return fmt.Sprintf("mode=%v onNIC=%d waitQ=%d reads=%d swLen=%d unreleased=%d",
-		st.mode, st.onNIC, st.waitQ.Len(), st.readsInFlight, st.sw.Len(), st.unreleased)
+	return fmt.Sprintf("mode=%v avail=%d onNIC=%d waitQ=%d reads=%d swLen=%d unreleased=%d",
+		st.mode, st.cred.Available, st.onNIC, st.waitQ.Len(), st.readsInFlight, st.sw.Len(), st.unreleased)
 }

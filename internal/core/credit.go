@@ -8,6 +8,8 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
+
+	"ceio/internal/iosys"
 )
 
 // FlowCredits is the controller's per-flow account: the handle AddFlows
@@ -31,6 +33,11 @@ type FlowCredits struct {
 	// retired is set by RemoveFlow: the account is zeroed and out of the
 	// controller's list, and Release and Grant on it are no-ops.
 	retired bool
+	// flow is the machine flow whose core a refill from zero wakes (see
+	// credit); nil for an account with no flow, and cleared by RemoveFlow.
+	// A retired account can outlive its flow as a key of other accounts'
+	// Owes maps, so keeping the pointer would pin the torn-down flow.
+	flow *iosys.Flow
 }
 
 // InDebt reports whether the flow still owes credits (member of I).
@@ -52,6 +59,10 @@ type CreditController struct {
 	flows []*FlowCredits // live accounts, in insertion order
 	// creditors is settle's reused scratch for a debtor's creditors.
 	creditors []*FlowCredits
+	// doorbell re-arms the polling core of a flow whose account is
+	// refilled from zero (see credit). Whoever binds an account to a flow
+	// sets it first (CEIO.Attach).
+	doorbell func(*iosys.Flow)
 
 	// Statistics.
 	Consumed  uint64
@@ -190,6 +201,7 @@ func (c *CreditController) RemoveFlow(f *FlowCredits) {
 	c.Reclaimed += uint64(f.InUse)
 	f.Available, f.InUse = 0, 0
 	f.Owes = nil
+	f.flow = nil
 	f.retired = true
 	if i := slices.Index(c.flows, f); i >= 0 {
 		c.flows = slices.Delete(c.flows, i, i+1)
@@ -240,13 +252,24 @@ func byCreditor(a, b *FlowCredits) int {
 	return 1
 }
 
+// credit adds n to a live account's available balance. A refill from
+// zero rings the doorbell of the account's flow: a slow-path flow with
+// no credits stops ringing its core (CEIO.Poll's paused state), and this
+// is the only way such a flow can get back to where a poll would act.
+func (c *CreditController) credit(f *FlowCredits, n int) {
+	if f.Available == 0 && n > 0 && f.flow != nil {
+		c.doorbell(f.flow)
+	}
+	f.Available += n
+}
+
 // settle frees n of f's in-use credits: they pay down f's IOUs first
 // (ascending creditor-ID order for determinism), and the remainder
 // returns to f's available balance.
 func (c *CreditController) settle(f *FlowCredits, n int) {
 	f.InUse -= n
 	if !f.InDebt() {
-		f.Available += n
+		c.credit(f, n)
 		return
 	}
 	creditors := c.creditors[:0]
@@ -263,7 +286,7 @@ func (c *CreditController) settle(f *FlowCredits, n int) {
 		if cr.retired {
 			c.pool += pay
 		} else {
-			cr.Available += pay
+			c.credit(cr, pay)
 		}
 		n -= pay
 		c.DebtsPaid += uint64(pay)
@@ -271,7 +294,7 @@ func (c *CreditController) settle(f *FlowCredits, n int) {
 			delete(f.Owes, cr)
 		}
 	}
-	f.Available += n
+	c.credit(f, n)
 }
 
 // ReclaimInUse forcibly recovers up to n of the flow's in-use credits
@@ -318,7 +341,7 @@ func (c *CreditController) Grant(f *FlowCredits, max int) int {
 	}
 	g := min(c.pool, max)
 	c.pool -= g
-	f.Available += g
+	c.credit(f, g)
 	return g
 }
 

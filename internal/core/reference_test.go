@@ -7,6 +7,8 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"ceio/internal/iosys"
 )
 
 // refCreditController is the reference model the handle-based controller
@@ -271,7 +273,9 @@ func refFairShare(r *refCreditController) int {
 // each to both controllers, comparing them after every one. The first
 // byte sizes C_total. An operation's x byte picks its account: among the
 // live ones when its top bit is clear, among every account ever created
-// (so retired ones too) when it is set.
+// (so retired ones too) when it is set. Every account is bound to a flow
+// as CEIO binds it, and each operation must ring exactly the flows of the
+// accounts it refilled from zero (checkRings).
 func runCreditDiff(t *testing.T, data []byte) {
 	if len(data) == 0 {
 		return
@@ -279,7 +283,10 @@ func runCreditDiff(t *testing.T, data []byte) {
 	total := 16 + 32*int(data[0])
 	data = data[1:]
 	c, r := NewCreditController(total), newRefCreditController(total)
+	var rang []*iosys.Flow
+	c.doorbell = func(f *iosys.Flow) { rang = append(rang, f) }
 	var all []*FlowCredits
+	var availBefore []int // each account's Available before the operation
 	nextID := 1
 	pick := func(x byte) *FlowCredits {
 		if x&0x80 != 0 && len(all) > 0 {
@@ -296,6 +303,10 @@ func runCreditDiff(t *testing.T, data []byte) {
 			t.Helper()
 			t.Fatalf("op %d (kind %d x %d y %d): %s", i/3, op, x, y, fmt.Sprintf(format, args...))
 		}
+		rang, availBefore = rang[:0], availBefore[:0]
+		for _, f := range all {
+			availBefore = append(availBefore, f.Available)
+		}
 		if op == 0 {
 			if len(c.flows) >= 32 {
 				continue
@@ -311,6 +322,7 @@ func runCreditDiff(t *testing.T, data []byte) {
 				if f.ID != ids[k] {
 					fail("AddFlows returned account %d for ID %d", f.ID, ids[k])
 				}
+				f.flow = &iosys.Flow{FlowSpec: iosys.FlowSpec{ID: f.ID}}
 			}
 			all = append(all, accts...)
 		} else {
@@ -351,7 +363,47 @@ func runCreditDiff(t *testing.T, data []byte) {
 		if err := diffCredits(c, r, all); err != nil {
 			fail("%v", err)
 		}
+		if err := checkRings(all[:len(availBefore)], availBefore, rang); err != nil {
+			fail("%v", err)
+		}
 	}
+}
+
+// checkRings compares the doorbells one operation rang with the accounts
+// it refilled: each account that existed before the operation, is still
+// live and rose from zero available credits rings its own flow once, and
+// nothing else rings. A retired account holds no flow.
+func checkRings(accts []*FlowCredits, availBefore []int, rang []*iosys.Flow) error {
+	want := 0
+	for k, f := range accts {
+		if f.retired {
+			if f.flow != nil {
+				return fmt.Errorf("retired flow %d still holds its machine flow", f.ID)
+			}
+			continue
+		}
+		if availBefore[k] != 0 || f.Available == 0 {
+			continue
+		}
+		want++
+		if n := countRings(rang, f.flow); n != 1 {
+			return fmt.Errorf("flow %d refilled from 0 to %d rang %d times, want 1", f.ID, f.Available, n)
+		}
+	}
+	if len(rang) != want {
+		return fmt.Errorf("%d doorbells rang, %d accounts refilled from 0", len(rang), want)
+	}
+	return nil
+}
+
+func countRings(rang []*iosys.Flow, f *iosys.Flow) int {
+	n := 0
+	for _, g := range rang {
+		if g == f {
+			n++
+		}
+	}
+	return n
 }
 
 func b2i(b bool) int {

@@ -2,9 +2,10 @@
 // datapath: attached to a machine, it asserts conservation properties
 // while the simulation runs — credits issued equal credits consumed plus
 // reclaimed, elastic-buffer bytes match the on-NIC packet population, the
-// host buffer pool leaks nothing, and every flow's delivery sequence is
+// host buffer pool leaks nothing, every flow's delivery sequence is
 // strictly increasing (SW-ring FIFO order survived the fast/slow path
-// alternations). Violations are recorded as structured records instead of
+// alternations), and no CEIO flow that a poll could advance sits on a
+// disarmed core. Violations are recorded as structured records instead of
 // panics, so a chaos run under heavy fault injection can complete and
 // report every invariant the fault handling failed to uphold. A clean
 // fault-injected run is the substrate's acceptance test: injected faults
@@ -167,6 +168,11 @@ func (a *Auditor) sweep() {
 		}
 		if err := a.dp.AuditElastic(); err != nil {
 			a.record("elastic-bytes", err.Error())
+		}
+		// Idle-poll doorbells: a disarmed core skips its flows' polls,
+		// which is sound only while each of them has nothing to do.
+		if err := a.dp.AuditDoorbells(); err != nil {
+			a.record("doorbell-armed", err.Error())
 		}
 		// Multi-queue carve: per-core credit shares must sum to Algorithm
 		// 1's C_total through every recarve a fault storm triggers, and

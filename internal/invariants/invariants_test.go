@@ -180,3 +180,58 @@ func TestAuditorReleasesRemovedFlows(t *testing.T) {
 	runtime.KeepAlive(m)
 	runtime.KeepAlive(a)
 }
+
+// A churned population of mostly paused flows keeps cores disarmed
+// while flow setup takes credits from existing accounts and the credit
+// scan and round-robin timer grant some back to slow-path flows that
+// stopped ringing. Every sweep must find each flow on a disarmed core
+// quiescent or paused: a refill that forgot to ring shows up as a
+// doorbell-armed violation.
+func TestAuditorDoorbellsUnderChurn(t *testing.T) {
+	for _, cores := range []int{0, 4} {
+		cfg := iosys.DefaultConfig()
+		cfg.Cores = cores
+		cfg.LLCBytes = 512 << 10
+		m := iosys.NewMachine(cfg, core.New(core.DefaultOptions()))
+		a := invariants.Attach(m, 5*sim.Microsecond)
+		const population, active, swap = 256, 12, 4
+		next := 1
+		add := func() int {
+			id := next
+			next++
+			s := kvSpec(id, 512)
+			s.InitialRate = cfg.LinkBandwidth / active
+			s.FixedRate = true
+			m.AddFlow(s)
+			m.PauseFlow(id)
+			return id
+		}
+		ids := make([]int, population)
+		for i := range ids {
+			ids[i] = add()
+		}
+		round := 0
+		m.Eng.Every(0, 40*sim.Microsecond, func() {
+			for k := 0; k < active; k++ {
+				m.PauseFlow(ids[(round*active+k)%population])
+			}
+			for k := 0; k < swap; k++ {
+				i := (round*7 + k*31) % population
+				m.RemoveFlow(ids[i])
+				ids[i] = add()
+			}
+			round++
+			for k := 0; k < active; k++ {
+				m.ResumeFlow(ids[(round*active+k)%population])
+			}
+		})
+		m.Run(3 * sim.Millisecond)
+		a.Final()
+		if a.Checks == 0 {
+			t.Fatalf("cores=%d: auditor never swept", cores)
+		}
+		if err := a.Err(); err != nil {
+			t.Fatalf("cores=%d: %v", cores, err)
+		}
+	}
+}

@@ -78,6 +78,10 @@ const maxIdleBackoff = 128
 // per-flow core.
 func (c *Core) Queue() int { return c.queue }
 
+// Armed reports whether the core's next poll calls the datapath; false
+// after a round of polls came back empty, until a doorbell rings.
+func (c *Core) Armed() bool { return c.armed }
+
 // FlowCount returns the number of flows currently assigned to this core.
 func (c *Core) FlowCount() int { return len(c.flows) }
 

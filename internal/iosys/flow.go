@@ -152,6 +152,10 @@ func (f *Flow) Partition() int { return int(f.part) }
 // Config.Cores == 0 machines.
 func (f *Flow) QueueIndex() int { return int(f.queue) }
 
+// Core returns the CPU core that drains the flow, nil for a CPU-bypass
+// flow.
+func (f *Flow) Core() *Core { return f.core }
+
 // DeliveredSeq is the highest sequence number handed to the application
 // plus one (i.e., count of in-order deliveries); maintained by Machine.
 func (f *Flow) DeliveredCount() uint64 { return f.Delivered.Packets }

@@ -15,6 +15,7 @@ import (
 	"ceio/internal/iosys"
 	"ceio/internal/sim"
 	"ceio/internal/stats"
+	"ceio/internal/tenant"
 	"ceio/internal/workload"
 )
 
@@ -56,12 +57,14 @@ var idleGatePlan = faults.Plan{
 // and a few flows are torn down and set up per rotation, so idle cores
 // wake and sleep throughout. The DDIO region is shrunk to 512 KB so
 // consumes miss, and the on-NIC memory to 1 MB so the slow path also
-// overflows and drops.
-func idleGateRun(t *testing.T, name string, arch workload.Method, cores int, withFaults bool) string {
+// overflows and drops. A non-nil tenancy carves the DDIO region, and the
+// flows alternate between its tenants.
+func idleGateRun(t *testing.T, name string, arch workload.Method, cores int, withFaults bool, tenancy *tenant.Config) string {
 	cfg := iosys.DefaultConfig()
 	cfg.Cores = cores
 	cfg.LLCBytes = 512 << 10
 	cfg.NICMemBytes = 1 << 20
+	cfg.Tenancy = tenancy
 	if withFaults {
 		plan := idleGatePlan
 		cfg.FaultPlan = &plan
@@ -89,6 +92,9 @@ func idleGateRun(t *testing.T, name string, arch workload.Method, cores int, wit
 			s = workload.Echo(id, 512)
 			s.InitialRate = cfg.LinkBandwidth / float64(active)
 			s.FixedRate = true
+		}
+		if tenancy != nil {
+			s.Tenant = tenancy.Specs[id%len(tenancy.Specs)].ID
 		}
 		m.AddFlow(s)
 		if c := m.Core(id); c != nil && !seen[c] {
@@ -169,6 +175,9 @@ func histFingerprint(h *stats.Histogram) string {
 // doorbell. A gated tick must be indistinguishable from the empty poll
 // it replaces, so any drift here means a doorbell is missing: a core
 // slept through a state change its datapath's Poll would have acted on.
+// The partitioned-tenancy CEIO cases add the tenant budget gate, which
+// can hold a slow-path flow that has credits back from the fast path:
+// such a flow must keep its core armed until the gate opens.
 // Regenerate with -update-idle-gate only for an intended model change.
 func TestIdleGateMatchesParent(t *testing.T) {
 	golden := filepath.Join("testdata", "idle_gate.golden")
@@ -177,8 +186,15 @@ func TestIdleGateMatchesParent(t *testing.T) {
 		for _, cores := range []int{0, 4} {
 			for _, withFaults := range []bool{false, true} {
 				name := fmt.Sprintf("%s/cores=%d/faults=%v", arch, cores, withFaults)
-				lines = append(lines, name+" "+idleGateRun(t, name, arch, cores, withFaults))
+				lines = append(lines, name+" "+idleGateRun(t, name, arch, cores, withFaults, nil))
 			}
+		}
+	}
+	partitioned := &tenant.Config{Mode: tenant.ModeStatic, Specs: []tenant.Spec{{ID: "a", Ways: 1}, {ID: "b", Ways: 1}}}
+	for _, cores := range []int{0, 4} {
+		for _, withFaults := range []bool{false, true} {
+			name := fmt.Sprintf("%s/cores=%d/faults=%v/tenancy=static", workload.MethodCEIO, cores, withFaults)
+			lines = append(lines, name+" "+idleGateRun(t, name, workload.MethodCEIO, cores, withFaults, partitioned))
 		}
 	}
 	got := strings.Join(lines, "\n") + "\n"

@@ -51,7 +51,9 @@ type Datapath interface {
 	// Landed rings it. A datapath whose Poll can make progress without a
 	// landing (issue a read, flush a queue, switch paths) must ring
 	// Doorbell whenever that becomes possible, and from Poll itself
-	// while it remains so.
+	// while it remains so. A flow whose poll has no side effect until
+	// such a ring (CEIO's quiescent and paused flows) needs no ring from
+	// Poll.
 	Poll(f *Flow, out []*pkt.Packet, max int) []*pkt.Packet
 	// OnDelivered runs after the application finished processing p
 	// (credit release hooks, ring head advancement).
