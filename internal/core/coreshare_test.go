@@ -5,6 +5,10 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"ceio/internal/iosys"
+	"ceio/internal/pkt"
+	"ceio/internal/sim"
 )
 
 // quickCarve generates bounded-but-arbitrary carve inputs for
@@ -86,5 +90,62 @@ func TestCarveSharesEqualWhenUnweighted(t *testing.T) {
 	want := []int{3, 3, 2, 2}
 	if !reflect.DeepEqual(shares, want) {
 		t.Fatalf("carveShares(10, zeros×4) = %v, want %v", shares, want)
+	}
+}
+
+// TestCoreShareGatedFlowKeepsCoreArmed pins Poll's doorbell for a flow
+// that holds credits but waits on the slow path only because its core's
+// carved share is fully in flight. The share can free without any
+// delivery on that core (a co-located flow's teardown reclaims its
+// credits, a recarve grows the share), so such a flow is not paused:
+// its polls keep ringing and its core stays armed until the share frees.
+//
+// Two flows share rx queue 1. The hog sends one endless message, so
+// lazy release keeps every fast-path credit it consumed in flight. Six
+// flows joining cores 2-4 at 500 us carve core 1's share below the
+// hog's holdings, and the victim's next arrival is diverted. At 800 us
+// both generators pause: both flows drain and wait on the slow path with
+// their reserve credits. At 1 ms the hog's teardown frees the share.
+func TestCoreShareGatedFlowKeepsCoreArmed(t *testing.T) {
+	cfg := iosys.DefaultConfig()
+	cfg.Cores = 4
+	c := New(DefaultOptions())
+	m := iosys.NewMachine(cfg, c)
+	echo := func(id, queue int) iosys.FlowSpec {
+		return iosys.FlowSpec{ID: id, Kind: iosys.CPUInvolved, PktSize: 512, MsgPkts: 1, Queue: queue,
+			Cost: iosys.CostModel{PerPacket: 25 * sim.Nanosecond, ZeroCopy: true}}
+	}
+	hog := echo(1, 1)
+	hog.MsgPkts = 1 << 20
+	m.AddFlow(hog)
+	victim := m.AddFlow(echo(2, 1))
+	m.Eng.At(500*sim.Microsecond, func() {
+		for id := 3; id <= 8; id++ {
+			m.AddFlow(echo(id, 2+id%3))
+		}
+	})
+	m.Eng.At(800*sim.Microsecond, func() { m.PauseFlow(1); m.PauseFlow(2) })
+	m.Eng.At(sim.Millisecond, func() { m.RemoveFlow(1) })
+
+	held := 0
+	m.Eng.Every(0, 50*sim.Nanosecond, func() {
+		for _, st := range c.flows {
+			if st.mode != pkt.PathSlow || st.waitQ.Len() != 0 || st.sw.Len() != 0 || st.cred.Available == 0 ||
+				!c.tenantBudgetOK(st) || c.coreBudgetOK(st) {
+				continue
+			}
+			held++
+			if !st.f.Core().Armed() {
+				t.Fatalf("at %v: flow %d waits only on its core's share, but its core is disarmed: %s",
+					m.Eng.Now(), st.f.ID, c.DebugFlow(st.f.ID))
+			}
+		}
+	})
+	m.Run(1100 * sim.Microsecond)
+	if held == 0 {
+		t.Fatalf("no flow was ever held on the slow path by its core's share alone (core rejects %d)", c.CoreRejects)
+	}
+	if st := victim.DP.(*flowState); st.mode != pkt.PathFast {
+		t.Fatalf("victim still on the slow path after the share freed: %s", c.DebugFlow(2))
 	}
 }

@@ -55,7 +55,9 @@ type FlowSpec struct {
 	InitialRate float64
 	// FixedRate pins the sender at InitialRate with no congestion
 	// control, modelling RDMA UD traffic (no transport-level CC), as in
-	// the flow-scaling experiment of Fig. 12.
+	// the flow-scaling experiment of Fig. 12. The flow's controller has
+	// MinRate == MaxRate, so it runs no per-RTT tick and schedules no
+	// event; it still counts acks, marks and losses.
 	FixedRate bool
 	// PostPasses is the number of additional memory-controller passes a
 	// CPU-bypass consumer makes over each received byte (LineFS performs

@@ -13,6 +13,14 @@
 //
 // which preserves DCTCP's proportional back-off behaviour while fitting a
 // discrete-event model that does not simulate individual ACK clocking.
+//
+// A controller whose bounds pin its rate (MinRate == MaxRate, as for
+// FixedRate flows that model RDMA UD traffic, which has no transport CC)
+// runs no control loop: setRate clamps every tick, loss and forced
+// reduction back to that one rate, so the tick could change nothing a
+// caller reads through Rate or Window. Such a controller still counts
+// acks, marks, losses and forced triggers; only the per-RTT alpha and
+// Reductions updates go.
 package transport
 
 import (
@@ -74,7 +82,8 @@ type FlowCC struct {
 }
 
 // New creates a rate controller starting at initialRate bytes/second and
-// begins its control loop on the engine.
+// begins its control loop on the engine, unless cfg's bounds pin the rate
+// (MinRate >= MaxRate), in which case there is no loop to run.
 func New(eng *sim.Engine, cfg Config, initialRate float64) *FlowCC {
 	if initialRate < cfg.MinRate {
 		initialRate = cfg.MinRate
@@ -84,12 +93,19 @@ func New(eng *sim.Engine, cfg Config, initialRate float64) *FlowCC {
 	}
 	f := &FlowCC{cfg: cfg, eng: eng, rate: initialRate}
 	f.alpha.Gain = cfg.Gain
-	f.stopTick = eng.Every(cfg.RTT, cfg.RTT, f.tick)
+	if cfg.MinRate < cfg.MaxRate {
+		f.stopTick = eng.Every(cfg.RTT, cfg.RTT, f.tick)
+	}
 	return f
 }
 
-// Stop cancels the control loop (flow teardown).
-func (f *FlowCC) Stop() { f.stopTick() }
+// Stop cancels the control loop (flow teardown); a no-op on a pinned
+// controller, which has none.
+func (f *FlowCC) Stop() {
+	if f.stopTick != nil {
+		f.stopTick()
+	}
+}
 
 // Rate returns the current sending rate in bytes/second.
 func (f *FlowCC) Rate() float64 { return f.rate }

@@ -1,6 +1,7 @@
 package transport
 
 import (
+	"math"
 	"testing"
 
 	"ceio/internal/sim"
@@ -144,4 +145,57 @@ func TestRecoveryAfterCongestion(t *testing.T) {
 	if f.Rate() <= low {
 		t.Fatalf("no recovery: %v <= %v", f.Rate(), low)
 	}
+}
+
+// TestPinnedControllerSchedulesNothing pins the FixedRate contract: a
+// controller whose bounds fix its rate adds no event to the engine, keeps
+// its rate bit-for-bit through every feedback path and any number of
+// RTTs, and has nothing for Stop to cancel; an unpinned one still runs
+// its per-RTT tick.
+func TestPinnedControllerSchedulesNothing(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := testCfg()
+	const rate = 3.3e9
+	cfg.MinRate, cfg.MaxRate = rate, rate
+	before := eng.Pending()
+	f := New(eng, cfg, rate)
+	if got := eng.Pending(); got != before {
+		t.Fatalf("pinned controller scheduled %d events, want none", got-before)
+	}
+	want := math.Float64bits(f.Rate())
+	check := func(step string) {
+		t.Helper()
+		if got := math.Float64bits(f.Rate()); got != want {
+			t.Fatalf("after %s: rate = %v, want %v", step, f.Rate(), rate)
+		}
+	}
+	for i := 0; i < 20; i++ {
+		f.OnAck(false)
+	}
+	check("clean acks")
+	for i := 0; i < 20; i++ {
+		f.OnAck(true)
+	}
+	check("marked acks")
+	f.OnLoss()
+	check("loss")
+	f.ForceReduce()
+	check("forced reduction")
+	eng.RunUntil(50 * cfg.RTT)
+	check("50 RTTs")
+	if f.LossEvents != 1 || f.ForcedTriggers != 1 || f.TotalAcked != 40 || f.TotalMarked != 20 {
+		t.Fatalf("feedback counters: loss=%d forced=%d acked=%d marked=%d, want 1/1/40/20",
+			f.LossEvents, f.ForcedTriggers, f.TotalAcked, f.TotalMarked)
+	}
+	f.Stop()
+	f.Stop()
+	check("Stop")
+
+	cfg.MaxRate = 2 * rate
+	before = eng.Pending()
+	g := New(eng, cfg, rate)
+	if got := eng.Pending(); got != before+1 {
+		t.Fatalf("unpinned controller scheduled %d events, want its tick", got-before)
+	}
+	g.Stop()
 }
