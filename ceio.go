@@ -72,8 +72,11 @@ const (
 	CPUBypass   = iosys.CPUBypass   // NIC -> LLC -> DRAM (DFS, bulk RDMA)
 )
 
-// CEIOOptions tune the CEIO datapath (credit pool, read-ahead, lazy
-// release, and the ablation switches of Table 4).
+// CEIOOptions tune the CEIO datapath (credit pool, read-ahead, fault
+// timers, and the ablation switches of Table 4). Algorithm 1's scan,
+// re-activation, low-water and steering-retry parameters are fixed
+// constants of internal/core (core.ScanPeriod, core.ReactivateQuota,
+// core.SlowMarkDepth, core.SteerRetryLimit, ...).
 type CEIOOptions = core.Options
 
 // DefaultCEIOOptions returns the paper-faithful CEIO configuration.
@@ -145,8 +148,10 @@ const (
 	ArchRDCA     Architecture = Architecture(workload.MethodRDCA)
 )
 
-// RDCAOptions tune the RDCA datapath (window bounds, residency target,
-// controller period, fixed-window sweeps).
+// RDCAOptions tune the RDCA datapath (residency target and fixed-window
+// sweeps). The window controller's bounds, step and period are fixed
+// constants of internal/rdca (rdca.InitialWindow, rdca.MinWindow,
+// rdca.GrowStep, rdca.AdjustPeriod, ...).
 type RDCAOptions = rdca.Options
 
 // DefaultRDCAOptions returns the receiver-driven RDCA defaults.
@@ -191,15 +196,18 @@ func NewCEIOSimulator(cfg Config, opts CEIOOptions) *Simulator {
 	return s
 }
 
-// NewCEIOSimulatorE is NewCEIOSimulator with invalid configurations
-// reported as errors instead of panics.
+// NewCEIOSimulatorE is NewCEIOSimulator with invalid configurations and
+// out-of-range options reported as errors instead of panics.
 func NewCEIOSimulatorE(cfg Config, opts CEIOOptions) (*Simulator, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	return newSimulator(cfg, core.New(opts))
 }
 
 // NewRDCASimulator builds a machine running the RDCA datapath with
-// explicit options (fixed-window sweeps, residency target, controller
-// period). Invalid configurations panic; see NewRDCASimulatorE.
+// explicit options (fixed-window sweeps, residency target). Invalid
+// configurations panic; see NewRDCASimulatorE.
 func NewRDCASimulator(cfg Config, opts RDCAOptions) *Simulator {
 	s, err := NewRDCASimulatorE(cfg, opts)
 	if err != nil {
@@ -208,9 +216,12 @@ func NewRDCASimulator(cfg Config, opts RDCAOptions) *Simulator {
 	return s
 }
 
-// NewRDCASimulatorE is NewRDCASimulator with invalid configurations
-// reported as errors instead of panics.
+// NewRDCASimulatorE is NewRDCASimulator with invalid configurations and
+// out-of-range options reported as errors instead of panics.
 func NewRDCASimulatorE(cfg Config, opts RDCAOptions) (*Simulator, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	return newSimulator(cfg, rdca.New(opts))
 }
 

@@ -174,3 +174,74 @@ func TestTenancyValidationThroughFacade(t *testing.T) {
 		t.Fatal("tenant-tagged flow accepted on an untenanted machine")
 	}
 }
+
+// Out-of-range datapath options must come back from the facade's
+// error-returning constructors as an error naming the field, never as a
+// panic in the controller or a run that silently stops delivering.
+func TestOptionValidationThroughFacade(t *testing.T) {
+	faulty := ceio.DefaultConfig()
+	faulty.FaultPlan = &ceio.FaultPlan{Seed: 1, CreditLossRate: 0.05}
+	cases := []struct {
+		field string
+		build func() (*ceio.Simulator, error)
+	}{
+		{"TotalCredits", func() (*ceio.Simulator, error) {
+			o := ceio.DefaultCEIOOptions()
+			o.TotalCredits = -5
+			return ceio.NewCEIOSimulatorE(ceio.DefaultConfig(), o)
+		}},
+		{"ReadAhead", func() (*ceio.Simulator, error) {
+			o := ceio.DefaultCEIOOptions()
+			o.ReadAhead = -1
+			o.ForceSlowPath = true
+			return ceio.NewCEIOSimulatorE(ceio.DefaultConfig(), o)
+		}},
+		{"ReclaimPeriod", func() (*ceio.Simulator, error) {
+			o := ceio.DefaultCEIOOptions()
+			o.ReclaimPeriod = -1
+			return ceio.NewCEIOSimulatorE(faulty, o)
+		}},
+		{"ReadTimeout", func() (*ceio.Simulator, error) {
+			o := ceio.DefaultCEIOOptions()
+			o.ReadTimeout = -ceio.Microsecond
+			return ceio.NewCEIOSimulatorE(faulty, o)
+		}},
+		{"ResidencyTarget", func() (*ceio.Simulator, error) {
+			o := ceio.DefaultRDCAOptions()
+			o.ResidencyTarget = -1
+			return ceio.NewRDCASimulatorE(ceio.DefaultConfig(), o)
+		}},
+		{"FixedWindow", func() (*ceio.Simulator, error) {
+			o := ceio.DefaultRDCAOptions()
+			o.FixedWindow = -4
+			return ceio.NewRDCASimulatorE(ceio.DefaultConfig(), o)
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.field, func(t *testing.T) {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("panicked instead of returning an error: %v", r)
+				}
+			}()
+			s, err := tc.build()
+			if err == nil {
+				t.Fatalf("negative %s accepted", tc.field)
+			}
+			if s != nil {
+				t.Fatalf("simulator returned alongside error %v", err)
+			}
+			if !strings.Contains(err.Error(), tc.field) {
+				t.Fatalf("error does not name %s: %v", tc.field, err)
+			}
+		})
+	}
+
+	// The zero values still select the defaults.
+	if _, err := ceio.NewCEIOSimulatorE(faulty, ceio.CEIOOptions{}); err != nil {
+		t.Fatalf("zero CEIO options rejected: %v", err)
+	}
+	if _, err := ceio.NewRDCASimulatorE(ceio.DefaultConfig(), ceio.RDCAOptions{}); err != nil {
+		t.Fatalf("zero RDCA options rejected: %v", err)
+	}
+}

@@ -7,6 +7,10 @@ import (
 	"ceio/internal/transport"
 )
 
+// MissThreshold is the per-period LLC miss fraction that counts as host
+// congestion.
+const MissThreshold = 0.40
+
 // HostCCConfig parameterises the reactive controller.
 type HostCCConfig struct {
 	// Period is the kernel module's sampling interval.
@@ -16,9 +20,6 @@ type HostCCConfig struct {
 	// response" the paper critiques (§2.3): the congestion signal is
 	// generated only once LLC misses are already occurring.
 	ReactionDelay sim.Time
-	// MissThreshold is the per-period LLC miss fraction that counts as
-	// host congestion.
-	MissThreshold float64
 	// IIOThreshold is the IIO fill fraction that counts as congestion.
 	IIOThreshold float64
 	// Cooldown limits how often a given flow is force-reduced.
@@ -37,7 +38,6 @@ func DefaultHostCCConfig() HostCCConfig {
 		// "slow response" limitation of §2.3.
 		Period:        10 * sim.Microsecond,
 		ReactionDelay: 40 * sim.Microsecond,
-		MissThreshold: 0.40,
 		IIOThreshold:  0.5,
 		Cooldown:      80 * sim.Microsecond,
 	}
@@ -82,7 +82,7 @@ func (h *HostCC) monitor() {
 	if m.IIO.Fill() > h.cfg.IIOThreshold {
 		congested = true
 	}
-	if mr := stats.Ratio(dMisses, dHits+dMisses); mr > h.cfg.MissThreshold && dMisses > 8 {
+	if mr := stats.Ratio(dMisses, dHits+dMisses); mr > MissThreshold && dMisses > 8 {
 		congested = true
 	}
 	if !congested {

@@ -12,6 +12,40 @@ import (
 	"ceio/internal/trace"
 )
 
+// Fixed parameters of the flow controller and elastic buffer manager.
+// The paper fixes Algorithm 1's scan, re-activation, low-water and
+// steering-retry parameters; only the design switches in Options vary.
+const (
+	// SWRingEntries is each flow's software-ring logical capacity; ring
+	// storage starts small and grows on demand up to it.
+	SWRingEntries = 8192
+	// SlowMarkDepth is the on-NIC backlog (packets) at which arriving
+	// slow-path packets are ECN-marked, triggering the CCA when the
+	// network's production rate exceeds the slow path's consumption rate
+	// (§4.1 Q2).
+	SlowMarkDepth = 64
+	// ControlOverhead is the per-packet latency added by the flow
+	// controller logic on the NIC's ARM cores (Table 3 measures it as a
+	// 1.10-1.48x latency overhead versus raw RDMA writes).
+	ControlOverhead = 150 * sim.Nanosecond
+	// ScanPeriod is the active-flow scan interval (§4.1 Q3).
+	ScanPeriod = 200 * sim.Microsecond
+	// ReactivatePeriod is the round-robin re-activation backup timer.
+	ReactivatePeriod = 500 * sim.Microsecond
+	// ReactivateQuota is the credit grant given to a re-activated flow.
+	ReactivateQuota = 64
+	// InactiveScans is the number of consecutive idle scan periods after
+	// which a flow is declared inactive and its credits recycled (the
+	// paper uses a coarse ~1s timer; this is the scaled equivalent).
+	InactiveScans = 5
+	// SteerRetryLimit bounds retries of a rejected steering-rule update
+	// before the controller gives up and pins the flow to the degraded
+	// slow path (a later reactivation probes the table again).
+	SteerRetryLimit = 4
+	// SteerRetryBase is the first retry's backoff; it doubles per attempt.
+	SteerRetryBase = 2 * sim.Microsecond
+)
+
 // Options configure the CEIO datapath. The boolean switches exist to
 // reproduce the paper's ablations (Table 4 evaluates CEIO with and
 // without the fast/slow path optimisations) and micro-benchmarks (Fig. 11
@@ -20,30 +54,8 @@ type Options struct {
 	// TotalCredits overrides C_total (0 = derive from the machine config
 	// via Eq. 1: LLC bytes / I/O buffer size).
 	TotalCredits int
-	// SWRingEntries is each flow's software-ring logical capacity; ring
-	// storage starts small and grows on demand up to it.
-	SWRingEntries int
 	// ReadAhead bounds outstanding slow-path DMA reads per flow.
 	ReadAhead int
-	// SlowMarkDepth is the on-NIC backlog (packets) at which arriving
-	// slow-path packets are ECN-marked, triggering the CCA when the
-	// network's production rate exceeds the slow path's consumption rate
-	// (§4.1 Q2).
-	SlowMarkDepth int
-	// ControlOverhead is the per-packet latency added by the flow
-	// controller logic on the NIC's ARM cores (Table 3 measures it as a
-	// 1.10-1.48x latency overhead versus raw RDMA writes).
-	ControlOverhead sim.Time
-	// ScanPeriod is the active-flow scan interval (§4.1 Q3).
-	ScanPeriod sim.Time
-	// ReactivatePeriod is the round-robin re-activation backup timer.
-	ReactivatePeriod sim.Time
-	// ReactivateQuota is the credit grant given to a re-activated flow.
-	ReactivateQuota int
-	// InactiveScans is the number of consecutive idle scan periods after
-	// which a flow is declared inactive and its credits recycled (the
-	// paper uses a coarse ~1s timer; this is the scaled equivalent).
-	InactiveScans int
 
 	// ReclaimPeriod is the credit-reconciliation heartbeat, armed only
 	// when fault injection is enabled: credits whose release messages were
@@ -53,12 +65,6 @@ type Options struct {
 	// ReadTimeout is the slow-path DMA read retransmit timeout: a read
 	// whose completion was lost to an injected fault is reissued after it.
 	ReadTimeout sim.Time
-	// SteerRetryLimit bounds retries of a rejected steering-rule update
-	// before the controller gives up and pins the flow to the degraded
-	// slow path (a later reactivation probes the table again).
-	SteerRetryLimit int
-	// SteerRetryBase is the first retry's backoff; it doubles per attempt.
-	SteerRetryBase sim.Time
 
 	// LazyRelease enables the lazy credit release design choice of §4.1
 	// (credits return only at message-batch completion). Disabling it
@@ -73,32 +79,44 @@ type Options struct {
 	// ForceSlowPath sets every flow's credits to zero so all traffic
 	// takes the slow path (Fig. 11's "slow path" curve).
 	ForceSlowPath bool
-	// MPQ, when non-nil, replaces the credit-based scheduler with the
-	// PIAS-style Multiple Priority Queues strawman §4.1 argues against:
-	// a shared credit pool with per-priority reserves and eager release.
-	// Used by the MPQ-vs-lazy-release ablation.
-	MPQ *MPQConfig
+	// MPQ replaces the credit-based scheduler with the PIAS-style
+	// Multiple Priority Queues strawman §4.1 argues against: a shared
+	// credit pool with per-priority reserves and eager release (see
+	// mpq.go). Used by the MPQ-vs-lazy-release ablation.
+	MPQ bool
 }
 
 // DefaultOptions returns the paper-faithful configuration.
 func DefaultOptions() Options {
 	return Options{
-		SWRingEntries:    8192,
-		ReadAhead:        16,
-		SlowMarkDepth:    64,
-		ControlOverhead:  150 * sim.Nanosecond,
-		ScanPeriod:       200 * sim.Microsecond,
-		ReactivatePeriod: 500 * sim.Microsecond,
-		ReactivateQuota:  64,
-		InactiveScans:    5,
-		ReclaimPeriod:    sim.Millisecond,
-		ReadTimeout:      25 * sim.Microsecond,
-		SteerRetryLimit:  4,
-		SteerRetryBase:   2 * sim.Microsecond,
-		LazyRelease:      true,
-		CreditRealloc:    true,
-		AsyncDrain:       true,
+		ReadAhead:     16,
+		ReclaimPeriod: sim.Millisecond,
+		ReadTimeout:   25 * sim.Microsecond,
+		LazyRelease:   true,
+		CreditRealloc: true,
+		AsyncDrain:    true,
 	}
+}
+
+// Validate reports an out-of-range option, naming the field. A zero
+// count or period selects its default; a negative one is an error
+// rather than a panic deep in the controller or a flow that silently
+// never drains.
+func (o Options) Validate() error {
+	for _, c := range []struct {
+		name string
+		v    int64
+	}{
+		{"TotalCredits", int64(o.TotalCredits)},
+		{"ReadAhead", int64(o.ReadAhead)},
+		{"ReclaimPeriod", int64(o.ReclaimPeriod)},
+		{"ReadTimeout", int64(o.ReadTimeout)},
+	} {
+		if c.v < 0 {
+			return fmt.Errorf("core: Options.%s must not be negative (got %d)", c.name, c.v)
+		}
+	}
+	return nil
 }
 
 // flowState is the per-flow state of the flow controller plus elastic
@@ -144,7 +162,9 @@ type flowState struct {
 	releasesSent    uint64
 	releasesApplied uint64
 
-	mpq *mpqState // PIAS priority tracking (MPQ scheduler only)
+	// PIAS priority tracking (MPQ scheduler only).
+	sentBytes uint64
+	priority  int
 }
 
 // CEIO is the cache-efficient I/O datapath (Figure 5): a credit-based
@@ -217,41 +237,14 @@ type CEIO struct {
 // New constructs the CEIO datapath with opts.
 func New(opts Options) *CEIO {
 	d := DefaultOptions()
-	if opts.SWRingEntries == 0 {
-		opts.SWRingEntries = d.SWRingEntries
-	}
 	if opts.ReadAhead == 0 {
 		opts.ReadAhead = d.ReadAhead
-	}
-	if opts.SlowMarkDepth == 0 {
-		opts.SlowMarkDepth = d.SlowMarkDepth
-	}
-	if opts.ControlOverhead == 0 {
-		opts.ControlOverhead = d.ControlOverhead
-	}
-	if opts.ScanPeriod == 0 {
-		opts.ScanPeriod = d.ScanPeriod
-	}
-	if opts.ReactivatePeriod == 0 {
-		opts.ReactivatePeriod = d.ReactivatePeriod
-	}
-	if opts.ReactivateQuota == 0 {
-		opts.ReactivateQuota = d.ReactivateQuota
-	}
-	if opts.InactiveScans == 0 {
-		opts.InactiveScans = d.InactiveScans
 	}
 	if opts.ReclaimPeriod == 0 {
 		opts.ReclaimPeriod = d.ReclaimPeriod
 	}
 	if opts.ReadTimeout == 0 {
 		opts.ReadTimeout = d.ReadTimeout
-	}
-	if opts.SteerRetryLimit == 0 {
-		opts.SteerRetryLimit = d.SteerRetryLimit
-	}
-	if opts.SteerRetryBase == 0 {
-		opts.SteerRetryBase = d.SteerRetryBase
 	}
 	return &CEIO{
 		opt:      opts,
@@ -265,9 +258,6 @@ func (c *CEIO) Name() string { return "CEIO" }
 // Controller exposes the credit controller (tests, diagnostics).
 func (c *CEIO) Controller() *CreditController { return c.ctrl }
 
-// Options returns the active option set.
-func (c *CEIO) Options() Options { return c.opt }
-
 // Attach implements iosys.Datapath: it derives C_total from the machine
 // configuration and starts the credit-management timers.
 func (c *CEIO) Attach(m *iosys.Machine) {
@@ -278,15 +268,15 @@ func (c *CEIO) Attach(m *iosys.Machine) {
 	}
 	c.ctrl = NewCreditController(total)
 	c.ctrl.doorbell = m.Doorbell
-	if m.Cfg.Cores > 0 && c.opt.MPQ == nil {
+	if m.Cfg.Cores > 0 && !c.opt.MPQ {
 		// Multi-queue machine: carve C_total into per-core shares (equal
 		// until the active-flow scan learns the per-core populations).
 		c.coreShares = carveShares(total, make([]int, m.Cfg.Cores))
 		c.byQueue = make([][]*flowState, m.Cfg.Cores)
 	}
-	if c.opt.CreditRealloc && c.opt.MPQ == nil {
-		m.Eng.Every(c.opt.ScanPeriod, c.opt.ScanPeriod, c.scanActiveFlows)
-		m.Eng.Every(c.opt.ReactivatePeriod, c.opt.ReactivatePeriod, c.reactivateRoundRobin)
+	if c.opt.CreditRealloc && !c.opt.MPQ {
+		m.Eng.Every(ScanPeriod, ScanPeriod, c.scanActiveFlows)
+		m.Eng.Every(ReactivatePeriod, ReactivatePeriod, c.reactivateRoundRobin)
 	}
 }
 
@@ -300,7 +290,7 @@ func (c *CEIO) FaultsEnabled() {
 	for _, st := range c.flows {
 		st.sw.FaultTolerant = true
 	}
-	if c.opt.MPQ == nil {
+	if !c.opt.MPQ {
 		c.m.Eng.Every(c.opt.ReclaimPeriod, c.opt.ReclaimPeriod, c.reconcileCredits)
 	}
 }
@@ -308,7 +298,7 @@ func (c *CEIO) FaultsEnabled() {
 // FlowAdded allocates credits per Algorithm 1 and offloads the initial
 // fast-path steering rule to the RMT engine.
 func (c *CEIO) FlowAdded(f *iosys.Flow) {
-	st := &flowState{f: f, sw: ring.NewSWRing(c.opt.SWRingEntries), cred: c.ctrl.AddFlows(f.ID)[0], slot: -1}
+	st := &flowState{f: f, sw: ring.NewSWRing(SWRingEntries), cred: c.ctrl.AddFlows(f.ID)[0], slot: -1}
 	st.cred.flow = f
 	st.sw.FaultTolerant = c.faultMode
 	if c.opt.ForceSlowPath {
@@ -425,7 +415,7 @@ func (c *CEIO) getJob(st *flowState, p *pkt.Packet) *ctrlJob {
 // buffer. The control overhead models the flow controller logic on the
 // NIC cores.
 func (c *CEIO) Ingress(f *iosys.Flow, p *pkt.Packet) {
-	c.m.Eng.AfterArg(c.opt.ControlOverhead, ctrlDecide, c.getJob(f.DP.(*flowState), p))
+	c.m.Eng.AfterArg(ControlOverhead, ctrlDecide, c.getJob(f.DP.(*flowState), p))
 }
 
 // ctrlDecide runs after the controller's processing window: steer the
@@ -481,12 +471,12 @@ func (c *CEIO) trySteer(st *flowState, a flowsteer.Action, epoch uint64, attempt
 	delay, fail := c.m.Faults.SteerUpdate()
 	if fail {
 		c.m.Steer.UpdateFailed()
-		if attempt >= c.opt.SteerRetryLimit {
+		if attempt >= SteerRetryLimit {
 			c.steerFallback(st)
 			return
 		}
 		c.SteerRetries++
-		backoff := c.opt.SteerRetryBase << uint(attempt)
+		backoff := SteerRetryBase << uint(attempt)
 		c.m.Eng.After(backoff, func() { c.trySteer(st, a, epoch, attempt+1) })
 		return
 	}
@@ -525,7 +515,7 @@ func (c *CEIO) steerFallback(st *flowState) {
 // credit accounts with a proactive low-water ECN signal (CEIO's design),
 // or the shared-pool PIAS admission of the MPQ strawman.
 func (c *CEIO) admit(st *flowState, p *pkt.Packet) bool {
-	if c.opt.MPQ != nil {
+	if c.opt.MPQ {
 		return c.mpqAdmit(st, p)
 	}
 	// On a partitioned machine the credit bound is per tenant, not
@@ -583,7 +573,7 @@ func (c *CEIO) Landed(f *iosys.Flow, p *pkt.Packet) { c.fastLanded(f.DP.(*flowSt
 // unadmit returns the credit taken by admit when the fast path could not
 // be used after all.
 func (c *CEIO) unadmit(st *flowState) {
-	if c.opt.MPQ != nil {
+	if c.opt.MPQ {
 		c.mpqReleaseOne()
 		return
 	}
@@ -664,7 +654,7 @@ func (c *CEIO) ingressSlow(st *flowState, p *pkt.Packet) {
 	// CCA trigger (§4.1 Q2): when the on-NIC backlog shows that network
 	// production outruns slow-path consumption, mark arriving packets so
 	// the sender's CCA converges to the slow path's drain capacity.
-	if st.onNIC >= c.opt.SlowMarkDepth {
+	if st.onNIC >= SlowMarkDepth {
 		p.Marked = true
 		c.SlowMarks++
 	}
@@ -960,7 +950,7 @@ func (st *flowState) quiescent() bool {
 // balance rises from zero (CreditController.credit). The MPQ strawman
 // keeps no per-flow balance, so its flows never pause.
 func (c *CEIO) paused(st *flowState) bool {
-	return c.opt.MPQ == nil && st.mode == pkt.PathSlow && st.waitQ.Len() == 0 && st.sw.Len() == 0 &&
+	return !c.opt.MPQ && st.mode == pkt.PathSlow && st.waitQ.Len() == 0 && st.sw.Len() == 0 &&
 		(st.cred.Available == 0 || c.opt.ForceSlowPath)
 }
 
@@ -974,7 +964,7 @@ func (c *CEIO) OnDelivered(f *iosys.Flow, p *pkt.Packet) {
 	}
 	if p.Path == pkt.PathFast {
 		switch {
-		case c.opt.MPQ != nil:
+		case c.opt.MPQ:
 			c.mpqReleaseOne()
 			c.maybeResumeFast(st)
 		case c.opt.LazyRelease:
@@ -984,7 +974,7 @@ func (c *CEIO) OnDelivered(f *iosys.Flow, p *pkt.Packet) {
 			c.maybeResumeFast(st)
 		}
 	}
-	if c.opt.MPQ == nil && c.opt.LazyRelease && p.MsgEnd && st.unreleased > 0 {
+	if !c.opt.MPQ && c.opt.LazyRelease && p.MsgEnd && st.unreleased > 0 {
 		c.release(st, st.unreleased)
 		st.unreleased = 0
 		c.maybeResumeFast(st)
@@ -1050,7 +1040,7 @@ func (c *CEIO) reconcileCredits() {
 // the pool are exactly the credits Algorithm 1 granted it. No-op for the
 // MPQ strawman, which has no per-flow ledger to reconcile.
 func (c *CEIO) ReconcileNow() {
-	if c.opt.MPQ == nil {
+	if !c.opt.MPQ {
 		c.reconcileCredits()
 	}
 }
@@ -1078,7 +1068,7 @@ func (c *CEIO) maybeResumeFast(st *flowState) {
 			return
 		}
 	}
-	if c.opt.MPQ != nil {
+	if c.opt.MPQ {
 		if c.ctrl.Total()-c.mpqInUse == 0 {
 			return
 		}
@@ -1087,14 +1077,14 @@ func (c *CEIO) maybeResumeFast(st *flowState) {
 		// thrashing the steering rule; wait for a release or grant.
 		return
 	}
-	if c.opt.MPQ == nil && !c.tenantBudgetOK(st) {
+	if !c.opt.MPQ && !c.tenantBudgetOK(st) {
 		// The tenant's partition budget is still fully in flight:
 		// resuming would demote again immediately. Wait for releases (or
 		// for the repartitioner to grow the tenant). Not counted as a
 		// reject — this is a gate, not an admission attempt.
 		return
 	}
-	if c.opt.MPQ == nil && !c.coreBudgetOK(st) {
+	if !c.opt.MPQ && !c.coreBudgetOK(st) {
 		// Likewise for the flow's rx-queue core: its share is still fully
 		// in flight, so resuming would thrash the steering rule.
 		return
@@ -1121,7 +1111,7 @@ func (c *CEIO) scanActiveFlows() {
 		} else {
 			st.idleScans = 0
 		}
-		inactive := st.idleScans >= c.opt.InactiveScans
+		inactive := st.idleScans >= InactiveScans
 		st.active = !inactive
 		if st.active {
 			nActive++
@@ -1135,7 +1125,7 @@ func (c *CEIO) scanActiveFlows() {
 			// Slow-path flows (more likely CPU-bypass) donate everything
 			// above a small reserve kept for their return to the fast
 			// path; the round-robin timer guarantees they come back.
-			if extra := st.cred.Available - c.opt.ReactivateQuota; extra > 0 {
+			if extra := st.cred.Available - ReactivateQuota; extra > 0 {
 				c.ctrl.Take(st.cred, extra)
 			}
 		}
@@ -1154,8 +1144,8 @@ func (c *CEIO) scanActiveFlows() {
 		}
 	}
 	for _, st := range c.flows {
-		if st.active && st.mode == pkt.PathSlow && st.cred.Available < c.opt.ReactivateQuota {
-			c.ctrl.Grant(st.cred, c.opt.ReactivateQuota-st.cred.Available)
+		if st.active && st.mode == pkt.PathSlow && st.cred.Available < ReactivateQuota {
+			c.ctrl.Grant(st.cred, ReactivateQuota-st.cred.Available)
 		}
 	}
 	// Move per-core shares toward the cores that carry the active flows,
@@ -1173,7 +1163,7 @@ func (c *CEIO) reactivateRoundRobin() {
 		if st.mode != pkt.PathSlow {
 			continue
 		}
-		c.ctrl.Grant(st.cred, c.opt.ReactivateQuota)
+		c.ctrl.Grant(st.cred, ReactivateQuota)
 		c.maybeResumeFast(st)
 		return
 	}

@@ -4,7 +4,7 @@ import (
 	"ceio/internal/pkt"
 )
 
-// MPQConfig parameterises the Multiple-Priority-Queues strawman that §4.1
+// The Multiple-Priority-Queues strawman (Options.MPQ) that §4.1
 // considers and rejects in favour of lazy credit release. It follows
 // PIAS: every flow starts at the highest priority and decays as its
 // cumulative bytes cross the demotion thresholds, on the assumption that
@@ -17,36 +17,24 @@ import (
 // CPU-involved flows are not always short (continuous RPC streams, video,
 // overlay traffic), so priority decay eventually demotes exactly the
 // flows that need the fast path.
-type MPQConfig struct {
-	// DemotionBytes are the cumulative-bytes thresholds between priority
-	// levels, ascending (PIAS-style). len(DemotionBytes)+1 levels total.
-	DemotionBytes []uint64
-	// ReserveFraction is the extra fraction of the credit pool each
-	// priority level below the highest must leave untouched.
-	ReserveFraction float64
-}
-
-// DefaultMPQConfig mirrors a small PIAS deployment: four priority levels
+//
+// The parameters mirror a small PIAS deployment: four priority levels
 // with demotion at 100KB / 1MB / 10MB, each level reserving another 20%
 // of the pool.
-func DefaultMPQConfig() MPQConfig {
-	return MPQConfig{
-		DemotionBytes:   []uint64{100 << 10, 1 << 20, 10 << 20},
-		ReserveFraction: 0.20,
-	}
-}
 
-// mpqState augments a flow with PIAS priority tracking.
-type mpqState struct {
-	sentBytes uint64
-	priority  int
-}
+// mpqDemotionBytes are the cumulative-bytes thresholds between priority
+// levels, ascending (PIAS-style). len(mpqDemotionBytes)+1 levels total.
+var mpqDemotionBytes = [...]uint64{100 << 10, 1 << 20, 10 << 20}
 
-// PriorityOf returns the PIAS priority (0 = highest) for a cumulative
+// MPQReserveFraction is the extra fraction of the credit pool each
+// priority level below the highest must leave untouched.
+const MPQReserveFraction = 0.20
+
+// MPQPriorityOf returns the PIAS priority (0 = highest) for a cumulative
 // byte count (exported for tests and diagnostics).
-func (cfg MPQConfig) PriorityOf(sent uint64) int {
+func MPQPriorityOf(sent uint64) int {
 	p := 0
-	for _, th := range cfg.DemotionBytes {
+	for _, th := range mpqDemotionBytes {
 		if sent >= th {
 			p++
 		}
@@ -54,9 +42,9 @@ func (cfg MPQConfig) PriorityOf(sent uint64) int {
 	return p
 }
 
-// ReserveFor returns the credit-pool floor priority p must respect.
-func (cfg MPQConfig) ReserveFor(p, total int) int {
-	r := int(float64(total) * cfg.ReserveFraction * float64(p))
+// MPQReserveFor returns the credit-pool floor priority p must respect.
+func MPQReserveFor(p, total int) int {
+	r := int(float64(total) * MPQReserveFraction * float64(p))
 	if r > total {
 		r = total
 	}
@@ -66,12 +54,10 @@ func (cfg MPQConfig) ReserveFor(p, total int) int {
 // mpqAdmit implements fast-path admission under the MPQ scheduler: a
 // single shared credit pool with per-priority reserves, eager release.
 func (c *CEIO) mpqAdmit(st *flowState, p *pkt.Packet) bool {
-	cfg := *c.opt.MPQ
-	ms := c.mpqOf(st)
-	ms.sentBytes += uint64(p.Size)
-	ms.priority = cfg.PriorityOf(ms.sentBytes)
+	st.sentBytes += uint64(p.Size)
+	st.priority = MPQPriorityOf(st.sentBytes)
 	available := c.ctrl.Total() - c.mpqInUse
-	if available <= cfg.ReserveFor(ms.priority, c.ctrl.Total()) {
+	if available <= MPQReserveFor(st.priority, c.ctrl.Total()) {
 		return false
 	}
 	c.mpqInUse++
@@ -86,20 +72,12 @@ func (c *CEIO) mpqReleaseOne() {
 	}
 }
 
-// mpqOf lazily attaches MPQ state to a flow.
-func (c *CEIO) mpqOf(st *flowState) *mpqState {
-	if st.mpq == nil {
-		st.mpq = &mpqState{}
-	}
-	return st.mpq
-}
-
 // FlowPriority reports a flow's current PIAS priority under the MPQ
 // scheduler (0 = highest; -1 when MPQ is disabled or the flow is
 // unknown). Exposed for the ablation experiment and diagnostics.
 func (c *CEIO) FlowPriority(id int) int {
-	if f := c.m.Flows[id]; f != nil && f.DP.(*flowState).mpq != nil {
-		return f.DP.(*flowState).mpq.priority
+	if f := c.m.Flows[id]; f != nil && c.opt.MPQ {
+		return f.DP.(*flowState).priority
 	}
 	return -1
 }

@@ -10,8 +10,7 @@ import (
 
 func mpqOptions() core.Options {
 	o := core.DefaultOptions()
-	cfg := core.DefaultMPQConfig()
-	o.MPQ = &cfg
+	o.MPQ = true
 	return o
 }
 
@@ -82,23 +81,22 @@ func TestMPQWorseThanLazyReleaseOnMixedFlows(t *testing.T) {
 }
 
 func TestMPQReserveMath(t *testing.T) {
-	cfg := core.DefaultMPQConfig()
-	if p := cfg.PriorityOf(0); p != 0 {
+	if p := core.MPQPriorityOf(0); p != 0 {
 		t.Fatalf("fresh flow priority = %d", p)
 	}
-	if p := cfg.PriorityOf(200 << 10); p != 1 {
+	if p := core.MPQPriorityOf(200 << 10); p != 1 {
 		t.Fatalf("200KB priority = %d", p)
 	}
-	if p := cfg.PriorityOf(100 << 20); p != 3 {
+	if p := core.MPQPriorityOf(100 << 20); p != 3 {
 		t.Fatalf("100MB priority = %d", p)
 	}
-	if r := cfg.ReserveFor(0, 1000); r != 0 {
+	if r := core.MPQReserveFor(0, 1000); r != 0 {
 		t.Fatalf("priority 0 reserve = %d", r)
 	}
-	if r := cfg.ReserveFor(2, 1000); r != 400 {
+	if r := core.MPQReserveFor(2, 1000); r != 400 {
 		t.Fatalf("priority 2 reserve = %d, want 400", r)
 	}
-	if r := cfg.ReserveFor(10, 1000); r != 1000 {
+	if r := core.MPQReserveFor(10, 1000); r != 1000 {
 		t.Fatalf("reserve must clamp at total, got %d", r)
 	}
 }

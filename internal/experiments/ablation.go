@@ -29,14 +29,14 @@ func Ablation(cfg Config) Table {
 	}{
 		{"full CEIO (lazy release)", func(o *core.Options) {}},
 		{"eager credit release", func(o *core.Options) { o.LazyRelease = false }},
-		{"MPQ scheduler (PIAS strawman)", func(o *core.Options) { mpq := core.DefaultMPQConfig(); o.MPQ = &mpq }},
+		{"MPQ scheduler (PIAS strawman)", func(o *core.Options) { o.MPQ = true }},
 		{"synchronous slow-path access", func(o *core.Options) { o.AsyncDrain = false }},
 		{"no credit reallocation", func(o *core.Options) { o.CreditRealloc = false }},
 		{"no optimizations", func(o *core.Options) { o.AsyncDrain = false; o.CreditRealloc = false }},
 	}
 
-	// One cell per variant; each run constructs its own datapath (and,
-	// for the MPQ strawman, its own MPQ config) so replicas share nothing.
+	// One cell per variant; each run constructs its own datapath so
+	// replicas share nothing.
 	res := runCells(cfg, len(variants), func(i int, c Config) ablationResult {
 		opts := core.DefaultOptions()
 		variants[i].mod(&opts)

@@ -48,6 +48,19 @@ import (
 	"ceio/internal/workload"
 )
 
+// Fixed parameters of the balancer's failure detector and migration
+// handshake.
+const (
+	// ProbeMiss consecutive missed probes declare a host dead.
+	ProbeMiss = 3
+	// ProbeRise consecutive answered probes revive a declared-dead host.
+	ProbeRise = 2
+	// HandshakeTimeout is how long the balancer waits for a drain or
+	// establish acknowledgement before retrying — the loss recovery for
+	// control frames the fabric tail-dropped or a flapped port ate.
+	HandshakeTimeout = 25 * sim.Microsecond
+)
+
 // Config describes a rack. The zero value is not runnable; start from
 // DefaultConfig.
 type Config struct {
@@ -62,10 +75,6 @@ type Config struct {
 
 	// ProbePeriod is the balancer's health-probe interval.
 	ProbePeriod sim.Time
-	// ProbeMiss consecutive missed probes declare a host dead.
-	ProbeMiss int
-	// ProbeRise consecutive answered probes revive a declared-dead host.
-	ProbeRise int
 	// DrainDeadline bounds how long a dead host's flow may remain
 	// unplaced before the flow-lost-after-drain invariant flags it.
 	DrainDeadline sim.Time
@@ -79,10 +88,6 @@ type Config struct {
 	// RetryLimit caps migration attempts per flow; past it the flow is
 	// stranded until a host revival rescues it.
 	RetryLimit int
-	// HandshakeTimeout is how long the balancer waits for a drain or
-	// establish acknowledgement before retrying — the loss recovery for
-	// control frames the fabric tail-dropped or a flapped port ate.
-	HandshakeTimeout sim.Time
 
 	// Fabric is the ToR switch model all balancer↔host traffic crosses.
 	// Ports must cover Hosts+1: host i attaches to port i and the
@@ -107,18 +112,15 @@ type Config struct {
 // and architecture over the paper-calibrated machine.
 func DefaultConfig(hosts int, method workload.Method) Config {
 	return Config{
-		Hosts:            hosts,
-		Machine:          iosys.DefaultConfig(),
-		Method:           method,
-		ProbePeriod:      100 * sim.Microsecond,
-		ProbeMiss:        3,
-		ProbeRise:        2,
-		DrainDeadline:    sim.Millisecond,
-		MigrationRTT:     2 * sim.Microsecond,
-		RetryBase:        20 * sim.Microsecond,
-		RetryLimit:       6,
-		HandshakeTimeout: 25 * sim.Microsecond,
-		Fabric:           fabric.DefaultConfig(hosts + 1),
+		Hosts:         hosts,
+		Machine:       iosys.DefaultConfig(),
+		Method:        method,
+		ProbePeriod:   100 * sim.Microsecond,
+		DrainDeadline: sim.Millisecond,
+		MigrationRTT:  2 * sim.Microsecond,
+		RetryBase:     20 * sim.Microsecond,
+		RetryLimit:    6,
+		Fabric:        fabric.DefaultConfig(hosts + 1),
 	}
 }
 
@@ -130,13 +132,10 @@ func (c Config) Validate() error {
 	}{
 		{c.Hosts >= 1, "Hosts >= 1"},
 		{c.ProbePeriod > 0, "ProbePeriod > 0"},
-		{c.ProbeMiss >= 1, "ProbeMiss >= 1"},
-		{c.ProbeRise >= 1, "ProbeRise >= 1"},
 		{c.DrainDeadline > 0, "DrainDeadline > 0"},
 		{c.MigrationRTT >= 0, "MigrationRTT >= 0"},
 		{c.RetryBase > 0, "RetryBase > 0"},
 		{c.RetryLimit >= 0, "RetryLimit >= 0"},
-		{c.HandshakeTimeout > 0, "HandshakeTimeout > 0"},
 		{c.Fabric.Ports >= c.Hosts+1, "Fabric.Ports >= Hosts+1"},
 		{len(c.Plans) <= c.Hosts, "len(Plans) <= Hosts"},
 	}
@@ -782,14 +781,14 @@ func (f *Fleet) probeTick() {
 				f.Stats.ProbesMissed++
 				h.good = 0
 				h.missed++
-				if h.live && h.missed >= f.Cfg.ProbeMiss {
+				if h.live && h.missed >= ProbeMiss {
 					f.declareDead(h)
 				}
 			} else {
 				h.missed = 0
 				if !h.live {
 					h.good++
-					if h.good >= f.Cfg.ProbeRise {
+					if h.good >= ProbeRise {
 						f.declareLive(h)
 					}
 				}
@@ -903,7 +902,7 @@ func (f *Fleet) sendDrain(id int, p *placement) {
 	p.tries++
 	epoch, tries := p.epoch, p.tries
 	f.ctlSend(p.host, drainReqBytes, netMsg{kind: kDrainReq, flow: id, seq: epoch, tries: tries})
-	f.Eng.After(f.Cfg.HandshakeTimeout, func() {
+	f.Eng.After(HandshakeTimeout, func() {
 		if p.migrating && p.epoch == epoch && p.tries == tries {
 			f.retryMigrate(id, p)
 		}
@@ -919,7 +918,7 @@ func (f *Fleet) sendEstablish(id int, p *placement) {
 	epoch, tries := p.epoch, p.tries
 	f.ctlSend(p.target, establishReqBytes,
 		netMsg{kind: kEstablishReq, flow: id, seq: epoch, tries: tries, spec: p.spec})
-	f.Eng.After(f.Cfg.HandshakeTimeout, func() {
+	f.Eng.After(HandshakeTimeout, func() {
 		if !p.migrating || p.epoch != epoch || p.tries != tries {
 			return
 		}

@@ -53,31 +53,38 @@ import (
 	"ceio/internal/sim"
 )
 
-// Options configure the RDCA datapath. Zero fields take defaults from
-// DefaultOptions (the core.Options idiom), so tests can override one
-// knob without restating the rest.
-type Options struct {
+// Fixed parameters of the window controller. Like CEIO's Algorithm 1
+// parameters (see core.ScanPeriod), they are constants; only the
+// residency target and the fixed-window sweep vary.
+const (
 	// InitialWindow is the per-partition starting window in I/O buffers.
-	InitialWindow int
+	InitialWindow = 64
 	// MinWindow is the shrink floor: the window never drops below it, so
 	// a flow can always keep a few buffers in flight.
-	MinWindow int
+	MinWindow = 8
 	// GrowStep is the additive window increase applied when an adjust
 	// tick finds the window saturated and no eviction pressure.
-	GrowStep int
+	GrowStep = 8
+	// AdjustPeriod is the window controller's tick on the engine clock.
+	AdjustPeriod = 20 * sim.Microsecond
+	// ImminenceBufs is the LRU-tail distance, in I/O buffers, within
+	// which a tagged in-flight buffer counts as eviction-imminent.
+	ImminenceBufs = 4
+	// ControlOverhead is the receiver-side per-packet cost of the window
+	// check — a host-driver comparison, not CEIO's on-NIC ARM-core
+	// credit controller, hence an order of magnitude cheaper.
+	ControlOverhead = 20 * sim.Nanosecond
+)
+
+// Options configure the RDCA datapath. A zero ResidencyTarget takes the
+// DefaultOptions value, so tests can override one knob without
+// restating the other; the window controller's parameters are the
+// constants above.
+type Options struct {
 	// ResidencyTarget scales the window cap: the fraction of the
 	// partition's Eq. 1 budget the in-flight set may pin. Below 1.0 the
 	// resident rx set leaves LLC headroom for application state.
 	ResidencyTarget float64
-	// AdjustPeriod is the window controller's tick on the engine clock.
-	AdjustPeriod sim.Time
-	// ImminenceBufs is the LRU-tail distance, in I/O buffers, within
-	// which a tagged in-flight buffer counts as eviction-imminent.
-	ImminenceBufs int
-	// ControlOverhead is the receiver-side per-packet cost of the window
-	// check — a host-driver comparison, not CEIO's on-NIC ARM-core
-	// credit controller, hence an order of magnitude cheaper.
-	ControlOverhead sim.Time
 	// FixedWindow, when positive, pins every partition's window (the
 	// rdca experiment's window sweep); the controller still tracks
 	// eviction and imminence counters but never resizes.
@@ -86,42 +93,18 @@ type Options struct {
 
 // DefaultOptions returns the receiver-driven defaults.
 func DefaultOptions() Options {
-	return Options{
-		InitialWindow:   64,
-		MinWindow:       8,
-		GrowStep:        8,
-		ResidencyTarget: 0.5,
-		AdjustPeriod:    20 * sim.Microsecond,
-		ImminenceBufs:   4,
-		ControlOverhead: 20 * sim.Nanosecond,
-	}
+	return Options{ResidencyTarget: 0.5}
 }
 
-// withDefaults fills zero fields from DefaultOptions.
-func (o Options) withDefaults() Options {
-	d := DefaultOptions()
-	if o.InitialWindow == 0 {
-		o.InitialWindow = d.InitialWindow
+// Validate reports an out-of-range option, naming the field.
+func (o Options) Validate() error {
+	if o.ResidencyTarget < 0 || math.IsNaN(o.ResidencyTarget) {
+		return fmt.Errorf("rdca: Options.ResidencyTarget must not be negative (got %v)", o.ResidencyTarget)
 	}
-	if o.MinWindow == 0 {
-		o.MinWindow = d.MinWindow
+	if o.FixedWindow < 0 {
+		return fmt.Errorf("rdca: Options.FixedWindow must not be negative (got %d)", o.FixedWindow)
 	}
-	if o.GrowStep == 0 {
-		o.GrowStep = d.GrowStep
-	}
-	if o.ResidencyTarget == 0 {
-		o.ResidencyTarget = d.ResidencyTarget
-	}
-	if o.AdjustPeriod == 0 {
-		o.AdjustPeriod = d.AdjustPeriod
-	}
-	if o.ImminenceBufs == 0 {
-		o.ImminenceBufs = d.ImminenceBufs
-	}
-	if o.ControlOverhead == 0 {
-		o.ControlOverhead = d.ControlOverhead
-	}
-	return o
+	return nil
 }
 
 // flowState is the per-flow driver state.
@@ -176,9 +159,13 @@ type RDCA struct {
 	PendDrops       uint64 // bypass arrivals dropped by the parked-backlog bound
 }
 
-// New returns an RDCA datapath; zero Options fields take defaults.
+// New returns an RDCA datapath; a zero ResidencyTarget takes the
+// default.
 func New(opts Options) *RDCA {
-	return &RDCA{opt: opts.withDefaults()}
+	if opts.ResidencyTarget == 0 {
+		opts.ResidencyTarget = DefaultOptions().ResidencyTarget
+	}
+	return &RDCA{opt: opts}
 }
 
 // Name implements iosys.Datapath.
@@ -193,7 +180,7 @@ func (d *RDCA) Attach(m *iosys.Machine) {
 	for pi := range d.wins {
 		pw := &d.wins[pi]
 		pw.cap = d.capBufs(pi)
-		pw.window = d.opt.InitialWindow
+		pw.window = InitialWindow
 		if d.opt.FixedWindow > 0 {
 			pw.window = d.opt.FixedWindow
 		} else if pw.window > pw.cap {
@@ -201,7 +188,7 @@ func (d *RDCA) Attach(m *iosys.Machine) {
 		}
 	}
 	m.OnIOEvict = d.onIOEvict
-	m.Eng.Every(d.opt.AdjustPeriod, d.opt.AdjustPeriod, d.adjust)
+	m.Eng.Every(AdjustPeriod, AdjustPeriod, d.adjust)
 }
 
 // capBufs returns partition pi's window cap in I/O buffers: the per-
@@ -209,8 +196,8 @@ func (d *RDCA) Attach(m *iosys.Machine) {
 // CEIO's per-tenant credit gate) scaled by the residency target.
 func (d *RDCA) capBufs(pi int) int {
 	c := int(float64(d.m.LLC.PartCapacity(pi)) * d.opt.ResidencyTarget / float64(d.m.Cfg.IOBufSize))
-	if c < d.opt.MinWindow {
-		c = d.opt.MinWindow
+	if c < MinWindow {
+		c = MinWindow
 	}
 	return c
 }
@@ -282,11 +269,7 @@ func (d *RDCA) Ingress(f *iosys.Flow, p *pkt.Packet) {
 	}
 	j := d.jobs.Get()
 	*j = job{d: d, f: f, p: p}
-	if d.opt.ControlOverhead > 0 {
-		d.m.Eng.AfterArg(d.opt.ControlOverhead, decide, j)
-	} else {
-		decide(j)
-	}
+	d.m.Eng.AfterArg(ControlOverhead, decide, j)
 }
 
 // decide admits the packet when the partition window has room, else
@@ -376,21 +359,21 @@ func (d *RDCA) adjust() {
 			case pw.evictedTick > 0:
 				// Residency was lost: halve toward the floor.
 				pw.window /= 2
-				if pw.window < d.opt.MinWindow {
-					pw.window = d.opt.MinWindow
+				if pw.window < MinWindow {
+					pw.window = MinWindow
 				}
 				d.EvictShrinks++
-			case d.m.LLC.ImminentIn(pi, int64(d.opt.ImminenceBufs*d.m.Cfg.IOBufSize)) > 0:
+			case d.m.LLC.ImminentIn(pi, int64(ImminenceBufs*d.m.Cfg.IOBufSize)) > 0:
 				// In-flight buffers near the eviction tail: back off
 				// gently before residency is actually lost.
 				pw.window -= pw.window / 8
-				if pw.window < d.opt.MinWindow {
-					pw.window = d.opt.MinWindow
+				if pw.window < MinWindow {
+					pw.window = MinWindow
 				}
 				d.ImminentShrinks++
 			case pw.inFlight >= pw.window:
 				// Saturated and cache-clean: probe upward.
-				pw.window += d.opt.GrowStep
+				pw.window += GrowStep
 				d.Grows++
 			}
 			if pw.window > pw.cap {

@@ -81,14 +81,13 @@ func (c *Controller) ScanOnce() {
 	if r.cfg.Mode != ModeDynamic {
 		return
 	}
-	cfg := r.cfg
 	views := make([]tenantView, len(r.tenants))
 	for i, t := range r.tenants {
 		samples := t.winHits + t.winMisses
 		v := tenantView{
 			t:       t,
 			samples: samples,
-			trusted: samples >= cfg.MinSamples,
+			trusted: samples >= MinSamples,
 			occ:     r.llc.PartOccupancy(t.Part),
 			cap:     r.llc.PartCapacity(t.Part),
 		}
@@ -104,7 +103,7 @@ func (c *Controller) ScanOnce() {
 		v := &views[i]
 		st := &c.states[i]
 		if st.pendingGrow && v.trusted {
-			if st.rateAtGrow-v.rate < cfg.GrowBenefit {
+			if st.rateAtGrow-v.rate < GrowBenefit {
 				if !st.saturated {
 					st.saturated = true
 					c.Saturations++
@@ -112,7 +111,7 @@ func (c *Controller) ScanOnce() {
 			}
 			st.pendingGrow = false
 		}
-		if st.saturated && v.trusted && v.rate <= cfg.ShrinkMissRate {
+		if st.saturated && v.trusted && v.rate <= ShrinkMissRate {
 			st.saturated = false
 		}
 	}
@@ -125,12 +124,12 @@ func (c *Controller) ScanOnce() {
 	for i := range views {
 		v := &views[i]
 		st := &c.states[i]
-		full := float64(v.occ) >= cfg.OccupancyHigh*float64(v.cap)
+		full := float64(v.occ) >= OccupancyHigh*float64(v.cap)
 		switch {
-		case !st.saturated && v.trusted && v.rate >= cfg.GrowMissRate && full:
+		case !st.saturated && v.trusted && v.rate >= GrowMissRate && full:
 			needy = append(needy, *v)
 		case v.t.Ways > v.t.MinWays &&
-			(!v.trusted || v.rate <= cfg.ShrinkMissRate || st.saturated || !full):
+			(!v.trusted || v.rate <= ShrinkMissRate || st.saturated || !full):
 			donor[i] = true
 		}
 	}

@@ -94,38 +94,36 @@ type Config struct {
 	// use and the dynamic controller draws on first.
 	Specs []Spec
 
-	// Dynamic-controller knobs (ModeDynamic only; zero values select the
-	// defaults in brackets).
-	//
-	// Period is the scan interval on the simulation clock [250µs].
+	// Period is the dynamic controller's scan interval on the simulation
+	// clock (ModeDynamic only; zero selects DefaultPeriod, 250µs).
 	Period sim.Time
-	// GrowMissRate is the per-window miss rate at (or above) which a
-	// tenant with a full partition is considered capacity-hungry [0.05].
-	GrowMissRate float64
-	// ShrinkMissRate is the miss rate at (or below) which a tenant is a
-	// safe donor [0.01].
-	ShrinkMissRate float64
-	// OccupancyHigh is the occupancy fraction above which misses are
-	// attributed to capacity rather than cold buffers [0.85].
-	OccupancyHigh float64
-	// GrowBenefit is the absolute miss-rate improvement a grown tenant
-	// must show by the next scan; otherwise it is marked saturated
-	// (thrashing without benefit) and becomes a donor [0.02].
-	GrowBenefit float64
-	// MinSamples is the minimum accesses in a scan window before its
-	// miss rate is trusted [32].
-	MinSamples uint64
 }
 
-// Defaults for the dynamic controller.
+// Defaults for the zero-valued Config fields.
 const (
-	DefaultWays           = 6
-	DefaultPeriod         = 250 * sim.Microsecond
-	DefaultGrowMissRate   = 0.05
-	DefaultShrinkMissRate = 0.01
-	DefaultOccupancyHigh  = 0.85
-	DefaultGrowBenefit    = 0.02
-	DefaultMinSamples     = 32
+	DefaultWays   = 6
+	DefaultPeriod = 250 * sim.Microsecond
+)
+
+// Fixed thresholds of the dynamic controller (ModeDynamic only). IOCA
+// fixes its repartitioning thresholds; only the scan Period varies.
+const (
+	// GrowMissRate is the per-window miss rate at (or above) which a
+	// tenant with a full partition is considered capacity-hungry.
+	GrowMissRate = 0.05
+	// ShrinkMissRate is the miss rate at (or below) which a tenant is a
+	// safe donor.
+	ShrinkMissRate = 0.01
+	// OccupancyHigh is the occupancy fraction above which misses are
+	// attributed to capacity rather than cold buffers.
+	OccupancyHigh = 0.85
+	// GrowBenefit is the absolute miss-rate improvement a grown tenant
+	// must show by the next scan; otherwise it is marked saturated
+	// (thrashing without benefit) and becomes a donor.
+	GrowBenefit = 0.02
+	// MinSamples is the minimum accesses in a scan window before its
+	// miss rate is trusted.
+	MinSamples = 32
 )
 
 // withDefaults returns c with zero-valued knobs replaced by defaults and
@@ -136,21 +134,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Period == 0 {
 		c.Period = DefaultPeriod
-	}
-	if c.GrowMissRate == 0 {
-		c.GrowMissRate = DefaultGrowMissRate
-	}
-	if c.ShrinkMissRate == 0 {
-		c.ShrinkMissRate = DefaultShrinkMissRate
-	}
-	if c.OccupancyHigh == 0 {
-		c.OccupancyHigh = DefaultOccupancyHigh
-	}
-	if c.GrowBenefit == 0 {
-		c.GrowBenefit = DefaultGrowBenefit
-	}
-	if c.MinSamples == 0 {
-		c.MinSamples = DefaultMinSamples
 	}
 	specs := make([]Spec, len(c.Specs))
 	copy(specs, c.Specs)
