@@ -83,7 +83,9 @@ type FlowCC struct {
 
 // New creates a rate controller starting at initialRate bytes/second and
 // begins its control loop on the engine, unless cfg's bounds pin the rate
-// (MinRate >= MaxRate), in which case there is no loop to run.
+// (MinRate >= MaxRate), in which case there is no loop to run. The first
+// tick comes one RTT after creation, so a controller created mid-run
+// closes a full control interval before it first adjusts.
 func New(eng *sim.Engine, cfg Config, initialRate float64) *FlowCC {
 	if initialRate < cfg.MinRate {
 		initialRate = cfg.MinRate
@@ -94,7 +96,7 @@ func New(eng *sim.Engine, cfg Config, initialRate float64) *FlowCC {
 	f := &FlowCC{cfg: cfg, eng: eng, rate: initialRate}
 	f.alpha.Gain = cfg.Gain
 	if cfg.MinRate < cfg.MaxRate {
-		f.stopTick = eng.Every(cfg.RTT, cfg.RTT, f.tick)
+		f.stopTick = eng.Every(eng.Now()+cfg.RTT, cfg.RTT, f.tick)
 	}
 	return f
 }

@@ -35,10 +35,37 @@ func TestAdditiveIncreaseWhenClean(t *testing.T) {
 		f.OnAck(false)
 	}
 	eng.RunUntil(5 * cfg.RTT)
-	want := 1e9 + 1*cfg.AdditiveIncrease // acks recorded up front: only first tick sees them
-	_ = want
-	if f.Rate() <= 1e9 {
-		t.Fatalf("rate should grow, got %v", f.Rate())
+	// Five ticks: the first sees the 50 clean acks (one additive
+	// increase), the other four see none (four idle probes of AI/4).
+	want := 1e9 + cfg.AdditiveIncrease
+	for i := 0; i < 4; i++ {
+		want += cfg.AdditiveIncrease / 4
+	}
+	if f.Rate() != want {
+		t.Fatalf("rate = %v, want %v", f.Rate(), want)
+	}
+}
+
+// TestLateControllerStartsOneRTTAfterCreation checks the control loop's
+// phase: a controller created mid-run keeps its initial rate at its
+// creation instant and through the next RTT, and first adjusts one RTT
+// after creation.
+func TestLateControllerStartsOneRTTAfterCreation(t *testing.T) {
+	eng := sim.NewEngine(1)
+	cfg := testCfg()
+	eng.RunUntil(sim.Millisecond)
+	f := New(eng, cfg, 1e9)
+	eng.RunUntil(eng.Now())
+	if f.Rate() != 1e9 {
+		t.Fatalf("rate changed at creation: %v", f.Rate())
+	}
+	eng.RunUntil(sim.Millisecond + cfg.RTT - 1)
+	if f.Rate() != 1e9 {
+		t.Fatalf("rate changed before one RTT elapsed: %v", f.Rate())
+	}
+	eng.RunUntil(sim.Millisecond + cfg.RTT)
+	if want := 1e9 + cfg.AdditiveIncrease/4; f.Rate() != want {
+		t.Fatalf("first tick at creation+RTT: rate = %v, want %v", f.Rate(), want)
 	}
 }
 
