@@ -77,8 +77,7 @@ const (
 )
 
 // Options configure the RDCA datapath. A zero ResidencyTarget takes the
-// DefaultOptions value, so tests can override one knob without
-// restating the other; the window controller's parameters are the
+// DefaultOptions value; the window controller's parameters are the
 // constants above.
 type Options struct {
 	// ResidencyTarget scales the window cap: the fraction of the
@@ -98,7 +97,7 @@ func DefaultOptions() Options {
 
 // Validate reports an out-of-range option, naming the field.
 func (o Options) Validate() error {
-	if o.ResidencyTarget < 0 || math.IsNaN(o.ResidencyTarget) {
+	if o.ResidencyTarget < 0 {
 		return fmt.Errorf("rdca: Options.ResidencyTarget must not be negative (got %v)", o.ResidencyTarget)
 	}
 	if o.FixedWindow < 0 {
