@@ -80,12 +80,18 @@ type ablationResult struct {
 	hasShare bool
 }
 
+// mixedResult is one mixed-flow measurement: the CPU-involved throughput
+// and worst flow P99, the LLC miss rate, and the bypass goodput.
 type mixedResult struct {
 	involvedMpps float64
 	involvedP99  int64
 	missRate     float64
+	bypassGbps   float64
 }
 
+// runMixedWith measures a mixed-flow deployment (eRPC alongside LineFS,
+// §6.3 "Performance in Mixed I/O Flows") on datapath dp: mix.involved
+// CPU-involved flows take the first IDs, then mix.bypass LineFS flows.
 func runMixedWith(cfg Config, dp iosys.Datapath, mix mixRatio) mixedResult {
 	m := iosys.NewMachine(cfg.Machine, dp)
 	id := 1
@@ -100,6 +106,7 @@ func runMixedWith(cfg Config, dp iosys.Datapath, mix mixRatio) mixedResult {
 	measureWindow(m, cfg.Warmup, cfg.Measure)
 	var res mixedResult
 	res.involvedMpps = m.InvolvedMeter.Mpps(m.Eng.Now())
+	res.bypassGbps = m.BypassMeter.Gbps(m.Eng.Now())
 	res.missRate = m.LLC.MissRate()
 	for fid, f := range m.Flows {
 		if fid <= mix.involved {

@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"ceio/internal/sim"
-	"ceio/internal/stats"
 	"ceio/internal/telemetry"
 	"ceio/internal/workload"
 )
@@ -80,16 +78,12 @@ func dynamicTables(cfg Config, titles [2]string, methods []workload.Method) []Ta
 // _min/_max band columns; intervals align by index, since every replica
 // samples on the same cadence.
 func dynamicTimeline(title string, method workload.Method, reps []workload.DynamicResult) Table {
-	rates := func(r workload.DynamicResult) [3][]stats.Point {
-		return [3][]stats.Point{r.Timeline.InvolvedMpps.Points, r.Timeline.TotalGbps.Points, r.Timeline.MissRate.Points}
+	rates := func(r workload.DynamicResult) [3][]float64 {
+		return [3][]float64{r.Timeline.InvolvedMpps, r.Timeline.TotalGbps, r.Timeline.MissRate}
 	}
-	n := len(reps[0].Timeline.InvolvedMpps.Points)
+	ticks := reps[0].Timeline.Ticks
 	for _, r := range reps {
-		n = min(n, len(r.Timeline.InvolvedMpps.Points))
-	}
-	ticks := make([]sim.Time, n)
-	for i := range ticks {
-		ticks[i] = reps[0].Timeline.InvolvedMpps.Points[i].T
+		ticks = ticks[:min(len(ticks), len(r.Timeline.Ticks))]
 	}
 	var cols []*telemetry.Series
 	for k, name := range [3]string{"involved_mpps", "total_gbps", "llc_miss_rate"} {
@@ -97,7 +91,7 @@ func dynamicTimeline(title string, method workload.Method, reps []workload.Dynam
 		lo := &telemetry.Series{ID: name + "_min"}
 		hi := &telemetry.Series{ID: name + "_max"}
 		for i := range ticks {
-			st := statOf(reps, func(r workload.DynamicResult) float64 { return rates(r)[k][i].V })
+			st := statOf(reps, func(r workload.DynamicResult) float64 { return rates(r)[k][i] })
 			mean.Pts = append(mean.Pts, st.Mean)
 			lo.Pts = append(lo.Pts, st.Min)
 			hi.Pts = append(hi.Pts, st.Max)

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"ceio/internal/iosys"
 	"ceio/internal/workload"
 )
 
@@ -19,31 +18,6 @@ var table4Ratios = []mixRatio{
 	{"3:1", 6, 2},
 	{"1:1", 4, 4},
 	{"1:3", 2, 6},
-}
-
-// mixedCell is one measured (ratio, method) cell of Table 4.
-type mixedCell struct {
-	involvedMpps float64
-	bypassGbps   float64
-}
-
-// runMixed measures a mixed-flow deployment (eRPC alongside LineFS,
-// §6.3 "Performance in Mixed I/O Flows"): the CPU-involved throughput the
-// paper reports plus the bypass goodput.
-func runMixed(cfg Config, method workload.Method, mix mixRatio) (involvedMpps, bypassGbps float64) {
-	m := iosys.NewMachine(cfg.Machine, workload.NewDatapath(method))
-	id := 1
-	for i := 0; i < mix.involved; i++ {
-		m.AddFlow(workload.ERPCKV(id, 144, workload.DPDK))
-		id++
-	}
-	for i := 0; i < mix.bypass; i++ {
-		m.AddFlow(workload.LineFS(id, 1024, 1024))
-		id++
-	}
-	measureWindow(m, cfg.Warmup, cfg.Measure)
-	now := m.Eng.Now()
-	return m.InvolvedMeter.Mpps(now), m.BypassMeter.Gbps(now)
 }
 
 // Table4 reproduces Table 4: throughput (Mpps) of CPU-involved flows and
@@ -64,14 +38,12 @@ func Table4(cfg Config) Table {
 	methods := []workload.Method{workload.MethodBaseline, workload.MethodCEIONoOpt, workload.MethodCEIO}
 
 	// Enumerate (ratio, method) cells, methods innermost.
-	res := runCells(cfg, len(ratios)*len(methods), func(i int, c Config) mixedCell {
-		mix := ratios[i/len(methods)]
-		inv, byp := runMixed(c, methods[i%len(methods)], mix)
-		return mixedCell{involvedMpps: inv, bypassGbps: byp}
+	res := runCells(cfg, len(ratios)*len(methods), func(i int, c Config) mixedResult {
+		return runMixedWith(c, workload.NewDatapath(methods[i%len(methods)]), ratios[i/len(methods)])
 	})
 
-	involved := func(r mixedCell) float64 { return r.involvedMpps }
-	bypass := func(r mixedCell) float64 { return r.bypassGbps }
+	involved := func(r mixedResult) float64 { return r.involvedMpps }
+	bypass := func(r mixedResult) float64 { return r.bypassGbps }
 	for ri, mix := range ratios {
 		k := ri * len(methods)
 		base := statOf(res[k], involved)

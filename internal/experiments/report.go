@@ -8,7 +8,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"strconv"
 
 	"ceio/internal/iosys"
 	"ceio/internal/render"
@@ -40,27 +39,11 @@ func (t Table) RenderCSV(w io.Writer) error {
 }
 
 // timelineTable renders sampled series as a "Timeline — " table (the
-// prefix ceio-bench -timeline-out diverts on): a simulated-time column,
-// then one column per series. A series' point j belongs to tick
-// Start+j; cells outside its span are empty, and values use the
-// shortest exact encoding so the rows are byte-stable.
+// prefix ceio-bench -timeline-out diverts on), laid out by
+// telemetry.Grid like every other time-series dump.
 func timelineTable(title, note string, ticks []sim.Time, series []*telemetry.Series) Table {
-	tb := Table{Title: "Timeline — " + title, Note: note, Header: []string{"t_ns"}}
-	for _, sr := range series {
-		tb.Header = append(tb.Header, sr.ID)
-	}
-	for ti, t := range ticks {
-		row := []string{strconv.FormatInt(int64(t), 10)}
-		for _, sr := range series {
-			cell := ""
-			if k := ti - sr.Start; k >= 0 && k < len(sr.Pts) {
-				cell = strconv.FormatFloat(sr.Pts[k], 'g', -1, 64)
-			}
-			row = append(row, cell)
-		}
-		tb.Rows = append(tb.Rows, row)
-	}
-	return tb
+	header, rows := telemetry.Grid(ticks, series)
+	return Table{Title: "Timeline — " + title, Note: note, Header: header, Rows: rows}
 }
 
 // Config controls experiment durations. Quick mode shrinks sweeps and

@@ -2,8 +2,13 @@ package experiments
 
 import (
 	"bytes"
+	"encoding/csv"
+	"encoding/json"
 	"strings"
 	"testing"
+
+	"ceio/internal/sim"
+	"ceio/internal/telemetry"
 )
 
 func sampleTable() Table {
@@ -42,6 +47,65 @@ func TestRenderCSV(t *testing.T) {
 	}
 	if !strings.Contains(out, "col a,b\n") || !strings.Contains(out, "longer cell,2.00\n") {
 		t.Fatalf("bad csv:\n%s", out)
+	}
+}
+
+// TestTimelineLateSeries: a gauge registered after the sampler's second
+// tick (as pipeline module series are mid-run) has empty CSV cells and
+// no JSONL values at ticks 0-1, and a timeline table over the same
+// sampler lays out the same grid as the -series-out CSV.
+func TestTimelineLateSeries(t *testing.T) {
+	eng := sim.NewEngine(1)
+	reg := telemetry.NewRegistry()
+	var pkts uint64
+	reg.Counter("iosys.involved.packets_total", "Packets.", func() uint64 { return pkts })
+	eng.Every(100*sim.Microsecond, 100*sim.Microsecond, func() { pkts += 3 })
+	s := telemetry.NewSampler(eng, reg, sim.Millisecond, nil)
+	const late = `dataplane.state.resident_bytes{module="nat64"}`
+	eng.At(2500*sim.Microsecond, func() {
+		reg.Gauge("dataplane.state.resident_bytes", "Resident state.",
+			func() float64 { return float64(pkts) / 7 }, telemetry.L("module", "nat64"))
+	})
+	eng.RunUntil(5 * sim.Millisecond)
+	s.Stop()
+
+	var csvOut bytes.Buffer
+	if err := s.WriteCSV(&csvOut); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := csv.NewReader(strings.NewReader(csvOut.String())).ReadAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 6 || recs[0][1] != late {
+		t.Fatalf("CSV header %q with %d lines, want %q in column 1 and 6 lines", recs[0], len(recs), late)
+	}
+	for tick, rec := range recs[1:] {
+		if empty := rec[1] == ""; empty != (tick < 2) {
+			t.Fatalf("tick %d: late gauge cell %q (empty only before it joined at tick 2)", tick, rec[1])
+		}
+	}
+
+	var jsonOut bytes.Buffer
+	if err := s.WriteJSONL(&jsonOut); err != nil {
+		t.Fatal(err)
+	}
+	for tick, line := range strings.Split(strings.TrimSpace(jsonOut.String()), "\n") {
+		var row struct{ Values map[string]float64 }
+		if err := json.Unmarshal([]byte(line), &row); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := row.Values[late]; ok != (tick >= 2) {
+			t.Fatalf("JSONL tick %d: late gauge present=%v", tick, ok)
+		}
+	}
+
+	var tableOut bytes.Buffer
+	if err := timelineTable("late", "", s.Ticks(), s.Series()).RenderCSV(&tableOut); err != nil {
+		t.Fatal(err)
+	}
+	if want := "# Timeline — late\n" + csvOut.String(); tableOut.String() != want {
+		t.Fatalf("timeline table CSV differs from WriteCSV:\n%s\n---\n%s", tableOut.String(), want)
 	}
 }
 

@@ -193,11 +193,11 @@ func TestSamplerRecordsSeries(t *testing.T) {
 	m.AddFlow(echoSpec(1, 1024))
 	m.Run(5 * sim.Millisecond)
 	s.Stop()
-	pts := s.Points("iosys.involved.packets_total")
+	pts := s.Lookup("iosys.involved.packets_total").Pts
 	if len(pts) < 4 {
 		t.Fatalf("series points = %d", len(pts))
 	}
-	if pts[len(pts)-1].V <= 0 {
+	if pts[len(pts)-1] <= 0 {
 		t.Fatal("sampler saw no throughput")
 	}
 }

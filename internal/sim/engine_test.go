@@ -2,7 +2,6 @@ package sim
 
 import (
 	"math"
-	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -484,57 +483,5 @@ func TestServerStats(t *testing.T) {
 	}
 	if s.MaxQueueing != 100 {
 		t.Fatalf("max queueing=%v want 100", s.MaxQueueing)
-	}
-}
-
-func TestTokenBucketBasics(t *testing.T) {
-	e := NewEngine(1)
-	tb := NewTokenBucket(e, 1e9, 100) // 1 B/ns, burst 100
-	if ok, _ := tb.Take(100); !ok {
-		t.Fatal("initial burst should be available")
-	}
-	ok, retry := tb.Take(50)
-	if ok {
-		t.Fatal("bucket should be empty")
-	}
-	if retry != 50 {
-		t.Fatalf("retry = %v, want 50", retry)
-	}
-	e.RunUntil(50)
-	if ok, _ := tb.Take(50); !ok {
-		t.Fatal("tokens should have accrued")
-	}
-}
-
-func TestTokenBucketSetRate(t *testing.T) {
-	e := NewEngine(1)
-	tb := NewTokenBucket(e, 1e9, 1000)
-	tb.Take(1000)
-	e.RunUntil(100) // accrue 100 tokens at 1 B/ns
-	tb.SetRate(2e9)
-	e.RunUntil(150) // accrue 100 more at 2 B/ns
-	ok, _ := tb.Take(200)
-	if !ok {
-		t.Fatal("expected 200 tokens after rate change")
-	}
-	if ok, _ := tb.Take(1); ok {
-		t.Fatal("bucket should be empty after exact take")
-	}
-}
-
-func TestTokenBucketNeverExceedsBurst(t *testing.T) {
-	f := func(waits []uint8) bool {
-		e := NewEngine(3)
-		tb := NewTokenBucket(e, 5e8, 64)
-		for _, w := range waits {
-			e.RunUntil(e.Now() + Time(w))
-			if ok, _ := tb.Take(65); ok {
-				return false // can never take more than burst
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100, Rand: rand.New(rand.NewSource(9))}); err != nil {
-		t.Fatal(err)
 	}
 }

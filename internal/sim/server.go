@@ -85,60 +85,3 @@ func (s *Server) Utilization() float64 {
 	}
 	return float64(s.BusyTime) / float64(s.eng.Now())
 }
-
-// TokenBucket is a byte-granularity token bucket used for rate limiting
-// flow ingress (the DCTCP rate shaper). Tokens accrue continuously at Rate
-// bytes/second up to Burst bytes.
-type TokenBucket struct {
-	eng    *Engine
-	rate   float64 // bytes per ns
-	burst  float64
-	tokens float64
-	last   Time
-}
-
-// NewTokenBucket creates a bucket that starts full.
-func NewTokenBucket(eng *Engine, bytesPerSecond, burstBytes float64) *TokenBucket {
-	if burstBytes <= 0 {
-		burstBytes = 1
-	}
-	return &TokenBucket{eng: eng, rate: bytesPerSecond / 1e9, burst: burstBytes, tokens: burstBytes, last: eng.Now()}
-}
-
-func (tb *TokenBucket) refill() {
-	now := tb.eng.Now()
-	tb.tokens += float64(now-tb.last) * tb.rate
-	if tb.tokens > tb.burst {
-		tb.tokens = tb.burst
-	}
-	tb.last = now
-}
-
-// SetRate updates the fill rate (bytes/second), settling accrued tokens
-// first so rate changes take effect exactly at the current instant.
-func (tb *TokenBucket) SetRate(bytesPerSecond float64) {
-	tb.refill()
-	tb.rate = bytesPerSecond / 1e9
-}
-
-// Rate returns the current fill rate in bytes/second.
-func (tb *TokenBucket) Rate() float64 { return tb.rate * 1e9 }
-
-// Take attempts to remove size tokens. On failure it returns the duration
-// after which the caller should retry.
-func (tb *TokenBucket) Take(size int) (ok bool, retryIn Time) {
-	tb.refill()
-	need := float64(size)
-	if tb.tokens >= need {
-		tb.tokens -= need
-		return true, 0
-	}
-	if tb.rate <= 0 {
-		return false, Millisecond
-	}
-	wait := Time((need - tb.tokens) / tb.rate)
-	if wait < 1 {
-		wait = 1
-	}
-	return false, wait
-}

@@ -74,71 +74,6 @@ func (e *EWMA) Update(sample float64) float64 {
 // Value returns the current average (0 before any update).
 func (e *EWMA) Value() float64 { return e.value }
 
-// Point is one sample of a time series.
-type Point struct {
-	T sim.Time
-	V float64
-}
-
-// Series records a sampled time series (e.g. aggregate Mpps per interval)
-// for the dynamic-scenario figures.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
-// Add appends a sample.
-func (s *Series) Add(t sim.Time, v float64) { s.Points = append(s.Points, Point{t, v}) }
-
-// Mean returns the mean of all sample values, or 0 when empty.
-func (s *Series) Mean() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	var sum float64
-	for _, p := range s.Points {
-		sum += p.V
-	}
-	return sum / float64(len(s.Points))
-}
-
-// Min returns the smallest sample value, or 0 when empty.
-func (s *Series) Min() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	m := s.Points[0].V
-	for _, p := range s.Points[1:] {
-		if p.V < m {
-			m = p.V
-		}
-	}
-	return m
-}
-
-// Max returns the largest sample value, or 0 when empty.
-func (s *Series) Max() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	m := s.Points[0].V
-	for _, p := range s.Points[1:] {
-		if p.V > m {
-			m = p.V
-		}
-	}
-	return m
-}
-
-// After returns the sub-series with timestamps >= t (shared backing array).
-func (s *Series) After(t sim.Time) Series {
-	i := 0
-	for i < len(s.Points) && s.Points[i].T < t {
-		i++
-	}
-	return Series{Name: s.Name, Points: s.Points[i:]}
-}
-
 // Ratio is a convenience for hit/miss style rates; it returns num/den or 0.
 func Ratio(num, den uint64) float64 {
 	if den == 0 {

@@ -259,24 +259,6 @@ func TestEWMA(t *testing.T) {
 	}
 }
 
-func TestSeries(t *testing.T) {
-	var s Series
-	s.Add(0, 1)
-	s.Add(10, 3)
-	s.Add(20, 5)
-	if s.Mean() != 3 || s.Min() != 1 || s.Max() != 5 {
-		t.Fatalf("mean=%v min=%v max=%v", s.Mean(), s.Min(), s.Max())
-	}
-	after := s.After(10)
-	if len(after.Points) != 2 || after.Points[0].V != 3 {
-		t.Fatalf("after = %+v", after.Points)
-	}
-	var empty Series
-	if empty.Mean() != 0 || empty.Min() != 0 || empty.Max() != 0 {
-		t.Fatal("empty series should report zeros")
-	}
-}
-
 func TestRatio(t *testing.T) {
 	if Ratio(1, 0) != 0 {
 		t.Fatal("divide by zero")

@@ -8,7 +8,6 @@ import (
 	"strconv"
 
 	"ceio/internal/sim"
-	"ceio/internal/stats"
 )
 
 // Series is one sampled metric's value sequence, aligned to the
@@ -94,56 +93,49 @@ func (s *Sampler) Series() []*Series {
 	return out
 }
 
-// Points converts one recorded series into stats.Points, for reuse with
-// the stats package's series helpers.
-func (s *Sampler) Points(id string) []stats.Point {
-	sr, ok := s.byID[id]
-	if !ok {
-		return nil
+// Lookup returns the recorded series with identity id, or nil when no
+// such metric has been sampled.
+func (s *Sampler) Lookup(id string) *Series { return s.byID[id] }
+
+// At returns the series' value at tick i of its sampler's tick list, and
+// whether the series has a point there: point j falls on tick Start+j.
+func (sr *Series) At(i int) (float64, bool) {
+	if k := i - sr.Start; k >= 0 && k < len(sr.Pts) {
+		return sr.Pts[k], true
 	}
-	pts := make([]stats.Point, len(sr.Pts))
-	for i, v := range sr.Pts {
-		pts[i] = stats.Point{T: s.ticks[sr.Start+i], V: v}
-	}
-	return pts
+	return 0, false
 }
 
-// formatSample renders a sampled value with the shortest exact decimal
-// representation, so exports are byte-stable across runs and platforms.
-func formatSample(v float64) string {
-	return strconv.FormatFloat(v, 'g', -1, 64)
-}
-
-// WriteCSV writes the sampled time series as CSV: a t_ns column followed
-// by one column per series in identity order. Cells before a series'
-// first sample are empty. Output is deterministic: column order is the
-// sorted identity order and floats use the shortest exact encoding.
-func (s *Sampler) WriteCSV(w io.Writer) error {
-	series := s.Series()
-	cw := csv.NewWriter(w)
-	row := make([]string, 0, len(series)+1)
-	row = append(row, "t_ns")
+// Grid lays sampled series out as a t_ns × series table: a t_ns column
+// followed by one column per series in the given order, one row per tick.
+// Cells where a series has no point (before it joined) are empty, and
+// values use the shortest exact encoding, so the rows are byte-stable
+// across runs and platforms.
+func Grid(ticks []sim.Time, series []*Series) (header []string, rows [][]string) {
+	header = append(header, "t_ns")
 	for _, sr := range series {
-		row = append(row, sr.ID)
+		header = append(header, sr.ID)
 	}
-	if err := cw.Write(row); err != nil {
-		return err
-	}
-	for i, t := range s.ticks {
-		row = append(row[:0], strconv.FormatInt(int64(t), 10))
+	for i, t := range ticks {
+		row := make([]string, 0, len(series)+1)
+		row = append(row, strconv.FormatInt(int64(t), 10))
 		for _, sr := range series {
-			if i >= sr.Start && i-sr.Start < len(sr.Pts) {
-				row = append(row, formatSample(sr.Pts[i-sr.Start]))
-			} else {
-				row = append(row, "")
+			cell := ""
+			if v, ok := sr.At(i); ok {
+				cell = strconv.FormatFloat(v, 'g', -1, 64)
 			}
+			row = append(row, cell)
 		}
-		if err := cw.Write(row); err != nil {
-			return err
-		}
+		rows = append(rows, row)
 	}
-	cw.Flush()
-	return cw.Error()
+	return header, rows
+}
+
+// WriteCSV writes the sampled time series as CSV: the Grid of the tick
+// list and the series in identity order.
+func (s *Sampler) WriteCSV(w io.Writer) error {
+	header, rows := Grid(s.ticks, s.Series())
+	return csv.NewWriter(w).WriteAll(append([][]string{header}, rows...))
 }
 
 // WriteJSONL writes one JSON object per tick:
@@ -160,8 +152,8 @@ func (s *Sampler) WriteJSONL(w io.Writer) error {
 	for i, t := range s.ticks {
 		row := tickRow{T: int64(t), Values: make(map[string]float64, len(s.series))}
 		for _, sr := range s.series {
-			if i >= sr.Start && i-sr.Start < len(sr.Pts) {
-				row.Values[sr.ID] = sr.Pts[i-sr.Start]
+			if v, ok := sr.At(i); ok {
+				row.Values[sr.ID] = v
 			}
 		}
 		if err := enc.Encode(row); err != nil {

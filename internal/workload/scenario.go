@@ -1,6 +1,8 @@
 package workload
 
 import (
+	"slices"
+
 	"ceio/internal/iosys"
 	"ceio/internal/sim"
 	"ceio/internal/stats"
@@ -31,10 +33,12 @@ func DefaultScenarioConfig() ScenarioConfig {
 // DynamicSeries holds the per-interval time series the paper's
 // dynamic-scenario figures plot: CPU-involved throughput (Mpps),
 // aggregate goodput (Gbps), and the LLC miss rate over each interval.
+// Point k of each rate column belongs to the interval ending at Ticks[k].
 type DynamicSeries struct {
-	InvolvedMpps stats.Series
-	TotalGbps    stats.Series
-	MissRate     stats.Series
+	Ticks        []sim.Time
+	InvolvedMpps []float64
+	TotalGbps    []float64
+	MissRate     []float64
 }
 
 // DynamicResult aggregates a dynamic-scenario run.
@@ -82,30 +86,27 @@ func sampleRates(m *iosys.Machine, every sim.Time) *rateSampler {
 // interval over which any counter went backwards (a ResetWindow between
 // ticks) yields no point; the next interval is measured from its end.
 func (r *rateSampler) series() DynamicSeries {
-	var cols [len(rateCounters)][]stats.Point
+	var cols [len(rateCounters)]*telemetry.Series
 	for i, name := range rateCounters {
-		cols[i] = r.Points(name)
+		cols[i] = r.Lookup(name)
 	}
-	out := DynamicSeries{
-		InvolvedMpps: stats.Series{Name: "involved-mpps"},
-		TotalGbps:    stats.Series{Name: "total-gbps"},
-		MissRate:     stats.Series{Name: "llc-miss-rate"},
-	}
+	var out DynamicSeries
 	lastT, last := r.t0, r.base
 	for k, t := range r.Ticks() {
 		var cur [len(rateCounters)]float64
 		backwards := false
 		for i := range cur {
-			cur[i] = cols[i][k].V
+			cur[i], _ = cols[i].At(k)
 			backwards = backwards || cur[i] < last[i]
 		}
 		if !backwards {
 			dt := (t - lastT).Seconds()
 			pkts, bytes := cur[0]-last[0], cur[1]-last[1]
 			hits, misses := uint64(cur[2]-last[2]), uint64(cur[3]-last[3])
-			out.InvolvedMpps.Add(t, pkts/dt/1e6)
-			out.TotalGbps.Add(t, bytes*8/dt/1e9)
-			out.MissRate.Add(t, stats.Ratio(misses, hits+misses))
+			out.Ticks = append(out.Ticks, t)
+			out.InvolvedMpps = append(out.InvolvedMpps, pkts/dt/1e6)
+			out.TotalGbps = append(out.TotalGbps, bytes*8/dt/1e9)
+			out.MissRate = append(out.MissRate, stats.Ratio(misses, hits+misses))
 		}
 		lastT, last = t, cur
 	}
@@ -194,12 +195,23 @@ func summarize(method Method, series, tl *rateSampler, sc ScenarioConfig) Dynami
 		tl.Stop()
 		res.Timeline = tl.series()
 	}
-	post := res.Series.InvolvedMpps.After(sc.Warmup)
-	miss := res.Series.MissRate.After(sc.Warmup)
-	res.InvolvedMpps = post.Mean()
-	res.WorstMpps = post.Min()
-	res.MissRate = miss.Mean()
+	// Post-warmup intervals: from the first tick at or after the warmup.
+	from, _ := slices.BinarySearch(res.Series.Ticks, sc.Warmup)
+	if post := res.Series.InvolvedMpps[from:]; len(post) > 0 {
+		res.InvolvedMpps = mean(post)
+		res.WorstMpps = slices.Min(post)
+		res.MissRate = mean(res.Series.MissRate[from:])
+	}
 	return res
+}
+
+// mean sums xs in order and divides by its length.
+func mean(xs []float64) float64 {
+	var sum float64
+	for _, x := range xs {
+		sum += x
+	}
+	return sum / float64(len(xs))
 }
 
 // ExpectedMpps computes the paper's "expected performance" reference

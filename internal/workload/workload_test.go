@@ -68,18 +68,18 @@ func TestRateSamplerTickOnSimEnd(t *testing.T) {
 	end := 5 * sim.Millisecond
 	m.Run(end)
 	s := r.series()
-	if n := len(s.InvolvedMpps.Points); n != 5 || len(s.TotalGbps.Points) != 5 || len(s.MissRate.Points) != 5 {
+	if n := len(s.InvolvedMpps); n != 5 || len(s.Ticks) != 5 || len(s.TotalGbps) != 5 || len(s.MissRate) != 5 {
 		t.Fatalf("recorded %d samples over 5 intervals, want 5 of each series", n)
 	}
-	if last := s.InvolvedMpps.Points[4].T; last != end {
+	if last := s.Ticks[4]; last != end {
 		t.Fatalf("last sample at %d, want exactly sim end %d", last, end)
 	}
 	var pkts float64
-	for _, p := range s.InvolvedMpps.Points {
-		if p.V <= 0 {
-			t.Fatalf("sample at %d has non-positive rate %f for a busy flow", p.T, p.V)
+	for k, v := range s.InvolvedMpps {
+		if v <= 0 {
+			t.Fatalf("sample at %d has non-positive rate %f for a busy flow", s.Ticks[k], v)
 		}
-		pkts += p.V * 1e6 * sim.Millisecond.Seconds()
+		pkts += v * 1e6 * sim.Millisecond.Seconds()
 	}
 	if want := float64(m.InvolvedMeter.Packets); math.Abs(pkts-want) > 1e-6*want {
 		t.Fatalf("rates integrate to %.3f packets, machine counted %.0f", pkts, want)
@@ -97,12 +97,12 @@ func TestRateSamplerRebaselinesAfterReset(t *testing.T) {
 	s := r.series()
 	// The tick at 3ms lands after the reset and is skipped; four samples
 	// remain, all with sane rates.
-	if n := len(s.InvolvedMpps.Points); n != 4 {
+	if n := len(s.InvolvedMpps); n != 4 {
 		t.Fatalf("recorded %d samples, want 4 (reset swallows one tick)", n)
 	}
-	for _, p := range s.InvolvedMpps.Points {
-		if p.T == 3*sim.Millisecond || p.V < 0 || p.V > 1000 {
-			t.Fatalf("sample at %d has rate %f (wrapped delta?)", p.T, p.V)
+	for k, v := range s.InvolvedMpps {
+		if s.Ticks[k] == 3*sim.Millisecond || v < 0 || v > 1000 {
+			t.Fatalf("sample at %d has rate %f (wrapped delta?)", s.Ticks[k], v)
 		}
 	}
 }
@@ -113,7 +113,7 @@ func TestRateSamplerStopHaltsTicks(t *testing.T) {
 	r := sampleRates(m, sim.Millisecond)
 	m.Eng.At(2500*sim.Microsecond, r.Stop)
 	m.Run(5 * sim.Millisecond)
-	if n := len(r.series().InvolvedMpps.Points); n != 2 {
+	if n := len(r.series().InvolvedMpps); n != 2 {
 		t.Fatalf("recorded %d samples after Stop at 2.5ms, want 2", n)
 	}
 }
@@ -124,7 +124,7 @@ func TestTimelineSamplerReadOnly(t *testing.T) {
 	sc := fastScenario()
 	plain := RunNetworkBurst(MethodShRing, iosys.DefaultConfig(), sc, 0)
 	sampled := RunNetworkBurst(MethodShRing, iosys.DefaultConfig(), sc, sc.Sample)
-	if len(plain.Timeline.InvolvedMpps.Points) != 0 {
+	if len(plain.Timeline.InvolvedMpps) != 0 {
 		t.Fatal("timeline recorded without a timeline interval")
 	}
 	if !reflect.DeepEqual(plain.Series, sampled.Series) || !reflect.DeepEqual(sampled.Timeline, sampled.Series) {
@@ -165,7 +165,7 @@ func TestDynamicDistributionRuns(t *testing.T) {
 	if res.MissRate > 0.1 {
 		t.Errorf("CEIO dynamic miss rate = %.2f, want low", res.MissRate)
 	}
-	if len(res.Series.InvolvedMpps.Points) == 0 {
+	if len(res.Series.InvolvedMpps) == 0 {
 		t.Fatal("no samples")
 	}
 }
