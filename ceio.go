@@ -25,6 +25,7 @@ package ceio
 
 import (
 	"fmt"
+	"io"
 	"strconv"
 
 	"ceio/internal/core"
@@ -32,6 +33,7 @@ import (
 	"ceio/internal/iosys"
 	"ceio/internal/pkt"
 	"ceio/internal/rdca"
+	"ceio/internal/scenario"
 	"ceio/internal/sim"
 	"ceio/internal/tenant"
 	"ceio/internal/workload"
@@ -269,8 +271,30 @@ func (s *Simulator) PauseFlow(id int)  { s.m.PauseFlow(id) }
 func (s *Simulator) ResumeFlow(id int) { s.m.ResumeFlow(id) }
 
 // OnDeliver registers an observer invoked for every packet handed to the
-// application layer.
-func (s *Simulator) OnDeliver(fn func(*Flow, *Packet)) { s.m.OnDeliver = fn }
+// application layer. Observers chain: fn runs after every observer
+// registered before it, the auditor's delivery-order check included.
+func (s *Simulator) OnDeliver(fn func(*Flow, *Packet)) {
+	prev := s.m.OnDeliver
+	if prev == nil {
+		s.m.OnDeliver = fn
+		return
+	}
+	s.m.OnDeliver = func(f *Flow, p *Packet) {
+		prev(f, p)
+		fn(f, p)
+	}
+}
+
+// Scenario is a declarative JSON experiment specification (architecture,
+// flows with start/stop times, measurement windows); ScenarioResult its
+// JSON-serialisable outcome.
+type (
+	Scenario       = scenario.Spec
+	ScenarioResult = scenario.Result
+)
+
+// LoadScenario parses a JSON scenario; run it with its Run method.
+func LoadScenario(r io.Reader) (*Scenario, error) { return scenario.Load(r) }
 
 // At schedules fn at an absolute simulated time (scenario scripting).
 func (s *Simulator) At(t Duration, fn func()) { s.m.Eng.At(t, fn) }

@@ -18,30 +18,34 @@ func main() {
 	chunk := flag.Int("chunk", 1024, "packets per write chunk (RDMA write-with-immediate batch)")
 	flag.Parse()
 
+	const window = 20 * ceio.Millisecond
 	for _, arch := range []ceio.Architecture{ceio.ArchBaseline, ceio.ArchCEIO} {
 		sim := ceio.NewSimulator(ceio.DefaultConfig(), arch)
-		// A real DFS server reassembles each flow's stream into a file,
-		// tracking received extents and the replication/log pipeline.
-		srv := ceio.NewDFSServer()
 		for i := 1; i <= *flows; i++ {
 			sim.AddFlow(ceio.FileTransferFlow(i, 1024, *chunk))
-			name := fmt.Sprintf("file-%d", i)
-			srv.Create(name, 1<<30, 2)
-			sim.BindDFS(srv, i, name)
 		}
 		sim.RunFor(5 * ceio.Millisecond)
 		sim.ResetMetrics()
-		sim.RunFor(20 * ceio.Millisecond)
+		sim.RunFor(window)
 		sn := sim.Snapshot()
 
+		// Bytes written per writer, from each flow's delivery meter over
+		// the measurement window.
+		var total, hi uint64
+		lo := ^uint64(0)
+		for _, f := range sim.Machine().Flows {
+			b := f.Delivered.Bytes
+			total += b
+			lo, hi = min(lo, b), max(hi, b)
+		}
 		fmt.Printf("%-8s: %7.2f Gbps aggregate write bandwidth, LLC miss %.1f%%\n",
 			arch, sn.BypassGbps, sn.LLCMissRate*100)
-		fmt.Printf("          DFS stored %d chunks (%.2f GB), %d log entries retained\n",
-			srv.Chunks, float64(srv.BytesStored)/1e9, srv.LogLen())
+		fmt.Printf("          %d packets (%.2f GB) written in %v, %.1f-%.1f MB per writer\n",
+			sn.DeliveredPkts, float64(total)/1e9, window, float64(lo)/1e6, float64(hi)/1e6)
 		if dp := sim.CEIO(); dp != nil {
-			total := dp.FastPackets + dp.SlowPackets
+			all := dp.FastPackets + dp.SlowPackets
 			fmt.Printf("          %.0f%% of packets took the elastic slow path (on-NIC memory), %d CCA marks\n",
-				float64(dp.SlowPackets)/float64(total)*100, dp.SlowMarks)
+				float64(dp.SlowPackets)/float64(all)*100, dp.SlowMarks)
 		}
 	}
 	fmt.Println("\nWith CEIO, large-message bypass flows exhaust their credits (lazy release)")

@@ -23,11 +23,8 @@ func main() {
 	var baseMpps float64
 	for _, arch := range []ceio.Architecture{ceio.ArchBaseline, ceio.ArchHostCC, ceio.ArchShRing, ceio.ArchCEIO} {
 		sim := ceio.NewSimulator(ceio.DefaultConfig(), arch)
-		// A real sharded KV store executes every request the simulated
-		// datapath delivers (1:1 get/put, 16B keys, 64B values).
-		store := ceio.NewKVStore()
-		store.Populate(1000, 16, 64)
-		sim.BindRPC(ceio.NewKVRPCServer(store, 1000))
+		// Each request's server CPU time comes from the KV flow's
+		// workload cost model.
 		for i := 1; i <= 8; i++ {
 			sim.AddFlow(ceio.KVFlow(i, *pkt))
 		}
@@ -36,7 +33,7 @@ func main() {
 		sim.RunFor(25 * ceio.Millisecond)
 		sn := sim.Snapshot()
 
-		// Merge tail latency across flows.
+		// The tail column is the worst flow's P99.9.
 		var worstP999 int64
 		for _, f := range sim.Machine().Flows {
 			if p := f.Latency.P999(); p > worstP999 {
@@ -51,7 +48,5 @@ func main() {
 		}
 		fmt.Printf("%-10s %12.2f %12.2f %9.1f%% %12.2f%s\n",
 			arch, sn.TotalMpps, sn.TotalGbps, sn.LLCMissRate*100, float64(worstP999)/1e3, note)
-		fmt.Printf("           store: %d gets (%d hits), %d puts executed\n",
-			store.Gets, store.GetHits, store.Puts)
 	}
 }

@@ -58,9 +58,7 @@ func (s *Simulator) InjectFaults(plan FaultPlan) (*FaultInjector, error) {
 
 // AttachAuditor arms the invariants auditor on this simulator, sweeping
 // every period (a zero period selects a default). Call before traffic
-// starts, and register any OnDeliver observer first — the auditor chains
-// onto the observer installed at attach time. Read Auditor.Err after
-// Auditor.Final at the end of the run.
+// starts. Read Auditor.Err after Auditor.Final at the end of the run.
 func (s *Simulator) AttachAuditor(period Duration) *Auditor {
 	return invariants.Attach(s.m, period)
 }

@@ -79,9 +79,6 @@ func (m *Memory) BulkMoveArg(size int, fn func(any), arg any) sim.Time {
 // models and for diagnostics).
 func (m *Memory) QueueDelay() sim.Time { return m.controller.QueueDelay() }
 
-// ControllerBandwidth returns the configured bandwidth in bytes/second.
-func (m *Memory) ControllerBandwidth() float64 { return m.bandwidth }
-
 // IIO models the Integrated I/O staging buffer between the PCIe root
 // complex and the cache/memory subsystem. HostCC's congestion signal is
 // this buffer's occupancy (§2.3). Writes enter on DMA arrival and drain

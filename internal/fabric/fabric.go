@@ -190,9 +190,6 @@ func (s *Switch[P]) Config() Config { return s.cfg }
 // Stats returns the aggregate switch counters.
 func (s *Switch[P]) Stats() Stats { return s.stats }
 
-// PortStats returns egress port p's counters.
-func (s *Switch[P]) PortStats(p int) PortStats { return s.ports[p].stats }
-
 // QueuedBytes reports the shared-buffer occupancy (queued plus
 // in-service frames). Together with the Stats counters it closes the
 // byte-conservation identity: injected == delivered + dropped + queued.
@@ -220,9 +217,6 @@ func (s *Switch[P]) DownPorts() int {
 	}
 	return n
 }
-
-// CapacityFactor returns the current line-rate scale (1 = full).
-func (s *Switch[P]) CapacityFactor() float64 { return s.capFactor }
 
 // SetPortDown flaps egress port p: while down it drops arrivals and
 // pauses service start (a frame mid-serialization finishes; queued

@@ -241,10 +241,6 @@ type Host struct {
 	cutApplied  bool
 }
 
-// Down reports ground truth: the host's crash window is open. Callers
-// outside the host's own shard should only read this between runs.
-func (h *Host) Down() bool { return h.down }
-
 // Live reports the balancer's view of the host.
 func (h *Host) Live() bool { return h.live }
 

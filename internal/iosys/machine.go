@@ -496,10 +496,6 @@ func (m *Machine) pollTotals() pollCounts {
 	return t
 }
 
-// QueueCores returns the per-queue cores of a multi-queue machine (nil on
-// Cores == 0 machines, whose cores belong to single flows).
-func (m *Machine) QueueCores() []*Core { return m.queues }
-
 // scheduleNextPacket paces the flow generator at its current CC rate,
 // subject to the congestion window: a sender never has more than
 // rate x RTT bytes in flight, so receiver-side consumption (deliveries)

@@ -104,8 +104,3 @@ func (r *HWRing) Drain(fn func(*pkt.Packet)) {
 		}
 	}
 }
-
-// Head and Tail expose the raw pointers (the flow controller tracks the
-// head pointer of the legacy ring to account credit consumption, §4.1).
-func (r *HWRing) Head() uint64 { return r.head }
-func (r *HWRing) Tail() uint64 { return r.tail }

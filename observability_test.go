@@ -7,6 +7,8 @@ package ceio_test
 // a new series cannot ship undocumented.
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -127,5 +129,40 @@ func TestRegisteredNamesObeyGrammar(t *testing.T) {
 	}
 	for n, k := range benchSeries {
 		check(n, k)
+	}
+}
+
+// WriteMetrics and WriteTimeline are the library equivalents of the
+// CLIs' -metrics-out and -timeline-out: the exposition parses and agrees
+// with Snapshot, and the timeline needs a tracer and is valid JSON.
+func TestWriteMetricsAndTimeline(t *testing.T) {
+	sim := ceio.NewSimulator(ceio.DefaultConfig(), ceio.ArchCEIO)
+	sim.AddFlow(ceio.KVFlow(1, 144))
+	var buf bytes.Buffer
+	if err := sim.WriteTimeline(&buf); err == nil {
+		t.Fatal("WriteTimeline without a tracer returned no error")
+	}
+	sim.EnableTracing(1024)
+	sim.RunFor(1 * ceio.Millisecond)
+
+	buf.Reset()
+	if err := sim.WriteMetrics(&buf); err != nil {
+		t.Fatal(err)
+	}
+	samples, err := telemetry.ParseExposition(&buf)
+	if err != nil {
+		t.Fatalf("ParseExposition: %v", err)
+	}
+	got, ok := samples["ceio_iosys_delivered_packets_total"]
+	if want := sim.Snapshot().DeliveredPkts; !ok || want == 0 || got != float64(want) {
+		t.Fatalf("delivered packets: exposition %v (present %v), snapshot %d", got, ok, want)
+	}
+
+	buf.Reset()
+	if err := sim.WriteTimeline(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() == 0 || !json.Valid(buf.Bytes()) {
+		t.Fatalf("timeline is not valid JSON: %.200s", buf.String())
 	}
 }

@@ -8,6 +8,7 @@ import (
 
 	"ceio/internal/render"
 	"ceio/internal/telemetry"
+	"ceio/internal/trace"
 )
 
 // Telemetry façade: every simulator carries a metrics registry that all
@@ -39,6 +40,18 @@ func (s *Simulator) StartSampling(every Duration) *MetricsSampler {
 // (the `-metrics-out` file of the CLIs).
 func (s *Simulator) WriteMetrics(w io.Writer) error {
 	return telemetry.WritePrometheus(w, s.m.Reg)
+}
+
+// Tracer records per-packet datapath events (arrival, path verdicts, DMA
+// completion, delivery) into a bounded ring for diagnostics.
+type Tracer = trace.Tracer
+
+// EnableTracing attaches a tracer retaining up to capacity events and
+// returns it.
+func (s *Simulator) EnableTracing(capacity int) *Tracer {
+	t := trace.New(capacity)
+	s.m.Tracer = t
+	return t
 }
 
 // WriteTimeline writes the attached tracer's per-packet events as
