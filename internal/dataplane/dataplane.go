@@ -316,6 +316,19 @@ func (e *Engine) ResidentBytes() int64 {
 	return sum
 }
 
+// MissRate is the window state miss ratio across every module.
+func (e *Engine) MissRate() float64 {
+	var hits, misses uint64
+	for _, mod := range e.mods {
+		hits += mod.Hits
+		misses += mod.Misses
+	}
+	if hits+misses == 0 {
+		return 0
+	}
+	return float64(misses) / float64(hits+misses)
+}
+
 // ResetWindow zeroes the window counters (Resident, a live gauge, is
 // kept), mirroring LLC.ResetStats for steady-state measurement windows.
 func (e *Engine) ResetWindow() {

@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"ceio/internal/iosys"
 	"ceio/internal/workload"
 )
 
@@ -37,25 +38,36 @@ func Table4(cfg Config) Table {
 	}
 	methods := []workload.Method{workload.MethodBaseline, workload.MethodCEIONoOpt, workload.MethodCEIO}
 
-	// Enumerate (ratio, method) cells, methods innermost.
-	res := runCells(cfg, len(ratios)*len(methods), func(i int, c Config) mixedResult {
-		return runMixedWith(c, workload.NewDatapath(methods[i%len(methods)]), ratios[i/len(methods)])
+	// Cells are (ratio, method), methods innermost.
+	res := runCells(cfg, len(ratios)*len(methods), func(i int, c Config) reads {
+		return measure(c, workload.NewDatapath(methods[i%len(methods)]), mixedFlows(ratios[i/len(methods)]), table4Cols, nil)
 	})
-
-	involved := func(r mixedResult) float64 { return r.involvedMpps }
-	bypass := func(r mixedResult) float64 { return r.bypassGbps }
 	for ri, mix := range ratios {
 		k := ri * len(methods)
-		base := statOf(res[k], involved)
-		noopt := statOf(res[k+1], involved)
-		full := statOf(res[k+2], involved)
+		base := colStat(res[k], 0)
 		tb.Rows = append(tb.Rows, []string{
 			mix.label,
 			fmt.Sprintf("%s (-)", base.f2()),
-			speedupStat(noopt, base),
-			speedupStat(full, base),
-			fmt.Sprintf("%s -> %s", statOf(res[k+1], bypass).f2(), statOf(res[k+2], bypass).f2()),
+			speedupStat(colStat(res[k+1], 0), base),
+			speedupStat(colStat(res[k+2], 0), base),
+			fmt.Sprintf("%s -> %s", colStat(res[k+1], 1).f2(), colStat(res[k+2], 1).f2()),
 		})
 	}
 	return tb
 }
+
+// mixedFlows is a mixed-flow deployment (eRPC alongside LineFS, §6.3
+// "Performance in Mixed I/O Flows"): mix.involved CPU-involved flows
+// take the first IDs, then mix.bypass LineFS flows.
+func mixedFlows(mix mixRatio) []iosys.FlowSpec {
+	return flowsOf(mix.involved+mix.bypass, func(id int) iosys.FlowSpec {
+		if id <= mix.involved {
+			return workload.ERPCKV(id, 144, workload.DPDK)
+		}
+		return workload.LineFS(id, 1024, 1024)
+	})
+}
+
+// table4Cols are what each Table 4 cell reads: involved Mpps and bypass
+// Gbps.
+var table4Cols = []col{{name: "iosys.involved.rate_mpps"}, {name: "iosys.bypass.rate_gbps"}}

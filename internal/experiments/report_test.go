@@ -119,11 +119,11 @@ func TestFormattingHelpers(t *testing.T) {
 	if us(1500) != "1.50" {
 		t.Fatal("us")
 	}
-	if speedup(2, 1) != "2.00 (2.00x)" {
-		t.Fatalf("speedup: %q", speedup(2, 1))
+	if got := speedupStat(Stat{Mean: 2, N: 1}, Stat{Mean: 1, N: 1}); got != "2.00 (2.00x)" {
+		t.Fatalf("speedupStat: %q", got)
 	}
-	if speedup(2, 0) != "2.00" {
-		t.Fatal("speedup with zero base")
+	if speedupStat(Stat{Mean: 2, N: 1}, Stat{}) != "2.00" {
+		t.Fatal("speedupStat with zero base")
 	}
 	if got := reduction(500, 1000); !strings.Contains(got, "2.00x") {
 		t.Fatalf("reduction: %q", got)
@@ -131,8 +131,8 @@ func TestFormattingHelpers(t *testing.T) {
 	if reduction(0, 10) != "0.00" {
 		t.Fatalf("reduction zero: %q", reduction(0, 10))
 	}
-	if ratio64(10, 0) != 0 || ratio64(10, 5) != 2 {
-		t.Fatal("ratio64")
+	if ratio(10, 0) != 0 || ratio(10, 5) != 2 {
+		t.Fatal("ratio")
 	}
 }
 

@@ -32,7 +32,7 @@ func Fig12(cfg Config) Table {
 	}
 
 	// Enumerate (count, slot) cells, slots innermost.
-	res := runCells(cfg, len(counts)*len(slots), func(i int, c Config) float64 {
+	res := runCells(cfg, len(counts)*len(slots), func(i int, c Config) reads {
 		return runFlowScale(c, counts[i/len(slots)], slots[i%len(slots)], duration)
 	})
 
@@ -40,7 +40,7 @@ func Fig12(cfg Config) Table {
 	for _, n := range counts {
 		row := []string{fmt.Sprintf("%d", n)}
 		for range slots {
-			row = append(row, statOf(res[k], func(v float64) float64 { return v }).f2())
+			row = append(row, colStat(res[k], 0).f2())
 			k++
 		}
 		tb.Rows = append(tb.Rows, row)
@@ -50,34 +50,33 @@ func Fig12(cfg Config) Table {
 
 // runFlowScale measures aggregate goodput with n established UD flows
 // and 16 active at a time, rotating every slot.
-func runFlowScale(cfg Config, n int, slot, duration sim.Time) float64 {
-	m := iosys.NewMachine(cfg.Machine, workload.NewDatapath(workload.MethodCEIO))
-	ids := make([]int, n)
-	share := cfg.Machine.LinkBandwidth / 16
-	for i := 0; i < n; i++ {
-		spec := workload.Echo(i+1, 512)
+func runFlowScale(c Config, n int, slot, duration sim.Time) reads {
+	share := c.Machine.LinkBandwidth / 16
+	flows := flowsOf(n, func(id int) iosys.FlowSpec {
+		spec := workload.Echo(id, 512)
 		spec.InitialRate = share
 		spec.FixedRate = true // RDMA UD: no transport congestion control
-		m.AddFlow(spec)
-		m.PauseFlow(i + 1)
-		ids[i] = i + 1
-	}
-	active := make([]int, 0, 16)
-	rotate := func() {
-		for _, id := range active {
+		return spec
+	})
+	arm := func(m *iosys.Machine) {
+		for id := 1; id <= n; id++ {
 			m.PauseFlow(id)
 		}
-		active = active[:0]
-		perm := m.Eng.Rand().Perm(n)
-		for _, k := range perm[:min(16, n)] {
-			id := ids[k]
-			m.ResumeFlow(id)
-			active = append(active, id)
-		}
+		active := make([]int, 0, 16)
+		m.Eng.Every(0, slot, func() {
+			for _, id := range active {
+				m.PauseFlow(id)
+			}
+			active = active[:0]
+			for _, k := range m.Eng.Rand().Perm(n)[:min(16, n)] {
+				m.ResumeFlow(k + 1)
+				active = append(active, k+1)
+			}
+		})
 	}
-	m.Eng.Every(0, slot, rotate)
-	m.Run(duration / 4)
-	m.ResetWindow()
-	m.Run(duration)
-	return m.Delivered.Gbps(m.Eng.Now())
+	c.Warmup, c.Measure = duration/4, duration-duration/4
+	return measure(c, workload.NewDatapath(workload.MethodCEIO), flows, fig12Cols, arm)
 }
+
+// fig12Cols is what each Fig. 12 cell reads: delivered goodput.
+var fig12Cols = []col{{name: "iosys.delivered.rate_gbps"}}

@@ -37,41 +37,15 @@ func specFor(stack Stack, id, pktSize int) iosys.FlowSpec {
 	}
 }
 
-// StaticResult is one cell of Fig. 9: steady-state throughput and LLC
-// miss rate for a (stack, method, packet size) combination.
-type StaticResult struct {
-	Stack    Stack
-	Method   workload.Method
-	PktSize  int
-	Mpps     float64
-	Gbps     float64
-	MissRate float64
-}
+// fig9Cols are what each Fig. 9 cell reads: delivered Mpps and the
+// LLC miss ratio.
+var fig9Cols = []col{{name: "iosys.delivered.rate_mpps"}, {name: "cache.llc.miss_ratio"}}
 
-// RunStatic measures one Fig. 9 cell: eight flows of the stack under the
+// runStatic measures one Fig. 9 cell: eight flows of the stack under the
 // method, at the packet size, in steady state.
-func RunStatic(cfg Config, stack Stack, method workload.Method, pktSize int) StaticResult {
-	m := iosys.NewMachine(cfg.Machine, workload.NewDatapath(method))
-	for i := 1; i <= 8; i++ {
-		m.AddFlow(specFor(stack, i, pktSize))
-	}
-	measureWindow(m, cfg.Warmup, cfg.Measure)
-	now := m.Eng.Now()
-	return StaticResult{
-		Stack:    stack,
-		Method:   method,
-		PktSize:  pktSize,
-		Mpps:     m.Delivered.Mpps(now),
-		Gbps:     m.Delivered.Gbps(now),
-		MissRate: m.LLC.MissRate(),
-	}
-}
-
-// staticSpec is one enumerated Fig. 9 run: a (stack, size, method) cell.
-type staticSpec struct {
-	stack   Stack
-	method  workload.Method
-	pktSize int
+func runStatic(c Config, stack Stack, method workload.Method, pktSize int) reads {
+	flows := flowsOf(8, func(id int) iosys.FlowSpec { return specFor(stack, id, pktSize) })
+	return measure(c, workload.NewDatapath(method), flows, fig9Cols, nil)
 }
 
 // Fig9 reproduces Figure 9: throughput and LLC miss rate versus packet
@@ -83,19 +57,12 @@ func Fig9(cfg Config) []Table {
 		sizes = []int{256, 1024}
 	}
 
-	// Enumerate run specs in render order (methods innermost, so each
-	// row's baseline occupies the first slot of its group).
-	var specs []staticSpec
-	for _, stack := range AllStacks {
-		for _, size := range sizes {
-			for _, me := range workload.AllMethods {
-				specs = append(specs, staticSpec{stack, me, size})
-			}
-		}
-	}
-	res := runCells(cfg, len(specs), func(i int, c Config) StaticResult {
-		s := specs[i]
-		return RunStatic(c, s.stack, s.method, s.pktSize)
+	// Cells are (stack, size, method) in render order, methods innermost,
+	// so each row's baseline occupies the first slot of its group.
+	methods := workload.AllMethods
+	res := runCells(cfg, len(AllStacks)*len(sizes)*len(methods), func(i int, c Config) reads {
+		group := i / len(methods)
+		return runStatic(c, AllStacks[group/len(sizes)], methods[i%len(methods)], sizes[group%len(sizes)])
 	})
 
 	// Render from the index-ordered slots.
@@ -107,15 +74,14 @@ func Fig9(cfg Config) []Table {
 			Header: []string{"pkt size"},
 			Note:   "Paper shape: CEIO reduces miss rate from ~88% to ~1% and wins throughput; gains shrink as packets grow.",
 		}
-		for _, me := range workload.AllMethods {
+		for _, me := range methods {
 			tb.Header = append(tb.Header, string(me)+" Mpps", string(me)+" miss")
 		}
 		for _, size := range sizes {
 			row := []string{fmt.Sprintf("%dB", size)}
 			var base Stat
-			for _, me := range workload.AllMethods {
-				mpps := statOf(res[k], func(r StaticResult) float64 { return r.Mpps })
-				miss := statOf(res[k], func(r StaticResult) float64 { return r.MissRate })
+			for _, me := range methods {
+				mpps, miss := colStat(res[k], 0), colStat(res[k], 1)
 				k++
 				if me == workload.MethodBaseline {
 					base = mpps

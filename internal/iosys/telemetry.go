@@ -244,6 +244,8 @@ func (m *Machine) registerPipelineMetrics() {
 		func() uint64 { return uint64(e.TotalBusy) })
 	m.Reg.Gauge("dataplane.state.resident_bytes", "Module state bytes currently resident in the LLC, all modules.",
 		func() float64 { return float64(e.ResidentBytes()) })
+	m.Reg.Gauge("dataplane.state.miss_ratio", "Window state miss ratio across all modules.",
+		e.MissRate)
 	m.Reg.Gauge("dataplane.modules.active_count", "Dataplane modules instantiated on this machine.",
 		func() float64 { return float64(len(e.Modules())) })
 }
