@@ -9,7 +9,7 @@
 //	ceio-bench -quick -sample-every 250us -timeline-out fig10.csv fig10
 //	ceio-bench -http :8080 -metrics-out bench.prom
 //	ceio-bench -quick -faults examples/scenarios/chaos-storm.json fig9
-//	ceio-bench -quick -hosts 4 -kill-at 5ms fleet
+//	ceio-bench -quick -hosts 4 fleet
 //
 // With no arguments it runs every experiment ("all"). Experiment names
 // follow the paper (fig9, table2, ...); -list prints them all, in paper
@@ -17,8 +17,9 @@
 // tables, a pure function of flags and seed; wall-clock stamps go to stderr.
 //
 // -faults arms a deterministic fault plan on every machine the
-// experiments build; -hosts and -kill-at narrow the fleet experiment's
-// rack sweep and kill schedule.
+// experiments build; -hosts narrows the fleet experiment's rack sweep
+// to one size. Fleet, pipeline and tenancy what-ifs beyond the paper's
+// sweeps are ceio-sim's job.
 //
 // Every simulation run is an independent single-threaded engine, so
 // -parallel N fans runs (sweep points, whole experiments, and -seeds
@@ -50,13 +51,11 @@ import (
 	"sync/atomic"
 	"time"
 
-	"ceio/internal/dataplane"
 	"ceio/internal/experiments"
 	"ceio/internal/faults"
 	"ceio/internal/runner"
 	"ceio/internal/sim"
 	"ceio/internal/telemetry"
-	"ceio/internal/tenant"
 )
 
 // benchProgress counts completed work; the /metrics endpoint and
@@ -91,12 +90,6 @@ func main() {
 	seeds := flag.Int("seeds", 1, "seed replicas per measurement: scalars report min/mean/max, latency histograms merge")
 	faultsPath := flag.String("faults", "", "JSON fault plan armed on every experiment machine: measure the tables under deterministic chaos")
 	hosts := flag.Int("hosts", 0, "restrict the fleet experiment to one rack size instead of the 4-64 sweep")
-	killAt := flag.Duration("kill-at", 0, "override the fleet experiment's host-0 crash time (simulated, absolute; 0 = a quarter into the window)")
-	fabricGbps := flag.Float64("fabric-gbps", 0, "override the fleet experiment's ToR per-port line rate in Gbps (0 = 100)")
-	fabricBuf := flag.Int("fabric-buf", 0, "override the fleet experiment's shared ToR switch buffer in bytes (0 = 2 MiB)")
-	pipeline := flag.String("pipeline", "", "restrict the pipelines experiment to one module composition, e.g. \"nat64,acl-trie,firewall\"")
-	rdcaWindow := flag.Int("rdca-window", 0, "restrict the rdca experiment's fixed-window sweep to one width in I/O buffers (0 = built-in sweep)")
-	tenantLayout := flag.String("tenants", "", "override the tenants experiment's starting way allocation, e.g. \"kv=2,bulk=3\"")
 	sampleEvery := flag.Duration("sample-every", 0, "simulated sampling interval for the timeline tables of tenants, fig4 and fig10 (0 = off)")
 	timelineOut := flag.String("timeline-out", "", "write timeline tables as CSV to this file instead of stdout (needs -sample-every)")
 	metricsOut := flag.String("metrics-out", "", "write the bench-process progress registry as Prometheus text exposition at exit")
@@ -129,14 +122,6 @@ func main() {
 		os.Exit(2)
 	}
 	cfg.FleetHosts = *hosts
-	cfg.FleetKillAt = sim.Time(killAt.Nanoseconds())
-	cfg.FabricGbps = *fabricGbps
-	cfg.FabricBuf = *fabricBuf
-	if *rdcaWindow < 0 {
-		fmt.Fprintf(os.Stderr, "ceio-bench: -rdca-window must be >= 0, got %d\n", *rdcaWindow)
-		os.Exit(2)
-	}
-	cfg.RDCAWindow = *rdcaWindow
 	if *faultsPath != "" {
 		f, err := os.Open(*faultsPath)
 		if err != nil {
@@ -153,25 +138,6 @@ func main() {
 		// Machine.FaultPlan, so the rendered tables measure the paper's
 		// comparisons under the same deterministic chaos.
 		cfg.Machine.FaultPlan = &plan
-	}
-	if *pipeline != "" {
-		chain := strings.Split(*pipeline, ",")
-		for i := range chain {
-			chain[i] = strings.TrimSpace(chain[i])
-		}
-		if err := dataplane.ValidateChain(chain); err != nil {
-			fmt.Fprintf(os.Stderr, "ceio-bench: %v (modules: %s)\n", err, strings.Join(dataplane.Names(), ", "))
-			os.Exit(2)
-		}
-		cfg.Pipeline = chain
-	}
-	if *tenantLayout != "" {
-		specs, err := tenant.ParseSpecs(*tenantLayout)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "ceio-bench: %v\n", err)
-			os.Exit(2)
-		}
-		cfg.TenantLayout = specs
 	}
 	pool := runner.NewPool(*parallel)
 	defer pool.Close()

@@ -66,17 +66,3 @@ func TestRDCAGoldenCells(t *testing.T) {
 	within(t, "burst Gbps CEIO", numCell(t, rdcaRow(t, burst, "CEIO")[1]), 62.25)
 	within(t, "burst Gbps RDCA adaptive", numCell(t, rdcaRow(t, burst, "RDCA adaptive")[1]), 3.33)
 }
-
-// TestRDCAWindowOverride checks the -rdca-window plumbing: a positive
-// RDCAWindow restricts the fixed-window sweep to exactly that width.
-func TestRDCAWindowOverride(t *testing.T) {
-	cfg := QuickConfig()
-	cfg.RDCAWindow = 32
-	vs := rdcaVariants(cfg)
-	if len(vs) != 4 {
-		t.Fatalf("variants: %d, want 4 (Baseline, CEIO, w=32, adaptive)", len(vs))
-	}
-	if vs[2].name != "RDCA w=32" {
-		t.Fatalf("fixed-window variant %q, want \"RDCA w=32\"", vs[2].name)
-	}
-}
