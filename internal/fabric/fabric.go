@@ -105,14 +105,6 @@ type Delivery[P any] struct {
 	Msg Msg[P]
 }
 
-// PortStats counts one port's traffic (egress-side: a frame belongs to
-// its destination port).
-type PortStats struct {
-	InjectedMsgs, InjectedBytes   uint64
-	DeliveredMsgs, DeliveredBytes uint64
-	DroppedMsgs, DroppedBytes     uint64
-}
-
 // Stats aggregates the switch counters the byte-conservation invariant
 // is audited over.
 type Stats struct {
@@ -149,7 +141,6 @@ type port[P any] struct {
 	down bool
 
 	queuedMsgs int
-	stats      PortStats
 }
 
 // Switch is the ToR model. Not safe for concurrent use: the fleet
@@ -273,8 +264,6 @@ func (s *Switch[P]) Inject(now sim.Time, m Msg[P]) bool {
 		return false
 	}
 	p := s.ports[m.Dst]
-	p.stats.InjectedMsgs++
-	p.stats.InjectedBytes += uint64(m.Bytes)
 	if p.down {
 		s.drop(m, true)
 		return false
@@ -299,11 +288,6 @@ func (s *Switch[P]) drop(m Msg[P], portDown bool) {
 		s.stats.PortDownDrops++
 	} else {
 		s.stats.TailDrops++
-	}
-	if m.Dst >= 0 && m.Dst < len(s.ports) {
-		p := s.ports[m.Dst]
-		p.stats.DroppedMsgs++
-		p.stats.DroppedBytes += uint64(m.Bytes)
 	}
 }
 
@@ -361,8 +345,6 @@ func (s *Switch[P]) AdvanceTo(t sim.Time) {
 		s.bufUsed -= p.cur.msg.Bytes
 		s.stats.DeliveredMsgs++
 		s.stats.DeliveredBytes += uint64(p.cur.msg.Bytes)
-		p.stats.DeliveredMsgs++
-		p.stats.DeliveredBytes += uint64(p.cur.msg.Bytes)
 		s.out = append(s.out, Delivery[P]{At: bestAt + s.cfg.PropDelay, Msg: p.cur.msg})
 		s.kick(p, bestAt)
 	}
