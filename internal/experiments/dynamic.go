@@ -14,12 +14,6 @@ var fig4Methods = []workload.Method{workload.MethodBaseline, workload.MethodHost
 // fig10Methods add CEIO for the end-to-end comparison.
 var fig10Methods = []workload.Method{workload.MethodBaseline, workload.MethodHostCC, workload.MethodShRing, workload.MethodCEIO}
 
-// dynSpec is one enumerated dynamic-scenario run.
-type dynSpec struct {
-	burst  bool
-	method workload.Method
-}
-
 // dynamicTables runs both dynamic scenarios (flow distribution, then
 // network burst) for the given methods as a single parallel batch and
 // lays out mean/worst CPU-involved throughput and the miss rate,
@@ -27,18 +21,13 @@ type dynSpec struct {
 // from the number of CPU-involved flows and the single-core miss-free
 // throughput.
 func dynamicTables(cfg Config, titles [2]string, methods []workload.Method) []Table {
-	var specs []dynSpec
-	for _, burst := range []bool{false, true} {
-		for _, me := range methods {
-			specs = append(specs, dynSpec{burst, me})
+	// Cells are (scenario, method), methods innermost.
+	res := runCells(cfg, 2*len(methods), func(i int, c Config) workload.DynamicResult {
+		me := methods[i%len(methods)]
+		if i >= len(methods) {
+			return workload.RunNetworkBurst(me, c.Machine, c.Scenario, c.SampleEvery)
 		}
-	}
-	res := runCells(cfg, len(specs), func(i int, c Config) workload.DynamicResult {
-		s := specs[i]
-		if s.burst {
-			return workload.RunNetworkBurst(s.method, c.Machine, c.Scenario, c.SampleEvery)
-		}
-		return workload.RunDynamicDistribution(s.method, c.Machine, c.Scenario, c.SampleEvery)
+		return workload.RunDynamicDistribution(me, c.Machine, c.Scenario, c.SampleEvery)
 	})
 
 	// Expected line: with 8 CPU-involved flows sustained (the scenarios
@@ -65,8 +54,8 @@ func dynamicTables(cfg Config, titles [2]string, methods []workload.Method) []Ta
 		tables = append(tables, tb)
 	}
 	if cfg.SampleEvery > 0 {
-		for i, s := range specs {
-			tables = append(tables, dynamicTimeline(titles[i/len(methods)], s.method, res[i]))
+		for i, reps := range res {
+			tables = append(tables, dynamicTimeline(titles[i/len(methods)], methods[i%len(methods)], reps))
 		}
 	}
 	return tables
