@@ -23,7 +23,7 @@ func F2(v float64) string { return fmt.Sprintf("%.2f", v) }
 func Pct(v float64) string { return fmt.Sprintf("%.1f%%", v*100) }
 
 // Us formats nanoseconds as microseconds with two decimals.
-func Us(ns int64) string { return fmt.Sprintf("%.2f", float64(ns)/1e3) }
+func Us(ns float64) string { return fmt.Sprintf("%.2f", ns/1e3) }
 
 // SummaryLine renders the one-line aggregate summary of a run.
 func SummaryLine(arch string, mpps, gbps, involvedMpps, bypassGbps, missRate float64, drops uint64) string {
