@@ -34,12 +34,12 @@ func TestCEIOPollSteadyStateZeroAlloc(t *testing.T) {
 		}
 		m.Run(now)
 	}
-	buf := make([]*pkt.Packet, 0, m.Cfg.BatchSize)
-	buf = dp.Poll(f, buf, m.Cfg.BatchSize)
+	buf := make([]*pkt.Packet, 0, iosys.BatchSize)
+	buf = dp.Poll(f, buf, iosys.BatchSize)
 	if n := len(st.sw.AppendPendingSlow(nil, st.sw.Cap())); n == 0 {
 		t.Fatalf("no pending slow entries to scan (%s)", dp.DebugFlow(1))
 	}
-	allocs := testing.AllocsPerRun(100, func() { buf = dp.Poll(f, buf[:0], m.Cfg.BatchSize) })
+	allocs := testing.AllocsPerRun(100, func() { buf = dp.Poll(f, buf[:0], iosys.BatchSize) })
 	if allocs != 0 {
 		t.Fatalf("CEIO.Poll allocates %.1f times per call in steady state", allocs)
 	}

@@ -52,7 +52,7 @@ func TestAuditorCatchesElasticDrift(t *testing.T) {
 	a := invariants.Attach(m, 50*sim.Microsecond)
 	m.AddFlow(kvSpec(1, 512))
 	m.Run(1 * sim.Millisecond)
-	m.NICMemUsed += int64(m.Cfg.IOBufSize) // simulated accounting bug
+	m.NICMemUsed += iosys.IOBufSize // simulated accounting bug
 	m.Run(2 * sim.Millisecond)
 	if a.Count() == 0 {
 		t.Fatal("injected elastic drift went unnoticed")
@@ -66,7 +66,7 @@ func TestAuditorCatchesElasticDrift(t *testing.T) {
 	if !found {
 		t.Fatalf("expected an elastic-bytes violation, got: %v", a.Err())
 	}
-	m.NICMemUsed -= int64(m.Cfg.IOBufSize) // undo so Final's bounds check is about drift only
+	m.NICMemUsed -= iosys.IOBufSize // undo so Final's bounds check is about drift only
 }
 
 // A forged out-of-order delivery must produce a delivery-order violation,

@@ -24,10 +24,7 @@ func TestValidateCatchesBadFields(t *testing.T) {
 	}{
 		{"LinkBandwidth", func(c *iosys.Config) { c.LinkBandwidth = 0 }},
 		{"LLCBytes", func(c *iosys.Config) { c.LLCBytes = 0 }},
-		{"IOBufSize", func(c *iosys.Config) { c.IOBufSize = -1 }},
-		{"LLCBytes >= IOBufSize", func(c *iosys.Config) { c.LLCBytes = 100; c.IOBufSize = 200 }},
-		{"MemBandwidth", func(c *iosys.Config) { c.MemBandwidth = 0 }},
-		{"BatchSize", func(c *iosys.Config) { c.BatchSize = 0 }},
+		{"LLCBytes >= IOBufSize", func(c *iosys.Config) { c.LLCBytes = iosys.IOBufSize - 1 }},
 		{"CC.MaxRate >= CC.MinRate", func(c *iosys.Config) { c.CC.MaxRate = 1; c.CC.MinRate = 2 }},
 		{"HostBuffers", func(c *iosys.Config) { c.HostBuffers = -1 }},
 	}

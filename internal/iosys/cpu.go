@@ -154,7 +154,7 @@ func (c *Core) loop() {
 	n := len(c.flows)
 	for i := 0; i < n; i++ {
 		cand := c.flows[(c.cursor+i)%n]
-		if b := c.m.DP.Poll(cand, c.batch[:0], c.m.Cfg.BatchSize); len(b) > 0 {
+		if b := c.m.DP.Poll(cand, c.batch[:0], BatchSize); len(b) > 0 {
 			batch, flow = b, cand
 			c.cursor = (c.cursor + i + 1) % n
 			break
@@ -194,7 +194,7 @@ func (c *Core) idle() {
 	if backoff > maxIdleBackoff {
 		backoff = maxIdleBackoff
 	}
-	c.m.Eng.AfterArg(c.m.Cfg.PollInterval*sim.Time(backoff), coreLoop, c)
+	c.m.Eng.AfterArg(PollInterval*sim.Time(backoff), coreLoop, c)
 }
 
 // serveBatch completes the in-flight batch after its modelled CPU time:

@@ -198,11 +198,11 @@ func NewMachineE(cfg Config, dp Datapath) (*Machine, error) {
 		Eng:     eng,
 		Cfg:     cfg,
 		LLC:     cache.NewLLC(cfg.LLCBytes),
-		Mem:     cache.NewMemory(eng, cfg.MemBandwidth, cfg.DRAMLatency),
-		IIO:     cache.NewIIO(cfg.IIOBytes),
-		Uncore:  sim.NewServer(eng, cfg.UncoreBW, 0),
-		ToHost:  pcie.NewLink(eng, cfg.HostLink),
-		ToNIC:   pcie.NewLink(eng, cfg.HostLink),
+		Mem:     cache.NewMemory(eng, MemBandwidth, DRAMLatency),
+		IIO:     cache.NewIIO(IIOBytes),
+		Uncore:  sim.NewServer(eng, UncoreBW, 0),
+		ToHost:  pcie.NewLink(eng, pcie.DefaultLinkConfig()),
+		ToNIC:   pcie.NewLink(eng, pcie.DefaultLinkConfig()),
 		RxWire:  sim.NewServer(eng, cfg.LinkBandwidth, 0),
 		NICMem:  sim.NewServer(eng, cfg.NICMemBandwidth, 0),
 		Steer:   flowsteer.NewTable(),
@@ -210,7 +210,7 @@ func NewMachineE(cfg Config, dp Datapath) (*Machine, error) {
 		Flows:   make(map[int]*Flow),
 		PktPool: pkt.NewPool(),
 	}
-	m.DMA = pcie.NewEngine(eng, m.ToHost, m.ToNIC, m.IIO, cfg.DMACredits)
+	m.DMA = pcie.NewEngine(eng, m.ToHost, m.ToNIC, m.IIO, DMACredits)
 	if cfg.Cores > 0 {
 		m.RSS = flowsteer.NewRSS(cfg.Cores)
 		m.queues = make([]*Core, cfg.Cores)
@@ -220,7 +220,7 @@ func NewMachineE(cfg Config, dp Datapath) (*Machine, error) {
 		m.LLC.EnableQueueStats(cfg.Cores)
 	}
 	if cfg.HostBuffers > 0 {
-		m.HostPool = bufpool.New(cfg.HostBuffers, cfg.IOBufSize)
+		m.HostPool = bufpool.New(cfg.HostBuffers, IOBufSize)
 	}
 	if cfg.Tenancy != nil {
 		// The registry carves the LLC before the datapath attaches, so
@@ -393,7 +393,7 @@ func (m *Machine) AddFlowE(spec FlowSpec) (*Flow, error) {
 		// first-seen modules register their telemetry series here (the
 		// sampler picks up late registrations at its next tick).
 		if m.Pipes == nil {
-			m.Pipes = dataplane.NewEngine(m.LLC, m.Mem, m.Cfg.LLCHitLatency, m.writebackEvicted)
+			m.Pipes = dataplane.NewEngine(m.LLC, m.Mem, LLCHitLatency, m.writebackEvicted)
 			m.registerPipelineMetrics()
 		}
 		chain, created, err := m.Pipes.Resolve(spec.Pipeline)
@@ -596,7 +596,7 @@ func (m *Machine) emit(f *Flow) {
 
 	// Wire serialisation through the shared 200 Gbps port. ECN marking
 	// fires when the port backlog exceeds the DCTCP threshold.
-	if m.RxWire.QueueDelay() > m.Cfg.MarkThreshold {
+	if m.RxWire.QueueDelay() > MarkThreshold {
 		p.Marked = true
 	}
 	m.RxWire.SubmitArg(p.Size+m.Cfg.EthOverhead, wireArrived, m.getRxJob(f, p))
@@ -626,7 +626,7 @@ func wireArrived(arg any) {
 		return
 	}
 	m.Trace(trace.KindArrive, p.FlowID, p.Seq)
-	m.Eng.AfterArg(m.Cfg.NICPipelineCost, nicIngress, j)
+	m.Eng.AfterArg(NICPipelineCost, nicIngress, j)
 }
 
 // nicIngress hands the packet to the datapath after the NIC pipeline
@@ -674,7 +674,7 @@ func dmaArrived(arg any, w *pcie.Write) {
 	// cache: DDIO rewrites only the packet's lines, but buffer-pool
 	// recycling leaves the rest of the 2KB buffer's lines resident
 	// from earlier use. Jumbo frames span multiple buffers.
-	occ := int64(m.Cfg.IOBufSize)
+	occ := int64(IOBufSize)
 	if lines := int64((p.Size + 63) &^ 63); lines > occ {
 		occ = lines
 	}
@@ -731,7 +731,7 @@ func (m *Machine) writebackEvicted(evicted []cache.Evicted) {
 		}
 		size := int(e.Payload)
 		if size == 0 {
-			size = m.Cfg.IOBufSize
+			size = IOBufSize
 		}
 		m.Mem.Writeback(size)
 	}
@@ -742,7 +742,7 @@ func (m *Machine) writebackEvicted(evicted []cache.Evicted) {
 func (m *Machine) Deliver(f *Flow, p *pkt.Packet) {
 	now := m.Eng.Now()
 	f.Delivered.Record(p.Size)
-	lat := int64(now - p.Arrival + m.Cfg.ClientOverhead)
+	lat := int64(now - p.Arrival + ClientOverhead)
 	f.Latency.Record(lat)
 	m.Latency.Record(lat)
 	m.Delivered.Record(p.Size)
@@ -825,10 +825,10 @@ func bypassMoved(arg any) {
 // driver base cost, the memory access (LLC hit or DRAM miss), and the
 // workload's application work including optional memcpy.
 func (m *Machine) PacketCPUCost(f *Flow, p *pkt.Packet) sim.Time {
-	c := m.Cfg.CPUBaseCost
+	c := CPUBaseCost
 	if p.Path == pkt.PathSlow {
 		// Slow-path data was just DMA-read into host memory and is warm.
-		c += m.Cfg.LLCHitLatency
+		c += LLCHitLatency
 	} else {
 		hit := m.LLC.ConsumeIn(p.Part, p.LLC, p.Buf)
 		m.LLC.AccountQueue(f.QueueIndex(), hit)
@@ -836,7 +836,7 @@ func (m *Machine) PacketCPUCost(f *Flow, p *pkt.Packet) sim.Time {
 			m.Tenants.Account(f.TenantIndex(), hit)
 		}
 		if hit {
-			c += m.Cfg.LLCHitLatency
+			c += LLCHitLatency
 		} else {
 			c += m.Mem.AccessLatency(p.Size)
 		}

@@ -194,7 +194,7 @@ func (d *RDCA) Attach(m *iosys.Machine) {
 // partition Eq. 1 budget (the same number tenant.Registry.Credits hands
 // CEIO's per-tenant credit gate) scaled by the residency target.
 func (d *RDCA) capBufs(pi int) int {
-	c := int(float64(d.m.LLC.PartCapacity(pi)) * d.opt.ResidencyTarget / float64(d.m.Cfg.IOBufSize))
+	c := int(float64(d.m.LLC.PartCapacity(pi)) * d.opt.ResidencyTarget / iosys.IOBufSize)
 	if c < MinWindow {
 		c = MinWindow
 	}
@@ -362,7 +362,7 @@ func (d *RDCA) adjust() {
 					pw.window = MinWindow
 				}
 				d.EvictShrinks++
-			case d.m.LLC.ImminentIn(pi, int64(ImminenceBufs*d.m.Cfg.IOBufSize)) > 0:
+			case d.m.LLC.ImminentIn(pi, ImminenceBufs*iosys.IOBufSize) > 0:
 				// In-flight buffers near the eviction tail: back off
 				// gently before residency is actually lost.
 				pw.window -= pw.window / 8

@@ -28,34 +28,35 @@ import (
 	"ceio/internal/stats"
 )
 
+// Fixed DCTCP parameters for a 200 Gbps fabric; no experiment varies them.
+const (
+	// Gain is DCTCP's g for the alpha EWMA (paper setup: 1/16).
+	Gain = 1.0 / 16
+	// AdditiveIncrease is the per-RTT rate increment in bytes/second when
+	// no congestion was observed (~1 MSS of window per RTT, 1500B/20µs).
+	AdditiveIncrease = 75e6
+	// LossBackoff is the multiplicative factor applied on packet loss
+	// (losses indicate buffer overrun, a stronger signal than ECN).
+	LossBackoff = 0.5
+)
+
 // Config parameterises a DCTCP-style rate controller.
 type Config struct {
 	// RTT is the control-loop interval (the network round-trip time).
 	RTT sim.Time
-	// Gain is DCTCP's g for the alpha EWMA (paper setup: 1/16).
-	Gain float64
 	// MinRate and MaxRate bound the sending rate in bytes/second;
 	// MaxRate is normally the line rate.
 	MinRate float64
 	MaxRate float64
-	// AdditiveIncrease is the per-RTT rate increment in bytes/second when
-	// no congestion was observed.
-	AdditiveIncrease float64
-	// LossBackoff is the multiplicative factor applied on packet loss
-	// (losses indicate buffer overrun, a stronger signal than ECN).
-	LossBackoff float64
 }
 
 // DefaultConfig returns the parameters used across the experiments for a
 // 200 Gbps fabric.
 func DefaultConfig() Config {
 	return Config{
-		RTT:              20 * sim.Microsecond,
-		Gain:             1.0 / 16,
-		MinRate:          2e8,  // floor: one ~MTU window per RTT class
-		MaxRate:          25e9, // 200 Gbps
-		AdditiveIncrease: 75e6, // ~1 MSS of window per RTT (1500B/20µs)
-		LossBackoff:      0.5,
+		RTT:     20 * sim.Microsecond,
+		MinRate: 2e8,  // floor: one ~MTU window per RTT class
+		MaxRate: 25e9, // 200 Gbps
 	}
 }
 
@@ -94,7 +95,7 @@ func New(eng *sim.Engine, cfg Config, initialRate float64) *FlowCC {
 		initialRate = cfg.MaxRate
 	}
 	f := &FlowCC{cfg: cfg, eng: eng, rate: initialRate}
-	f.alpha.Gain = cfg.Gain
+	f.alpha.Gain = Gain
 	if cfg.MinRate < cfg.MaxRate {
 		f.stopTick = eng.Every(eng.Now()+cfg.RTT, cfg.RTT, f.tick)
 	}
@@ -141,7 +142,7 @@ func (f *FlowCC) OnLoss() {
 		return
 	}
 	f.lastLoss, f.haveLoss = now, true
-	f.setRate(f.rate * f.cfg.LossBackoff)
+	f.setRate(f.rate * LossBackoff)
 }
 
 // ForceReduce is the hook HostCC uses: it triggers the CCA with an
@@ -172,11 +173,11 @@ func (f *FlowCC) tick() {
 			f.Reductions++
 			f.setRate(f.rate * (1 - f.alpha.Value()/2))
 		} else {
-			f.setRate(f.rate + f.cfg.AdditiveIncrease)
+			f.setRate(f.rate + AdditiveIncrease)
 		}
 	} else if f.lost == 0 {
 		// Idle or starved flow: probe upward gently.
-		f.setRate(f.rate + f.cfg.AdditiveIncrease/4)
+		f.setRate(f.rate + AdditiveIncrease/4)
 	}
 	f.acked, f.marked, f.lost = 0, 0, 0
 }

@@ -37,9 +37,9 @@ func TestAdditiveIncreaseWhenClean(t *testing.T) {
 	eng.RunUntil(5 * cfg.RTT)
 	// Five ticks: the first sees the 50 clean acks (one additive
 	// increase), the other four see none (four idle probes of AI/4).
-	want := 1e9 + cfg.AdditiveIncrease
+	want := 1e9 + AdditiveIncrease
 	for i := 0; i < 4; i++ {
-		want += cfg.AdditiveIncrease / 4
+		want += AdditiveIncrease / 4
 	}
 	if f.Rate() != want {
 		t.Fatalf("rate = %v, want %v", f.Rate(), want)
@@ -64,7 +64,7 @@ func TestLateControllerStartsOneRTTAfterCreation(t *testing.T) {
 		t.Fatalf("rate changed before one RTT elapsed: %v", f.Rate())
 	}
 	eng.RunUntil(sim.Millisecond + cfg.RTT)
-	if want := 1e9 + cfg.AdditiveIncrease/4; f.Rate() != want {
+	if want := 1e9 + AdditiveIncrease/4; f.Rate() != want {
 		t.Fatalf("first tick at creation+RTT: rate = %v, want %v", f.Rate(), want)
 	}
 }
