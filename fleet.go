@@ -16,8 +16,8 @@ import (
 // start from DefaultFleetConfig.
 type FleetConfig = fleet.Config
 
-// Fleet is a rack under one shared deterministic engine; construct with
-// NewFleet or NewFleetE.
+// Fleet is a rack whose hosts each step their own deterministic engine
+// shard in lockstep epochs; construct with NewFleet or NewFleetE.
 type Fleet = fleet.Fleet
 
 // FleetHost is one rack member (machine plus balancer health view).

@@ -3,9 +3,8 @@
 // (its shard), and all balancer↔host control traffic — health probes,
 // drain notices, credit-replaying re-steers — crosses an explicit ToR
 // switch model (internal/fabric) with per-port bandwidth, a shared
-// tail-drop buffer, and round-robin egress arbitration, replacing the
-// zero-cost hop of the single-engine rack. Shards advance between
-// lockstep barriers on a grid of the fabric's propagation delay (the
+// tail-drop buffer, and round-robin egress arbitration. Shards advance
+// between lockstep barriers on a grid of the fabric's propagation delay (the
 // classic conservative-lookahead argument: no frame can arrive sooner
 // than one propagation delay after it was sent), and every cross-shard
 // frame is sequenced through the switch at a barrier in canonical

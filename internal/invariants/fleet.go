@@ -20,9 +20,9 @@ import (
 
 // FleetView is the read-only surface a fleet exposes for auditing.
 // Implementations must return deterministic (sorted) slices, since audit
-// sweeps run on the shared engine and their records are part of the
-// byte-identical run output. The auditor is done with each returned
-// slice before its next call, so an implementation may reuse one buffer.
+// records are part of the byte-identical run output. The auditor is done
+// with each returned slice before its next call, so an implementation
+// may reuse one buffer.
 type FleetView interface {
 	// HostCount returns the number of hosts in the rack.
 	HostCount() int
@@ -40,24 +40,18 @@ type FleetView interface {
 	// ExpectedHostCredits returns the C_total host i's credit controller
 	// was built with (0 when host i runs a creditless datapath).
 	ExpectedHostCredits(i int) int
-}
-
-// FabricView is the optional extension a fleet with a ToR switch model
-// exposes: both ledgers must satisfy injected == delivered + dropped +
-// queued at every sweep, or the fabric is minting or eating traffic.
-type FabricView interface {
-	// FabricBytes returns the switch's byte ledger.
+	// FabricBytes and FabricFrames return the ToR switch's byte and
+	// frame ledgers. Both must satisfy injected == delivered + dropped +
+	// queued at every sweep, or the fabric is minting or eating traffic.
 	FabricBytes() (injected, delivered, dropped, queued uint64)
-	// FabricFrames returns the switch's frame ledger.
 	FabricFrames() (injected, delivered, dropped, queued uint64)
 }
 
-// FleetAuditor sweeps fleet-level invariants — periodically on an
-// engine (AttachFleet) or explicitly at epoch barriers (NewFleetAuditor
-// plus SweepAt, the sharded fleet's mode, where barriers are the only
-// points cross-shard state is coherent). Per-host invariants (credit
-// ledger, elastic bytes, ring protocol) remain the per-machine Auditor's
-// job; this auditor owns only the cross-host rules.
+// FleetAuditor sweeps fleet-level invariants at the sharded fleet's
+// epoch barriers (SweepAt), the only points where cross-shard state is
+// coherent. Per-host invariants (credit ledger, elastic bytes, ring
+// protocol) remain the per-machine Auditor's job; this auditor owns only
+// the cross-host rules.
 type FleetAuditor struct {
 	v   FleetView
 	now func() sim.Time
@@ -78,17 +72,6 @@ type FleetAuditor struct {
 // it with SweepAt (and Final, which stamps violations via now).
 func NewFleetAuditor(v FleetView, now func() sim.Time) *FleetAuditor {
 	return &FleetAuditor{v: v, now: now, owner: make(map[int]int)}
-}
-
-// AttachFleet arms the fleet auditor on the rack's shared engine with the
-// given sweep period.
-func AttachFleet(eng *sim.Engine, v FleetView, period sim.Time) *FleetAuditor {
-	if period <= 0 {
-		period = 100 * sim.Microsecond
-	}
-	a := NewFleetAuditor(v, eng.Now)
-	eng.Every(period, period, func() { a.SweepAt(eng.Now()) })
-	return a
 }
 
 func (a *FleetAuditor) record(now sim.Time, rule, detail string) {
@@ -170,15 +153,13 @@ func (a *FleetAuditor) SweepAt(now sim.Time) {
 	// Fabric conservation: the ToR switch neither mints nor eats traffic.
 	// Everything injected is delivered, dropped, or still queued — in
 	// bytes and in frames.
-	if fv, ok := a.v.(FabricView); ok {
-		if inj, del, drop, q := fv.FabricBytes(); inj != del+drop+q {
-			a.record(now, "fabric-byte-conservation",
-				fmt.Sprintf("injected=%d delivered=%d dropped=%d queued=%d", inj, del, drop, q))
-		}
-		if inj, del, drop, q := fv.FabricFrames(); inj != del+drop+q {
-			a.record(now, "fabric-frame-conservation",
-				fmt.Sprintf("injected=%d delivered=%d dropped=%d queued=%d", inj, del, drop, q))
-		}
+	if inj, del, drop, q := a.v.FabricBytes(); inj != del+drop+q {
+		a.record(now, "fabric-byte-conservation",
+			fmt.Sprintf("injected=%d delivered=%d dropped=%d queued=%d", inj, del, drop, q))
+	}
+	if inj, del, drop, q := a.v.FabricFrames(); inj != del+drop+q {
+		a.record(now, "fabric-frame-conservation",
+			fmt.Sprintf("injected=%d delivered=%d dropped=%d queued=%d", inj, del, drop, q))
 	}
 }
 
