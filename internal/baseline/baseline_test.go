@@ -212,3 +212,33 @@ func TestShRingBypassOnlyDrainsBudget(t *testing.T) {
 		}
 	}
 }
+
+// Machine.ResetWindow zeroes the LLC hit and miss counters between two
+// monitor samples. The next sample must count from zero; a wrapped
+// unsigned delta reads as a ~100% miss ratio and force-reduces every flow
+// on a quiet machine.
+func TestHostCCIgnoresResetWindow(t *testing.T) {
+	cfg := baseline.DefaultHostCCConfig()
+	h := baseline.NewHostCC(cfg)
+	m := iosys.NewMachine(iosys.DefaultConfig(), h)
+	for i := 1; i <= 8; i++ {
+		m.AddFlow(kvSpec(i, 256))
+	}
+	m.AddFlow(dfsSpec(9))
+	m.AddFlow(dfsSpec(10))
+	m.Run(2 * sim.Millisecond)
+	for id := range m.Flows {
+		m.PauseFlow(id)
+	}
+	// Drain the in-flight packets and let every cooldown lapse.
+	m.Run(m.Eng.Now() + sim.Millisecond)
+	if m.LLC.Hits+m.LLC.Misses == 0 {
+		t.Fatal("the loaded phase touched no LLC line")
+	}
+	before := h.Triggers
+	m.ResetWindow()
+	m.Run(m.Eng.Now() + cfg.Period)
+	if got := h.Triggers - before; got != 0 {
+		t.Fatalf("ResetWindow alone triggered %d reductions", got)
+	}
+}

@@ -75,6 +75,11 @@ func (h *HostCC) Attach(m *iosys.Machine) {
 func (h *HostCC) monitor() {
 	m := h.m
 	hits, misses := m.LLC.Hits, m.LLC.Misses
+	if hits < h.lastHits || misses < h.lastMisses {
+		// Machine.ResetWindow zeroed the counters since the last sample:
+		// count this period from zero rather than wrap the deltas.
+		h.lastHits, h.lastMisses = 0, 0
+	}
 	dHits, dMisses := hits-h.lastHits, misses-h.lastMisses
 	h.lastHits, h.lastMisses = hits, misses
 
