@@ -94,13 +94,12 @@ func SlowPathAblation(cfg Config) Table {
 }
 
 // ablationCols are what each ablation cell reads: involved Mpps, the worst
-// involved flow's P99, the fast- and slow-path packet counts the
-// fast-path share is taken from (counted from t = 0, as the share always
-// has been), and the LLC miss ratio.
+// involved flow's P99, the window's fast- and slow-path packet counts the
+// fast-path share is taken from, and the LLC miss ratio.
 var ablationCols = []col{
 	{name: "iosys.involved.rate_mpps"},
 	{name: worstInvolvedP99},
-	{name: "core.ceio.fast_packets_total"},
-	{name: "core.ceio.slow_packets_total"},
+	{name: "core.ceio.fast_packets_total", how: delta},
+	{name: "core.ceio.slow_packets_total", how: delta},
 	{name: "cache.llc.miss_ratio"},
 }
