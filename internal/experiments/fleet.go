@@ -34,7 +34,7 @@ func Fleet(cfg Config) Table {
 	tb := Table{
 		Title:  "Fleet — rack-scale failover over the ToR fabric, host 0 killed mid-window, 3 flows per host",
 		Header: []string{"hosts", "Baseline miss", "Baseline p99 (µs)", "CEIO miss", "CEIO p99 (µs)", "migrated", "TTR max (µs)", "fabric MB", "violations"},
-		Note:   "Host 0 crashes a quarter into the measurement window and recovers a quarter later; every victim flow is re-steered to a survivor within the drain deadline (TTR = crash-to-re-steered). All probes and migration handshakes traverse the modelled ToR switch (fabric MB = control bytes it delivered for the CEIO rack); hosts are sharded across the worker pool in lockstep epochs, so the rendered rows are byte-identical at any -parallel width. CEIO's miss-rate advantage holds through the churn because migration replays unacknowledged credit state before teardown, conserving each survivor's C_total.",
+		Note:   "Host 0 crashes a quarter into the measurement window and recovers a quarter later; every victim flow is re-steered to a survivor within the drain deadline (TTR = crash-to-re-steered). All probes and migration handshakes traverse the modelled ToR switch (fabric MB = control bytes it delivered for the CEIO rack during the measurement window); hosts are sharded across the worker pool in lockstep epochs, so the rendered rows are byte-identical at any -parallel width. CEIO's miss-rate advantage holds through the churn because migration replays unacknowledged credit state before teardown, conserving each survivor's C_total.",
 	}
 	counts := []int{4, 8, 16, 32, 64}
 	if cfg.Quick {
@@ -74,9 +74,10 @@ func Fleet(cfg Config) Table {
 		audit := f.AttachAuditors(probe)
 		f.RunFor(c.Warmup)
 		f.ResetWindow()
-		f.RunFor(c.Measure)
-		audit.Final()
-		return scope{reg: f.Reg, rack: f, audit: audit}.read(fleetCols)
+		return scope{reg: f.Reg, rack: f, audit: audit}.window(fleetCols, func() {
+			f.RunFor(c.Measure)
+			audit.Final()
+		})
 	})
 	for k, n := range counts {
 		base, ceio := res[k*len(methods)], res[k*len(methods)+1]
@@ -106,12 +107,12 @@ func Fleet(cfg Config) Table {
 // and P99 latency; failover migrations, counted from t = 0 (the one
 // crash falls inside the window, so that is the window's count); the
 // slowest crash-to-re-steered time; control bytes the ToR fabric
-// delivered since t = 0; and invariant violations.
+// delivered during the window; and invariant violations.
 var fleetCols = []col{
 	{name: rackMissRatio},
 	{name: rackLatency, how: p99},
 	{name: "fleet.failover.migrations_total"},
 	{name: "fleet.failover.time_to_recover_ns", how: hmax},
-	{name: "fabric.bytes.delivered_total"},
+	{name: "fabric.bytes.delivered_total", how: delta},
 	{name: auditViolations},
 }

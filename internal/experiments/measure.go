@@ -135,14 +135,20 @@ func measure(c Config, dp iosys.Datapath, flows []iosys.FlowSpec, cols []col, ar
 	}
 	m.Run(m.Eng.Now() + c.Warmup)
 	m.ResetWindow()
-	s := scope{reg: m.Reg, m: m}
+	return scope{reg: m.Reg, m: m}.window(cols, func() { m.Run(m.Eng.Now() + c.Measure) })
+}
+
+// window opens a measurement window on s: it reads cols' delta columns,
+// runs the window, and returns cols as read at its end, less the delta
+// columns' opening values.
+func (s scope) window(cols []col, run func()) reads {
 	open := make([]float64, len(cols))
 	for i, col := range cols {
 		if col.how == delta {
 			open[i] = s.read(cols[i : i+1]).v[0]
 		}
 	}
-	m.Run(m.Eng.Now() + c.Measure)
+	run()
 	r := s.read(cols)
 	for i := range cols {
 		r.v[i] -= open[i]
