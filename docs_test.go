@@ -8,6 +8,7 @@ package ceio_test
 
 import (
 	"encoding/json"
+	"go/ast"
 	"go/parser"
 	"go/token"
 	"io/fs"
@@ -249,5 +250,49 @@ func TestFullResultsCoverExperimentsDoc(t *testing.T) {
 	if !slices.Equal(f, q) {
 		t.Errorf("full_results.txt and quick_results.txt render different tables:\n%s\n---\n%s",
 			strings.Join(f, "\n"), strings.Join(q, "\n"))
+	}
+}
+
+// TestModelConstantsDocumented asserts DESIGN.md's "Key modelling
+// parameters" section names every constant of the fixed machine model
+// (internal/iosys/config.go) and of the DCTCP controller
+// (internal/transport), so a new or renamed constant cannot drift out of
+// the parameter list.
+func TestModelConstantsDocumented(t *testing.T) {
+	design := readFile(t, "DESIGN.md")
+	start := strings.Index(design, "## Key modelling parameters")
+	if start < 0 {
+		t.Fatal("DESIGN.md has no \"Key modelling parameters\" section")
+	}
+	section := design[start:]
+	if end := strings.Index(section[2:], "\n## "); end >= 0 {
+		section = section[:end+2]
+	}
+	for pkg, file := range map[string]string{
+		"iosys":     "internal/iosys/config.go",
+		"transport": "internal/transport/dctcp.go",
+	} {
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, d := range f.Decls {
+			gd, ok := d.(*ast.GenDecl)
+			if !ok || gd.Tok != token.CONST {
+				continue
+			}
+			for _, spec := range gd.Specs {
+				for _, name := range spec.(*ast.ValueSpec).Names {
+					n++
+					if !strings.Contains(section, "`"+pkg+"."+name.Name+"`") {
+						t.Errorf("%s.%s (%s) is not named in DESIGN.md's Key modelling parameters", pkg, name.Name, file)
+					}
+				}
+			}
+		}
+		if n == 0 {
+			t.Errorf("%s declares no constants; the check reads the wrong file", file)
+		}
 	}
 }
